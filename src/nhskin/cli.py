@@ -4,8 +4,16 @@ Every subcommand is a reproducible run: model in (built-in or JSON file),
 CSV/PGM/SVG artifacts plus a manifest out.  Reruns with the same arguments
 produce byte-identical files.
 
+Each `_cmd_*` handler only computes.  It returns ``(artifacts, summary)``:
+`artifacts` is an ordered list of ``(file name, writer)`` pairs, where
+``writer(path)`` writes that one file, and `summary` is the lines to print.
+`_run` does the rest the same way for every command: it resolves the model,
+creates --out, calls only the writers whose file extension is one of the
+--format entries (work a writer defers is skipped with it), writes the
+manifest and prints the summary.
+
 NHSKIN_THREADS caps BLAS worker threads; it must take effect before numpy
-loads, which is why all numeric imports live inside the command handlers.
+loads, which is why all numeric imports live inside functions.
 """
 
 from __future__ import annotations
@@ -16,11 +24,13 @@ import sys
 
 from .errors import NHSkinError
 
-_BUILTIN_PARAMS = {
-    "hatano-nelson": ("jl", "jr"),
-    "nh-ssh": ("t1", "t2", "gamma"),
-    "asym2d": ("jl", "jr", "tp"),
+# --builtin name -> (constructor in nhskin.model, the options it takes in order)
+_BUILTINS = {
+    "hatano-nelson": ("builtin_hatano_nelson", ("jl", "jr")),
+    "nh-ssh": ("builtin_nh_ssh", ("t1", "t2", "gamma")),
+    "asym2d": ("builtin_2d", ("jl", "jr", "tp")),
 }
+_ONE_D = {"spectrum", "localize", "reciprocity"}  # commands that refuse 2D models
 
 
 def _apply_thread_cap() -> None:
@@ -39,7 +49,7 @@ def _apply_thread_cap() -> None:
 def _add_model_args(sp: argparse.ArgumentParser) -> None:
     g = sp.add_argument_group("model source (exactly one of --model/--builtin)")
     g.add_argument("--model", metavar="FILE", help="JSON model file")
-    g.add_argument("--builtin", choices=sorted(_BUILTIN_PARAMS), help="built-in model")
+    g.add_argument("--builtin", choices=sorted(_BUILTINS), help="built-in model")
     g.add_argument("--jl", type=float, help="left-hopping amplitude J_L")
     g.add_argument("--jr", type=float, help="right-hopping amplitude J_R")
     g.add_argument("--t1", type=float, help="intra-cell hopping t1")
@@ -48,298 +58,216 @@ def _add_model_args(sp: argparse.ArgumentParser) -> None:
     g.add_argument("--tp", type=float, help="diagonal hopping t'")
 
 
-def _add_run_args(sp: argparse.ArgumentParser, sizes_default=None) -> None:
-    sp.add_argument(
-        "-N",
-        "--sizes",
-        type=int,
-        nargs="+",
-        default=sizes_default,
-        help="lattice size(s); meaning is per-command (see each command's help)",
-    )
-    sp.add_argument("--out", default="nhskin_out", help="output directory")
-    sp.add_argument(
-        "--format",
-        default="csv,svg,pgm",
-        help="comma-separated artifact formats to write",
-    )
-    sp.add_argument("--tol", type=float, default=None, help="override the command's tolerance")
-
-
 def _resolve_model(args, parser: argparse.ArgumentParser):
     if bool(args.model) == bool(args.builtin):
         parser.error("exactly one of --model or --builtin is required")
-    if args.model:
-        from .model import load_model
-
-        return load_model(args.model)
     from . import model as M
 
-    name = args.builtin
-    missing = [f"--{p}" for p in _BUILTIN_PARAMS[name] if getattr(args, p) is None]
-    if missing:
-        parser.error(f"--builtin {name} requires {', '.join(missing)}")
-    if name == "hatano-nelson":
-        return M.builtin_hatano_nelson(args.jl, args.jr)
-    if name == "nh-ssh":
-        return M.builtin_nh_ssh(args.t1, args.t2, args.gamma)
-    return M.builtin_2d(args.jl, args.jr, args.tp)
+    if args.model:
+        model = M.load_model(args.model)
+    else:
+        factory, params = _BUILTINS[args.builtin]
+        missing = [f"--{p}" for p in params if getattr(args, p) is None]
+        if missing:
+            parser.error(f"--builtin {args.builtin} requires {', '.join(missing)}")
+        model = getattr(M, factory)(*(getattr(args, p) for p in params))
+    if args.command in _ONE_D and model.dimension != 1:
+        raise ValueError(f"{args.command} expects a 1D model")
+    return model
 
 
-def _formats(args) -> set:
-    return {f.strip() for f in args.format.split(",") if f.strip()}
-
-
-def _prepare_outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
-def _write_run_manifest(args) -> None:
+def _run(args, parser: argparse.ArgumentParser) -> int:
     from .io import write_manifest
 
+    # only funnel, which builds its own chain, declares no model options
+    model = _resolve_model(args, parser) if hasattr(args, "builtin") else None
+    artifacts, summary = args.func(args, model)
+    os.makedirs(args.out, exist_ok=True)
+    formats = {f.strip() for f in args.format.split(",") if f.strip()}
+    for name, write in artifacts:
+        if name.rsplit(".", 1)[1] in formats:
+            write(os.path.join(args.out, name))
     config = {
         k: v
         for k, v in vars(args).items()
         if k != "func" and (v is None or isinstance(v, (bool, int, float, str, list)))
     }
     write_manifest(args.out, {"command": args.command, "config": config})
+    for line in summary:
+        print(line)
+    return 0
+
+
+def _csv(header, rows):
+    """Writer of one CSV file; a generator of rows is consumed only if it runs."""
+    from .io import write_csv
+
+    return lambda path: write_csv(path, header, rows)
 
 
 # ------------------------------------------------------------------ commands
 
 
-def _cmd_spectrum(args, parser) -> int:
+def _cmd_spectrum(args, model):
     import numpy as np
 
-    from .io import write_csv, write_svg_scatter
+    from .io import write_svg_scatter
+    from .model import bloch_samples
     from .realspace import build
     from .spectral import eig_biorthogonal, export_spectrum_csv
-
-    model = _resolve_model(args, parser)
-    if model.dimension != 1:
-        raise ValueError("spectrum expects a 1D model")
-    from .model import bloch_samples
 
     N = (args.sizes or [100])[0]
     ks = np.linspace(0.0, 2 * np.pi, args.k_samples, endpoint=False)
     bands = np.sort(np.linalg.eigvals(bloch_samples(model, ks)), axis=1)
     system = eig_biorthogonal(build(model, [N], "obc"))
-
-    outdir = _prepare_outdir(args)
-    fmts = _formats(args)
-    if "csv" in fmts:
-        header = ["k"]
-        for b in range(bands.shape[1]):
-            header += [f"re_e{b}", f"im_e{b}"]
-        rows = (
-            [float(k)] + [f(bands[i, b]) for b in range(bands.shape[1]) for f in (lambda z: float(z.real), lambda z: float(z.imag))]
-            for i, k in enumerate(ks)
-        )
-        write_csv(os.path.join(outdir, "pbc_bands.csv"), header, rows)
-        export_spectrum_csv(os.path.join(outdir, "obc_spectrum.csv"), system)
-    if "svg" in fmts:
-        write_svg_scatter(
-            os.path.join(outdir, "spectrum.svg"),
-            [
-                (bands.real.ravel(), bands.imag.ravel(), "steelblue", "PBC"),
-                (system.eigenvalues.real, system.eigenvalues.imag, "crimson", "OBC"),
-            ],
-            title=f"{model.name or 'model'}: PBC vs OBC spectrum",
-        )
-    _write_run_manifest(args)
-    print(
-        f"pbc: {bands.shape[1]} band(s) x {len(ks)} k-points; "
-        f"obc: {len(system.eigenvalues)} eigenvalues, "
-        f"max |Im E| = {np.abs(system.eigenvalues.imag).max():.3e}"
+    ev = system.eigenvalues
+    header = ["k"] + [f"{part}_e{b}" for b in range(bands.shape[1]) for part in ("re", "im")]
+    rows = (
+        [float(k)] + [x for z in bands[i] for x in (float(z.real), float(z.imag))]
+        for i, k in enumerate(ks)
     )
-    return 0
+    groups = [
+        (bands.real.ravel(), bands.imag.ravel(), "steelblue", "PBC"),
+        (ev.real, ev.imag, "crimson", "OBC"),
+    ]
+    title = f"{model.name or 'model'}: PBC vs OBC spectrum"
+    artifacts = [
+        ("pbc_bands.csv", _csv(header, rows)),
+        ("obc_spectrum.csv", lambda path: export_spectrum_csv(path, system)),
+        ("spectrum.svg", lambda path: write_svg_scatter(path, groups, title=title)),
+    ]
+    return artifacts, [
+        f"pbc: {bands.shape[1]} band(s) x {len(ks)} k-points; "
+        f"obc: {len(ev)} eigenvalues, max |Im E| = {np.abs(ev.imag).max():.3e}"
+    ]
 
 
-def _cmd_winding(args, parser) -> int:
+def _cmd_winding(args, model):
     from .io import parse_complex, write_csv
     from .topology import predict_skin_side, winding_map, winding_number
 
-    model = _resolve_model(args, parser)
     base = parse_complex(args.base)
-    res = winding_number(model, base, gap_tol=args.tol if args.tol else 1e-6)
-    outdir = _prepare_outdir(args)
-    if "csv" in _formats(args):
-        write_csv(
-            os.path.join(outdir, "winding.csv"),
-            ["re_base", "im_base", "w", "re_raw", "im_raw", "k_samples"],
-            [
-                (
-                    base.real,
-                    base.imag,
-                    res.w,
-                    float(res.raw_integral.real),
-                    float(res.raw_integral.imag),
-                    res.k_samples_used,
-                )
-            ],
-        )
-        if args.grid:
-            rows = winding_map(
-                model,
-                (args.window[0], args.window[1]),
-                (args.window[2], args.window[3]),
-                resolution=args.grid,
-                gap_tol=args.tol if args.tol else 1e-6,
-            )
-            write_csv(os.path.join(outdir, "winding_map.csv"), ["re_base", "im_base", "w"], rows)
-    _write_run_manifest(args)
-    print(f"w = {res.w}")
+    gap_tol = args.tol if args.tol else 1e-6
+    res = winding_number(model, base, gap_tol=gap_tol)
+    raw = res.raw_integral
+    row = (base.real, base.imag, res.w, float(raw.real), float(raw.imag), res.k_samples_used)
+    header = ["re_base", "im_base", "w", "re_raw", "im_raw", "k_samples"]
+
+    def winding_map_csv(path):
+        w = args.window
+        rows = winding_map(model, (w[0], w[1]), (w[2], w[3]), resolution=args.grid, gap_tol=gap_tol)
+        write_csv(path, ["re_base", "im_base", "w"], rows)
+
+    artifacts = [("winding.csv", _csv(header, [row]))]
+    if args.grid:
+        artifacts.append(("winding_map.csv", winding_map_csv))
     side = predict_skin_side(res)
-    print(f"skin side: {side if side else 'none'}")
-    return 0
+    return artifacts, [f"w = {res.w}", f"skin side: {side if side else 'none'}"]
 
 
-def _cmd_gbz(args, parser) -> int:
+def _cmd_gbz(args, model):
     import numpy as np
 
     from .io import write_svg_scatter
     from .nonbloch import export_gbz_csv, gbz_curve
 
-    model = _resolve_model(args, parser)
-    samples = gbz_curve(
-        model,
-        N_seed=(args.sizes or [400])[0],
-        gbz_tol=args.tol if args.tol else 1e-6,
-    )
-    outdir = _prepare_outdir(args)
-    fmts = _formats(args)
-    if "csv" in fmts:
-        export_gbz_csv(os.path.join(outdir, "gbz.csv"), samples)
-    if "svg" in fmts:
+    tol = args.tol if args.tol else 1e-6
+    samples = gbz_curve(model, N_seed=(args.sizes or [400])[0], gbz_tol=tol)
+
+    def gbz_svg(path):
         groups = []
         for side, color in (("left", "seagreen"), ("right", "crimson"), ("bloch", "steelblue")):
             pts = [s.beta for s in samples if s.side == side]
-            groups.append(
-                ([z.real for z in pts], [z.imag for z in pts], color, f"{side} ({len(pts)})")
-            )
-        write_svg_scatter(
-            os.path.join(outdir, "gbz.svg"),
-            groups,
-            title=f"{model.name or 'model'}: generalized Brillouin zone",
-            xlabel="Re beta",
-            ylabel="Im beta",
-        )
-    _write_run_manifest(args)
+            label = f"{side} ({len(pts)})"
+            groups.append(([z.real for z in pts], [z.imag for z in pts], color, label))
+        title = f"{model.name or 'model'}: generalized Brillouin zone"
+        write_svg_scatter(path, groups, title=title, xlabel="Re beta", ylabel="Im beta")
+
     mods = np.array([abs(s.beta) for s in samples])
-    print(
+    return [("gbz.csv", lambda path: export_gbz_csv(path, samples)), ("gbz.svg", gbz_svg)], [
         f"samples: {len(samples)}; |beta| in [{mods.min():.6f}, {mods.max():.6f}]; "
         f"max | |beta| - 1 | = {np.abs(mods - 1).max():.3e}"
-    )
-    return 0
+    ]
 
 
-def _cmd_amoeba(args, parser) -> int:
+def _cmd_amoeba(args, model):
     from .io import parse_complex, write_svg_heatmap
     from .nonbloch import amoeba_points, export_raster_csv, export_raster_pgm, has_hole
 
-    model = _resolve_model(args, parser)
     E = parse_complex(args.energy)
     window = ((args.window[0], args.window[1]), (args.window[2], args.window[3]))
     raster = amoeba_points(
-        model,
-        E,
-        r_x_samples=args.resolution,
-        phase_samples=args.phases,
-        window=window,
+        model, E, r_x_samples=args.resolution, phase_samples=args.phases, window=window
     )
     hole = has_hole(raster, min_hole_cells=args.min_hole_cells)
-    outdir = _prepare_outdir(args)
-    fmts = _formats(args)
-    if "pgm" in fmts:
-        export_raster_pgm(raster, os.path.join(outdir, "amoeba.pgm"))
-    if "csv" in fmts:
-        export_raster_csv(raster, os.path.join(outdir, "amoeba_points.csv"))
-    if "svg" in fmts:
-        write_svg_heatmap(
-            os.path.join(outdir, "amoeba.svg"),
-            raster.occupancy.T[::-1].astype(float),
-            title=f"amoeba at E = {args.energy}",
-        )
-    _write_run_manifest(args)
-    print(f"hole: {'true' if hole else 'false'}")
-    return 0
+
+    def amoeba_svg(path):
+        occupancy = raster.occupancy.T[::-1].astype(float)
+        write_svg_heatmap(path, occupancy, title=f"amoeba at E = {args.energy}")
+
+    artifacts = [
+        ("amoeba.pgm", lambda path: export_raster_pgm(raster, path)),
+        ("amoeba_points.csv", lambda path: export_raster_csv(raster, path)),
+        ("amoeba.svg", amoeba_svg),
+    ]
+    return artifacts, [f"hole: {'true' if hole else 'false'}"]
 
 
-def _cmd_localize(args, parser) -> int:
+def _cmd_localize(args, model):
     from collections import Counter
 
-    from .io import write_csv, write_svg_scatter
-    from .localization import classify_spectrum, density_profile
+    from .io import write_svg_scatter
+    from .localization import classify_spectrum, density_profile, export_profiles_csv
     from .realspace import build
     from .spectral import eig_biorthogonal
 
-    model = _resolve_model(args, parser)
-    if model.dimension != 1:
-        raise ValueError("localize expects a 1D model")
-    N = (args.sizes or [40])[0]
-    op = build(model, [N], "obc")
+    op = build(model, [(args.sizes or [40])[0]], "obc")
     system = eig_biorthogonal(op)
     classes = classify_spectrum(system, op)
-
-    outdir = _prepare_outdir(args)
-    fmts = _formats(args)
-    if "csv" in fmts:
-        write_csv(
-            os.path.join(outdir, "states.csv"),
-            ["index", "re_e", "im_e", "label", "side", "edge_fraction", "pr_scaled"],
-            (
-                (
-                    i,
-                    float(system.eigenvalues[i].real),
-                    float(system.eigenvalues[i].imag),
-                    c.label,
-                    c.side or "",
-                    c.metrics["right_edge_fraction"],
-                    c.metrics["biorthogonal_participation_ratio_scaled"],
-                )
-                for i, c in enumerate(classes)
-            ),
+    ev = system.eigenvalues
+    header = ["index", "re_e", "im_e", "label", "side", "edge_fraction", "pr_scaled"]
+    states = (
+        (
+            i,
+            float(ev[i].real),
+            float(ev[i].imag),
+            c.label,
+            c.side or "",
+            c.metrics["right_edge_fraction"],
+            c.metrics["biorthogonal_participation_ratio_scaled"],
         )
+        for i, c in enumerate(classes)
+    )
+
+    def profiles_csv(path):
         profiles = [density_profile(system.right[:, i], op.index_map) for i in range(op.n)]
-        from .localization import export_profiles_csv
+        export_profiles_csv(path, profiles, labels=[c.label for c in classes])
 
-        export_profiles_csv(
-            os.path.join(outdir, "profiles.csv"),
-            profiles,
-            labels=[c.label for c in classes],
-        )
-    if "svg" in fmts:
+    def localize_svg(path):
         colors = {"skin": "crimson", "topological_boundary": "goldenrod", "bulk": "steelblue"}
         groups = []
         for label, color in colors.items():
-            idx = [i for i, c in enumerate(classes) if c.label == label]
-            groups.append(
-                (
-                    [float(system.eigenvalues[i].real) for i in idx],
-                    [float(system.eigenvalues[i].imag) for i in idx],
-                    color,
-                    f"{label} ({len(idx)})",
-                )
-            )
-        write_svg_scatter(
-            os.path.join(outdir, "localize.svg"),
-            groups,
-            title=f"{model.name or 'model'}: state classification",
-        )
-    _write_run_manifest(args)
+            es = [ev[i] for i, c in enumerate(classes) if c.label == label]
+            xs, ys = [float(e.real) for e in es], [float(e.imag) for e in es]
+            groups.append((xs, ys, color, f"{label} ({len(es)})"))
+        write_svg_scatter(path, groups, title=f"{model.name or 'model'}: state classification")
+
     counts = Counter((c.label, c.side) for c in classes)
     summary = ", ".join(
         f"{label}{'/' + side if side else ''}: {n}" for (label, side), n in sorted(counts.items())
     )
-    print(summary)
-    return 0
+    artifacts = [
+        ("states.csv", _csv(header, states)),
+        ("profiles.csv", profiles_csv),
+        ("localize.svg", localize_svg),
+    ]
+    return artifacts, [summary]
 
 
-def _cmd_funnel(args, parser) -> int:
+def _cmd_funnel(args, model):
     import numpy as np
 
-    from .io import write_csv, write_svg_heatmap
+    from .io import write_svg_heatmap
     from .response import funnel_model, time_evolve
 
     op = funnel_model(args.jl, args.jr, args.half)
@@ -348,115 +276,72 @@ def _cmd_funnel(args, parser) -> int:
     psi0 = np.zeros(op.n, dtype=complex)
     psi0[args.site] = 1.0
     traj = time_evolve(op, psi0, args.tmax, args.dt)
-
-    outdir = _prepare_outdir(args)
-    fmts = _formats(args)
-    if "csv" in fmts:
-        write_csv(
-            os.path.join(outdir, "trajectory.csv"),
-            ["t", "site", "density"],
-            (
-                (float(traj.times[k]), s, float(traj.densities[k, s]))
-                for k in range(len(traj.times))
-                for s in range(op.n)
-            ),
-        )
-    if "svg" in fmts:
-        write_svg_heatmap(
-            os.path.join(outdir, "funnel.svg"),
-            traj.densities,
-            title=f"funnel |psi|^2 (t down, site across), J_L={args.jl}, J_R={args.jr}",
-        )
-    _write_run_manifest(args)
+    rows = (
+        (float(traj.times[k]), s, float(traj.densities[k, s]))
+        for k in range(len(traj.times))
+        for s in range(op.n)
+    )
+    title = f"funnel |psi|^2 (t down, site across), J_L={args.jl}, J_R={args.jr}"
+    artifacts = [
+        ("trajectory.csv", _csv(["t", "site", "density"], rows)),
+        ("funnel.svg", lambda path: write_svg_heatmap(path, traj.densities, title=title)),
+    ]
     center = args.half - 0.5  # interface sits between sites half-1 and half
     near = np.abs(np.arange(op.n) - center) <= 5
     mass = float(traj.densities[-1, near].sum())
-    print(f"final density within 5 sites of the interface: {mass:.4f}")
-    return 0
+    return artifacts, [f"final density within 5 sites of the interface: {mass:.4f}"]
 
 
-def _cmd_sensor(args, parser) -> int:
+def _cmd_sensor(args, model):
     import numpy as np
 
-    from .io import parse_complex, write_csv
+    from .io import parse_complex
     from .response import sensor_sweep
 
-    model = _resolve_model(args, parser)
     sizes = args.sizes or [10, 14, 18, 22]
     rows = sensor_sweep(model, args.epsilon, sizes, target=parse_complex(args.target))
-    outdir = _prepare_outdir(args)
-    if "csv" in _formats(args):
-        write_csv(
-            os.path.join(outdir, "sensor.csv"),
-            ["N", "delta_e"],
-            ((r["N"], r["delta_E"]) for r in rows),
-        )
-    _write_run_manifest(args)
+    summary = []
     ns = np.array([r["N"] for r in rows], dtype=float)
     des = np.array([max(r["delta_E"], 1e-300) for r in rows])
     if len(ns) >= 2:
         slope = float(np.polyfit(ns, np.log(des), 1)[0])
-        print(f"slope of ln|dE| vs N: {slope:+.6f}")
-    for r in rows:
-        print(f"N={r['N']}: |dE| = {r['delta_E']:.6e}")
-    return 0
+        summary.append(f"slope of ln|dE| vs N: {slope:+.6f}")
+    summary += [f"N={r['N']}: |dE| = {r['delta_E']:.6e}" for r in rows]
+    return [("sensor.csv", _csv(["N", "delta_e"], ((r["N"], r["delta_E"]) for r in rows)))], summary
 
 
-def _cmd_crossover(args, parser) -> int:
+def _cmd_crossover(args, model):
     import numpy as np
 
-    from .io import write_csv
     from .response import boundary_crossover
 
-    model = _resolve_model(args, parser)
     N = (args.sizes or [40])[0]
-    epsilons = np.logspace(
-        np.log10(args.eps_min), np.log10(args.eps_max), args.eps_count
-    )
+    epsilons = np.logspace(np.log10(args.eps_min), np.log10(args.eps_max), args.eps_count)
     rows = boundary_crossover(model, N, epsilons)
-    outdir = _prepare_outdir(args)
-    if "csv" in _formats(args):
-        write_csv(
-            os.path.join(outdir, "crossover.csv"),
-            ["epsilon", "distance", "max_imag"],
-            ((r["epsilon"], r["distance"], r["max_imag"]) for r in rows),
-        )
-    _write_run_manifest(args)
+    columns = ((r["epsilon"], r["distance"], r["max_imag"]) for r in rows)
     final = rows[-1]["distance"]
     eps_star = next((r["epsilon"] for r in rows if r["distance"] >= 0.5 * final), None)
-    print(f"distance at eps={rows[-1]['epsilon']:.3e}: {final:.6f}")
+    summary = [f"distance at eps={rows[-1]['epsilon']:.3e}: {final:.6f}"]
     if eps_star is not None:
-        print(f"half-distance crossover eps* = {eps_star:.6e}")
-    return 0
+        summary.append(f"half-distance crossover eps* = {eps_star:.6e}")
+    return [("crossover.csv", _csv(["epsilon", "distance", "max_imag"], columns))], summary
 
 
-def _cmd_reciprocity(args, parser) -> int:
-    from .io import parse_complex, write_csv
+def _cmd_reciprocity(args, model):
+    from .io import parse_complex
     from .realspace import build
     from .response import reciprocity_test
 
-    model = _resolve_model(args, parser)
-    if model.dimension != 1:
-        raise ValueError("reciprocity expects a 1D model")
-    N = (args.sizes or [20])[0]
-    op = build(model, [N], "obc")
+    op = build(model, [(args.sizes or [20])[0]], "obc")
     omegas = [parse_complex(w) for w in args.omegas]
     rows = reciprocity_test(op, omegas, tol=args.tol if args.tol else 1e-10)
-    outdir = _prepare_outdir(args)
-    if "csv" in _formats(args):
-        write_csv(
-            os.path.join(outdir, "reciprocity.csv"),
-            ["re_omega", "im_omega", "asymmetry", "reciprocal"],
-            (
-                (r["omega"].real, r["omega"].imag, r["asymmetry"], r["reciprocal"])
-                for r in rows
-            ),
-        )
-    _write_run_manifest(args)
+    header = ["re_omega", "im_omega", "asymmetry", "reciprocal"]
+    columns = ((r["omega"].real, r["omega"].imag, r["asymmetry"], r["reciprocal"]) for r in rows)
     worst = max(r["asymmetry"] for r in rows)
     verdict = all(r["reciprocal"] for r in rows)
-    print(f"reciprocal: {'true' if verdict else 'false'} (max asymmetry {worst:.3e})")
-    return 0
+    return [("reciprocity.csv", _csv(header, columns))], [
+        f"reciprocal: {'true' if verdict else 'false'} (max asymmetry {worst:.3e})"
+    ]
 
 
 # -------------------------------------------------------------------- parser
@@ -470,15 +355,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
 
-    sp = sub.add_parser("spectrum", help="PBC bands vs OBC spectrum")
-    _add_model_args(sp)
-    _add_run_args(sp, sizes_default=None)
-    sp.add_argument("--k-samples", type=int, default=512, help="Bloch sampling resolution")
-    sp.set_defaults(func=_cmd_spectrum)
+    def command(name, func, help, model=True, tol=False):
+        # model=False: the command builds its own chain, so no model options and no -N
+        sp = sub.add_parser(name, help=help)
+        if model:
+            _add_model_args(sp)
+            sp.add_argument(
+                "-N",
+                "--sizes",
+                type=int,
+                nargs="+",
+                help="lattice size(s); meaning is per-command (see each command's help)",
+            )
+        sp.add_argument("--out", default="nhskin_out", help="output directory")
+        sp.add_argument(
+            "--format",
+            default="csv,svg,pgm",
+            help="comma-separated artifact formats to write",
+        )
+        if tol:
+            sp.add_argument(
+                "--tol", type=float, default=None, help="override the command's tolerance"
+            )
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("winding", help="spectral winding number around a base energy")
-    _add_model_args(sp)
-    _add_run_args(sp)
+    sp = command("spectrum", _cmd_spectrum, "PBC bands vs OBC spectrum")
+    sp.add_argument("--k-samples", type=int, default=512, help="Bloch sampling resolution")
+
+    sp = command("winding", _cmd_winding, "spectral winding number around a base energy", tol=True)
     sp.add_argument("--base", default="0+0i", help="base energy, a+bi literal")
     sp.add_argument("--grid", type=int, default=0, help="also map w on an n x n base grid")
     sp.add_argument(
@@ -489,16 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),
         help="base-energy window for --grid",
     )
-    sp.set_defaults(func=_cmd_winding)
 
-    sp = sub.add_parser("gbz", help="generalized Brillouin zone curve")
-    _add_model_args(sp)
-    _add_run_args(sp)
-    sp.set_defaults(func=_cmd_gbz)
+    command("gbz", _cmd_gbz, "generalized Brillouin zone curve", tol=True)
 
-    sp = sub.add_parser("amoeba", help="amoeba raster and hole verdict at one energy")
-    _add_model_args(sp)
-    _add_run_args(sp)
+    sp = command("amoeba", _cmd_amoeba, "amoeba raster and hole verdict at one energy")
     sp.add_argument("--energy", required=True, help="test energy, a+bi literal")
     sp.add_argument("--resolution", type=int, default=300, help="raster cells per axis")
     sp.add_argument("--phases", type=int, default=600, help="phase samples per column")
@@ -511,48 +410,37 @@ def build_parser() -> argparse.ArgumentParser:
         help="log-modulus window",
     )
     sp.add_argument("--min-hole-cells", type=int, default=4, help="smallest hole that counts")
-    sp.set_defaults(func=_cmd_amoeba)
 
-    sp = sub.add_parser("localize", help="classify eigenstates: skin / topological / bulk")
-    _add_model_args(sp)
-    _add_run_args(sp)
-    sp.set_defaults(func=_cmd_localize)
+    command("localize", _cmd_localize, "classify eigenstates: skin / topological / bulk")
 
-    sp = sub.add_parser("funnel", help="wave-packet evolution on a two-half funnel chain")
-    _add_run_args(sp)
+    sp = command(
+        "funnel", _cmd_funnel, "wave-packet evolution on a two-half funnel chain", model=False
+    )
     sp.add_argument("--jl", type=float, default=0.5, help="left-half forward hopping")
     sp.add_argument("--jr", type=float, default=1.0, help="left-half backward hopping")
     sp.add_argument("--half", type=int, default=30, help="sites per half")
     sp.add_argument("--site", type=int, default=5, help="initial delta-pulse site")
     sp.add_argument("--tmax", type=float, default=40.0, help="total evolution time")
     sp.add_argument("--dt", type=float, default=0.05, help="time step")
-    sp.set_defaults(func=_cmd_funnel)
 
-    sp = sub.add_parser("sensor", help="boundary-coupling eigenvalue shift vs size")
-    _add_model_args(sp)
-    _add_run_args(sp)
+    sp = command("sensor", _cmd_sensor, "boundary-coupling eigenvalue shift vs size")
     sp.add_argument("--epsilon", type=float, default=1e-4, help="boundary coupling")
     sp.add_argument("--target", default="0+0i", help="tracked reference energy, a+bi literal")
-    sp.set_defaults(func=_cmd_sensor)
 
-    sp = sub.add_parser("crossover", help="OBC-to-PBC spectral migration vs coupling")
-    _add_model_args(sp)
-    _add_run_args(sp)
+    sp = command("crossover", _cmd_crossover, "OBC-to-PBC spectral migration vs coupling")
     sp.add_argument("--eps-min", type=float, default=1e-16, help="smallest coupling")
     sp.add_argument("--eps-max", type=float, default=1.0, help="largest coupling")
     sp.add_argument("--eps-count", type=int, default=25, help="number of log-spaced couplings")
-    sp.set_defaults(func=_cmd_crossover)
 
-    sp = sub.add_parser("reciprocity", help="susceptibility symmetry test |chi| vs |chi|^T")
-    _add_model_args(sp)
-    _add_run_args(sp)
+    sp = command(
+        "reciprocity", _cmd_reciprocity, "susceptibility symmetry test |chi| vs |chi|^T", tol=True
+    )
     sp.add_argument(
         "--omegas",
         nargs="+",
         default=["3", "2+1i"],
         help="probe frequencies, a+bi literals",
     )
-    sp.set_defaults(func=_cmd_reciprocity)
 
     return p
 
@@ -562,7 +450,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return _run(args, parser)
     except (NHSkinError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -96,6 +96,29 @@ def _gauged(H):
     return H * (d[None, :] / d[:, None]), d
 
 
+def _gauged_eig(H):
+    """Eigenpairs of the gauged H: (w, Vb, Hb, d) with Vb in the gauged basis."""
+    if not np.all(np.isfinite(H)):
+        raise EigensolverError("matrix has non-finite entries")
+    Hb, d = _gauged(H)
+    try:
+        w, Vb = np.linalg.eig(Hb)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eig failed to converge: {exc}") from exc
+    return w, Vb, Hb, d
+
+
+def _min_pair_gap(w: np.ndarray) -> float:
+    """Smallest distance between two eigenvalues; inf for fewer than two."""
+    if len(w) < 2:
+        return np.inf
+    from scipy.spatial import cKDTree
+
+    pts = np.column_stack([w.real, w.imag])
+    dd, _ = cKDTree(pts).query(pts, k=2)
+    return float(dd[:, 1].min())
+
+
 def dense_spectrum(op) -> np.ndarray:
     """Eigenvalues only, gauge-stabilized, sorted by (Re, Im)."""
     H = _as_matrix(op)
@@ -145,14 +168,7 @@ def eig_biorthogonal(op, tol_biorth: float = 1e-8) -> BiorthogonalSystem:
     made on the gauged basis because the physical matrix's exponential
     ill-conditioning is carried exactly by the diagonal gauge factors.
     """
-    H = _as_matrix(op)
-    if not np.all(np.isfinite(H)):
-        raise EigensolverError("matrix has non-finite entries")
-    Hb, d = _gauged(H)
-    try:
-        w, Vb = np.linalg.eig(Hb)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eig failed to converge: {exc}") from exc
+    w, Vb, Hb, d = _gauged_eig(_as_matrix(op))
     order = np.lexsort((w.imag, w.real))
     w, Vb = w[order], Vb[:, order]
 
@@ -193,21 +209,13 @@ def eig_biorthogonal(op, tol_biorth: float = 1e-8) -> BiorthogonalSystem:
     gram = L.conj().T @ R
     residual = float(np.max(np.abs(gram - np.eye(len(w)))))
     condition = float(np.linalg.cond(R))
-    if len(w) > 1:
-        from scipy.spatial import cKDTree
-
-        pts = np.column_stack([w.real, w.imag])
-        dd, _ = cKDTree(pts).query(pts, k=2)
-        min_gap = float(dd[:, 1].min())
-    else:
-        min_gap = np.inf
     ep = (condition > COND_LIMIT) or (residual > tol_biorth)
     return BiorthogonalSystem(
         eigenvalues=w,
         right=R,
         left=L,
         condition=condition,
-        min_pair_gap=min_gap,
+        min_pair_gap=_min_pair_gap(w),
         ep_flag=bool(ep),
         biorth_residual=residual,
     )
@@ -227,26 +235,15 @@ def ep_diagnostic(op) -> dict:
     minus the numerical rank of the right-eigenvector matrix at tolerance
     sqrt(machine eps) * largest singular value.
     """
-    H = _as_matrix(op)
-    Hb, d = _gauged(H)
-    try:
-        w, Vb = np.linalg.eig(Hb)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eig failed to converge: {exc}") from exc
+    w, Vb, _, d = _gauged_eig(_as_matrix(op))
     V = Vb * d[:, None] if d is not None else Vb
     V = V / np.linalg.norm(V, axis=0)
     s = np.linalg.svd(V, compute_uv=False)
     rank = int(np.sum(s > np.sqrt(_EPS) * s[0]))
-    if len(w) > 1:
-        diff = np.abs(w[:, None] - w[None, :])
-        np.fill_diagonal(diff, np.inf)
-        min_gap = float(diff.min())
-    else:
-        min_gap = np.inf
     kappa = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     return {
         "kappa_V": kappa,
-        "min_pair_gap": min_gap,
+        "min_pair_gap": _min_pair_gap(w),
         "defect_estimate": len(w) - rank,
     }
 

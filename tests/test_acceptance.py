@@ -8,6 +8,7 @@ do not loosen them to make a failing build pass.
 import contextlib
 
 import numpy as np
+import pytest
 
 from nhskin.errors import EPVicinityError, GapClosedError
 from nhskin.localization import (
@@ -170,6 +171,7 @@ def test_criterion_06_skin_vs_topological_classifier(capsys):
         )
 
 
+@pytest.mark.slow
 def test_criterion_07_amoeba_vs_brute_force(capsys):
     with criterion(7, capsys) as check:
         m = builtin_2d(0.5, 1.0, 0.2)

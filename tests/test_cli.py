@@ -4,7 +4,13 @@ import sys
 
 import pytest
 
+from nhskin.cli import main
+
 CLI = [sys.executable, "-m", "nhskin.cli"]
+HN = ["--builtin", "hatano-nelson", "--jl", "0.5", "--jr", "1.0"]
+SSH = ["--builtin", "nh-ssh", "--t1", "0.6", "--t2", "1.0", "--gamma", "0.3"]
+ASYM2D = ["--builtin", "asym2d", "--jl", "0.5", "--jr", "1.0", "--tp", "0.2"]
+SMALL_AMOEBA = ["--energy", "4+0i", "--resolution", "40", "--phases", "80"]
 
 
 def run(*args, **kw):
@@ -155,6 +161,56 @@ def test_csv_only_format_skips_svg(tmp_path):
     assert r.returncode == 0
     assert (tmp_path / "obc_spectrum.csv").exists()
     assert not (tmp_path / "spectrum.svg").exists()
+    # writers run only for the selected extensions, so the per-state
+    # profiles of localize and the winding map are skipped with their CSVs
+    cases = [
+        (["localize", *SSH, "-N", "20", "--format", "svg"], ["localize.svg", "manifest.json"]),
+        (["winding", *HN, "--grid", "4", "--format", "svg"], ["manifest.json"]),
+        (["amoeba", *ASYM2D, *SMALL_AMOEBA, "--format", "pgm"], ["amoeba.pgm", "manifest.json"]),
+    ]
+    for args, written in cases:
+        out = tmp_path / args[0]
+        assert main([*args, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == written
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", *HN, "-N", "20", "--k-samples", "32"],
+        ["winding", *HN, "--grid", "3"],
+        ["gbz", *HN, "-N", "40"],
+        ["amoeba", *ASYM2D, *SMALL_AMOEBA],
+        ["localize", *SSH, "-N", "20"],
+        ["funnel", "--half", "6", "--tmax", "2"],
+        ["sensor", *SSH, "-N", "10", "12"],
+        ["crossover", *HN, "-N", "16", "--eps-count", "4"],
+        ["reciprocity", *HN, "-N", "8"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
+    runs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main([*args, "--out", "out"]) == 0
+        files = {p.name: p.read_bytes() for p in (tmp_path / name / "out").iterdir()}
+        runs.append((files, capsys.readouterr().out))
+    assert "manifest.json" in runs[0][0] and len(runs[0][0]) > 1
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["funnel", "-N", "5"], ["spectrum", *HN, "--tol", "1e-3"]],
+    ids=["funnel-N", "spectrum-tol"],
+)
+def test_undeclared_options_are_usage_errors(tmp_path, args):
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_thread_cap_env_respected(tmp_path):
