@@ -19,6 +19,7 @@ loads, which is why all numeric imports live inside functions.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -31,6 +32,7 @@ _BUILTINS = {
     "asym2d": ("builtin_2d", ("jl", "jr", "tp")),
 }
 _ONE_D = {"spectrum", "localize", "reciprocity"}  # commands that refuse 2D models
+_SIZED = {"spectrum", "gbz", "localize", "sensor", "crossover", "reciprocity"}  # read -N
 
 
 def _apply_thread_cap() -> None:
@@ -79,11 +81,17 @@ def _resolve_model(args, parser: argparse.ArgumentParser):
 def _run(args, parser: argparse.ArgumentParser) -> int:
     from .io import write_manifest
 
+    formats = {f.strip() for f in args.format.split(",")}
+    if not formats <= {"csv", "svg", "pgm"}:
+        parser.error(f"--format entries must be csv, svg or pgm, got {args.format!r}")
+    if args.command == "crossover" and not (
+        args.eps_count >= 1 and 0 < args.eps_min <= args.eps_max < math.inf
+    ):
+        parser.error("crossover needs --eps-count >= 1 and 0 < --eps-min <= --eps-max < inf")
     # only funnel, which builds its own chain, declares no model options
     model = _resolve_model(args, parser) if hasattr(args, "builtin") else None
     artifacts, summary = args.func(args, model)
     os.makedirs(args.out, exist_ok=True)
-    formats = {f.strip() for f in args.format.split(",") if f.strip()}
     for name, write in artifacts:
         if name.rsplit(".", 1)[1] in formats:
             write(os.path.join(args.out, name))
@@ -356,10 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
 
     def command(name, func, help, model=True, tol=False):
-        # model=False: the command builds its own chain, so no model options and no -N
+        # model=False: the command builds its own chain, so it takes no model options
         sp = sub.add_parser(name, help=help)
         if model:
             _add_model_args(sp)
+        if name in _SIZED:
             sp.add_argument(
                 "-N",
                 "--sizes",
@@ -371,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--format",
             default="csv,svg,pgm",
-            help="comma-separated artifact formats to write",
+            help="comma-separated artifact formats to write: csv, svg, pgm",
         )
         if tol:
             sp.add_argument(

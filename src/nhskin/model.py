@@ -11,7 +11,7 @@ beta_i.  Sign convention is fixed so the asymmetric-hopping chain built by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -177,41 +177,37 @@ def bloch_samples(model: LatticeModel, ks: np.ndarray) -> np.ndarray:
 # -------------------------------------------------- characteristic polynomial
 
 
-@dataclass
+@dataclass(frozen=True)
 class CharPoly:
-    """Laurent coefficient table of det[E - H(beta)] for a fixed E.
+    """det[E - H(beta)] as a dense coefficient tensor.
 
-    coeffs maps integer exponent tuples (possibly negative entries) to
-    complex coefficients; nvars is 1 or 2.
+    coeffs[k, j_1, ..., j_d] is the coefficient of
+    E^k beta_1^(j_1 + lo_1) ... beta_d^(j_d + lo_d); k runs over 0..B.  The
+    tensor is as tight as its nonzero entries, so the outermost slices along
+    each beta axis hold a nonzero coefficient.
     """
 
-    nvars: int
-    coeffs: Dict[Offset, complex] = field(default_factory=dict)
+    coeffs: np.ndarray
+    lo: Offset
 
-    def evaluate(self, beta) -> complex:
-        bv = np.atleast_1d(np.asarray(beta, dtype=complex))
-        return complex(
-            sum(c * np.prod(bv ** np.array(e)) for e, c in self.coeffs.items())
-        )
+    def span(self, var: int) -> Tuple[int, int]:
+        """Exact (lowest, highest) exponent of beta_var over all energies."""
+        axes = tuple(a for a in range(self.coeffs.ndim) if a != var + 1)
+        nz = np.flatnonzero(np.any(self.coeffs, axis=axes))
+        return self.lo[var] + int(nz[0]), self.lo[var] + int(nz[-1])
 
-    def exponent_range(self, var: int) -> Tuple[int, int]:
-        exps = [e[var] for e in self.coeffs]
-        return (min(exps), max(exps))
+    def at(self, E) -> np.ndarray:
+        """Beta-coefficient tensor at energy E, shape E.shape + beta axes.
 
-    def univariate_coeffs(self):
-        """For nvars == 1: (q, c) with c[j] the coefficient of beta^(j - q).
-
-        Multiplying by beta^q clears denominators, so c is the ordinary
-        polynomial's coefficient array in ascending powers.
+        E is a scalar or an array of energies; entry [..., j] multiplies
+        beta^(j + lo) as in `coeffs`.
         """
-        if self.nvars != 1:
-            raise ValueError("univariate_coeffs requires a 1-variable table")
-        lo, hi = self.exponent_range(0)
-        q = max(0, -lo)
-        c = np.zeros(hi + q + 1, dtype=complex)
-        for (e,), v in self.coeffs.items():
-            c[e + q] = v
-        return q, c
+        E = np.asarray(E, dtype=complex)
+        E = E.reshape(E.shape + (1,) * (self.coeffs.ndim - 1))
+        out = self.coeffs[-1]
+        for c in self.coeffs[-2::-1]:  # Horner in E
+            out = out * E + c
+        return out
 
 
 def _poly_mul(a: Dict[Offset, complex], b: Dict[Offset, complex]) -> Dict[Offset, complex]:
@@ -223,20 +219,16 @@ def _poly_mul(a: Dict[Offset, complex], b: Dict[Offset, complex]) -> Dict[Offset
     return out
 
 
-def char_poly(model: LatticeModel, E: complex) -> CharPoly:
-    """Expand det[E - H(beta)] over Laurent monomials in beta."""
+def char_poly(model: LatticeModel) -> CharPoly:
+    """Expand det[E - H(beta)] once, with E as the first exponent axis."""
     B, d = model.bands, model.dimension
-    zero: Offset = (0,) * d
-    # entry (i, j) of E*I - H as a Laurent dict
+    # entry (i, j) of E*I - H as a dict over exponent keys (E power, *offset)
     entries = [[{} for _ in range(B)] for _ in range(B)]
     for t in model.terms:
-        for i in range(B):
-            for j in range(B):
-                a = t.amplitude[i, j]
-                if a != 0:
-                    entries[i][j][t.offset] = entries[i][j].get(t.offset, 0.0) - a
+        for i, j in zip(*np.nonzero(t.amplitude)):
+            entries[i][j][(0, *t.offset)] = -t.amplitude[i, j]
     for i in range(B):
-        entries[i][i][zero] = entries[i][i].get(zero, 0.0) + complex(E)
+        entries[i][i][(1,) + (0,) * d] = 1.0
 
     def det(rows, cols) -> Dict[Offset, complex]:
         if len(rows) == 1:
@@ -253,11 +245,14 @@ def char_poly(model: LatticeModel, E: complex) -> CharPoly:
                 acc[key] = acc.get(key, 0.0) + sign * v
         return acc
 
-    coeffs = det(tuple(range(B)), tuple(range(B)))
-    coeffs = {e: complex(c) for e, c in coeffs.items() if c != 0}
-    if not coeffs:
-        coeffs = {zero: 0.0}
-    return CharPoly(nvars=d, coeffs=coeffs)
+    # the E^B beta^0 coefficient is 1, so at least one entry survives
+    terms = {e: c for e, c in det(tuple(range(B)), tuple(range(B))).items() if c != 0}
+    keys = np.array(list(terms))[:, 1:]
+    lo = tuple(int(x) for x in keys.min(axis=0))
+    coeffs = np.zeros((B + 1, *(keys.max(axis=0) - lo + 1)), dtype=complex)
+    for (k, *e), c in terms.items():
+        coeffs[(k, *np.subtract(e, lo))] = c
+    return CharPoly(coeffs=coeffs, lo=lo)
 
 
 # ------------------------------------------------------------------ JSON form

@@ -8,6 +8,10 @@ modulus and q the pole order, E belongs to the OBC spectrum iff
 det[E - H(beta_x, beta_y)] — the image of its zero set under coordinate-wise
 log-modulus — develops a central hole exactly when E lies outside the OBC
 spectrum.
+
+Both tests read the model's one characteristic polynomial, `char_poly`, whose
+exact exponent span fixes q.  Roots are eigenvalues of batched companion
+matrices, so `beta_roots` takes one energy or a 1-D array of energies.
 """
 
 from __future__ import annotations
@@ -22,65 +26,65 @@ from .model import LatticeModel, char_poly
 from .realspace import build
 from .spectral import dense_spectrum
 
-# generic probe energies used to read off the structural exponent span of
-# det[E - H(beta)]; two transcendental-ish values so an accidental
-# cancellation at one of them cannot masquerade as structure
-_PROBES = (0.573219 + 1.294817j, -1.817364 + 0.631972j)
-
 _REL_COEFF_TOL = 1e-12
 
 
-def _structural_span(model: LatticeModel, var: int) -> Tuple[int, int]:
-    lo, hi = 0, 0
-    for E in _PROBES:
-        cp = char_poly(model, E)
-        l, h = cp.exponent_range(var)
-        lo, hi = min(lo, l), max(hi, h)
-    return lo, hi
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of sum_j coeffs[..., j] x^j per leading index: eigenvalues of companion
+    matrices in numpy.roots' layout.  The leading coefficient must be nonzero."""
+    deg = coeffs.shape[-1] - 1
+    comp = np.zeros(coeffs.shape[:-1] + (deg, deg), dtype=complex)
+    comp[..., 1:, :-1] = np.eye(deg - 1)
+    comp[..., 0, :] = -coeffs[..., deg - 1 :: -1] / coeffs[..., deg, None]
+    return np.linalg.eigvals(comp)
+
+
+def _pair_residual(roots: np.ndarray, q: int) -> np.ndarray:
+    """Relative modulus gap of the middle roots roots[..., q - 1], roots[..., q]."""
+    b1, b2 = np.abs(roots[..., q - 1]), np.abs(roots[..., q])
+    return np.abs(b1 - b2) / b1
 
 
 def beta_roots(model: LatticeModel, E) -> np.ndarray:
     """All roots of beta^q det[E - H(beta)], ascending by (modulus, argument).
 
-    q is the pole order; the root count is p + q with [-q, p] the structural
-    exponent span.  One-way hopping (vanishing leading or trailing
-    coefficient) has no finite set of characteristic roots and is reported.
+    q is the pole order; the root count is p + q with [-q, p] the exact
+    exponent span.  E is one energy (one row of roots) or a 1-D array of
+    energies (one sorted row per energy).  One-way hopping (vanishing
+    leading or trailing coefficient) has no finite set of characteristic
+    roots and is reported.
     """
     if model.dimension != 1:
         raise ValueError("beta_roots is defined for 1D models only")
-    lo, hi = _structural_span(model, 0)
+    cp = char_poly(model)
+    lo, hi = cp.span(0)
     if hi < 1 or lo > -1:
         raise DegenerateCharPolyError(
             "characteristic polynomial reaches only one hopping direction; "
             "no finite generalized zone exists (one-way hopping)"
         )
-    cp = char_poly(model, complex(E))
-    coeff = np.zeros(hi - lo + 1, dtype=complex)
-    for (e,), v in cp.coeffs.items():
-        coeff[e - lo] = v
-    cmax = np.abs(coeff).max()
-    if abs(coeff[-1]) <= _REL_COEFF_TOL * cmax or abs(coeff[0]) <= _REL_COEFF_TOL * cmax:
+    coeff = cp.at(E)
+    floor = _REL_COEFF_TOL * np.abs(coeff).max(axis=-1)
+    bad = (np.abs(coeff[..., -1]) <= floor) | (np.abs(coeff[..., 0]) <= floor)
+    if bad.any():
+        E_bad = np.asarray(E)[bad][0]
         raise DegenerateCharPolyError(
-            f"degenerate leading/trailing characteristic coefficient at E={E}"
+            f"degenerate leading/trailing characteristic coefficient at E={E_bad}"
         )
-    roots = np.roots(coeff[::-1])
-    order = np.lexsort((np.angle(roots), np.abs(roots)))
-    return roots[order]
+    roots = _companion_roots(coeff)
+    order = np.lexsort((np.angle(roots), np.abs(roots)), axis=-1)
+    return np.take_along_axis(roots, order, axis=-1)
 
 
 def gbz_membership(model: LatticeModel, E, gbz_tol: float = 1e-6) -> dict:
     """Middle-modulus degeneracy verdict at one energy."""
     roots = beta_roots(model, E)
-    lo, _ = _structural_span(model, 0)
-    q = -lo
-    if len(roots) <= q:
-        raise DegenerateCharPolyError("fewer characteristic roots than pole order")
-    b1, b2 = roots[q - 1], roots[q]
-    residual = abs(abs(b1) - abs(b2)) / abs(b1)
+    q = -char_poly(model).span(0)[0]
+    residual = float(_pair_residual(roots, q))
     return {
         "member": bool(residual < gbz_tol),
-        "residual": float(residual),
-        "beta_pair": (complex(b1), complex(b2)),
+        "residual": residual,
+        "beta_pair": (complex(roots[q - 1]), complex(roots[q])),
     }
 
 
@@ -115,22 +119,17 @@ def gbz_curve(
     """Generalized-zone samples seeded from a finite-lattice spectrum.
 
     Finite-size eigenvalues sit O(1/N) off the infinite-size curve, so each
-    seed is nudged along the local normal of the spectral curve to the
-    minimum of the modulus-degeneracy residual.  Both degenerate-modulus
-    roots are emitted per refined energy.
+    seed whose residual is not already below gbz_tol / 10 is nudged along
+    the local normal of the spectral curve to the minimum of the
+    modulus-degeneracy residual.  Both degenerate-modulus roots are emitted
+    per refined energy.
     """
     from scipy.optimize import minimize_scalar
 
     if model.dimension != 1:
         raise ValueError("gbz_curve is defined for 1D models only")
-    lo, _ = _structural_span(model, 0)
-    q = -lo
+    q = -char_poly(model).span(0)[0]
     seeds = dense_spectrum(build(model, [int(N_seed)], "obc"))
-
-    def residual(E: complex) -> float:
-        roots = beta_roots(model, E)
-        b1, b2 = roots[q - 1], roots[q]
-        return abs(abs(b1) - abs(b2)) / abs(b1)
 
     def normal(i: int) -> complex:
         a = seeds[max(i - 1, 0)]
@@ -140,43 +139,37 @@ def gbz_curve(
             return 1j
         return 1j * t / abs(t)
 
-    samples: List[GBZSample] = []
-    failures: List[int] = []
     spacing = np.maximum(np.abs(np.diff(seeds, prepend=seeds[0] - (seeds[1] - seeds[0]))), 1e-6)
-    for i, E0 in enumerate(seeds):
-        r0 = residual(E0)
-        if r0 < gbz_tol * 0.1:
-            E_ref, r_ref = E0, r0
-        else:
-            nhat = normal(i)
-            h = 2.0 * float(spacing[i])
-            opt = minimize_scalar(
-                lambda t: residual(E0 + t * nhat),
-                bounds=(-h, h),
-                method="bounded",
-                options={"xatol": refine_tol},
-            )
-            E_ref = E0 + float(opt.x) * nhat
-            r_ref = float(opt.fun)
-        if r_ref >= gbz_tol:
-            failures.append(i)
-            continue
-        roots = beta_roots(model, E_ref)
-        for b in (roots[q - 1], roots[q]):
-            samples.append(
-                GBZSample(
-                    beta=complex(b),
-                    energy=complex(E_ref),
-                    modulus_residual=r_ref,
-                    side=_side_of(b, gbz_tol),
-                )
-            )
+    E_ref = seeds.astype(complex)
+    r_ref = _pair_residual(beta_roots(model, E_ref), q)
+    for i in np.flatnonzero(r_ref >= gbz_tol * 0.1):
+        E0, nhat = E_ref[i], normal(i)
+        h = 2.0 * float(spacing[i])
+        opt = minimize_scalar(
+            lambda t: _pair_residual(beta_roots(model, E0 + t * nhat), q),
+            bounds=(-h, h),
+            method="bounded",
+            options={"xatol": refine_tol},
+        )
+        E_ref[i] = E0 + float(opt.x) * nhat
+        r_ref[i] = opt.fun
+    kept = r_ref < gbz_tol
+    failures = np.flatnonzero(~kept).tolist()
     if len(failures) > max_failure_fraction * len(seeds):
         raise RefinementError(
             f"{len(failures)}/{len(seeds)} seeds failed GBZ refinement; "
             f"first failing indices: {failures[:10]}"
         )
-    return samples
+    return [
+        GBZSample(
+            beta=complex(b),
+            energy=complex(E),
+            modulus_residual=float(r),
+            side=_side_of(b, gbz_tol),
+        )
+        for E, r, roots in zip(E_ref[kept], r_ref[kept], beta_roots(model, E_ref[kept]))
+        for b in roots[q - 1 : q + 1]
+    ]
 
 
 # ------------------------------------------------------------------- amoebas
@@ -230,12 +223,11 @@ def amoeba_points(
     """
     if model.dimension != 2:
         raise ValueError("amoeba construction requires a 2D model")
-    ylo_s, yhi_s = _structural_span(model, 1)
-    qy, py = max(0, -ylo_s), max(0, yhi_s)
-    deg = py + qy
+    cp = char_poly(model)
+    ylo_s, yhi_s = cp.span(1)
+    deg = yhi_s - ylo_s
     if deg < 1:
         raise DegenerateCharPolyError("model has no hopping along the y axis")
-    cp = char_poly(model, complex(E))
     (xlo, xhi), (ylo, yhi) = window
     nx = int(r_x_samples)
     ny = int(r_x_samples)
@@ -244,9 +236,12 @@ def amoeba_points(
     ph = np.linspace(0.0, 2 * np.pi, nph, endpoint=False)
     bx = np.exp(rx[:, None] + 1j * ph[None, :])  # (nx, nph)
 
+    # A[..., j] multiplies beta_y^(j + ylo_s); each power of beta_x is taken once
     A = np.zeros((nx, nph, deg + 1), dtype=complex)
-    for (ex, ey), v in cp.coeffs.items():
-        A[:, :, ey + qy] += v * bx**ex
+    for jx, row in enumerate(cp.at(E)):
+        bx_pow = bx ** (jx + cp.lo[0])
+        for jy in np.flatnonzero(row):
+            A[..., jy] += row[jy] * bx_pow
 
     lead = A[..., deg]
     good = np.abs(lead) > _REL_COEFF_TOL * np.abs(A).max(axis=-1)
@@ -257,11 +252,8 @@ def amoeba_points(
             f"coefficients (limit {max_bad_fraction:.1%})"
         )
 
-    comp = np.zeros((nx, nph, deg, deg), dtype=complex)
-    if deg > 1:
-        comp[..., 1:, :-1] = np.eye(deg - 1)
-    comp[..., 0, :] = -A[..., deg - 1 :: -1] / np.where(good, lead, 1.0)[..., None]
-    roots = np.linalg.eigvals(comp.reshape(-1, deg, deg)).reshape(nx, nph, deg)
+    lead[~good] = 1.0  # in place in A; the roots of these samples are dropped below
+    roots = _companion_roots(A)
     with np.errstate(divide="ignore"):
         ry = np.log(np.abs(roots))
     ry = np.sort(ry, axis=-1)  # sorted moduli: continuous in the phase

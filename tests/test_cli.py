@@ -203,8 +203,28 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
 
 @pytest.mark.parametrize(
     "args",
-    [["funnel", "-N", "5"], ["spectrum", *HN, "--tol", "1e-3"]],
-    ids=["funnel-N", "spectrum-tol"],
+    [
+        ["funnel", "-N", "5"],
+        ["spectrum", *HN, "--tol", "1e-3"],
+        ["winding", *HN, "-N", "5"],
+        ["amoeba", *ASYM2D, *SMALL_AMOEBA, "-N", "5"],
+        ["crossover", *HN, "-N", "8", "--eps-count", "0"],
+        ["crossover", *HN, "-N", "8", "--eps-min", "0"],
+        ["crossover", *HN, "-N", "8", "--eps-min", "1e-3", "--eps-max", "1e-6"],
+        ["spectrum", *HN, "-N", "8", "--format", "cvs"],
+        ["spectrum", *HN, "-N", "8", "--format", ""],
+    ],
+    ids=[
+        "funnel-N",
+        "spectrum-tol",
+        "winding-N",
+        "amoeba-N",
+        "crossover-count0",
+        "crossover-min0",
+        "crossover-min-above-max",
+        "format-typo",
+        "format-empty",
+    ],
 )
 def test_undeclared_options_are_usage_errors(tmp_path, args):
     with pytest.raises(SystemExit) as exc:

@@ -119,13 +119,11 @@ def test_bloch_samples_batches_match_single():
 
 def test_char_poly_hn_coefficients():
     m = builtin_hatano_nelson(0.5, 1.0)
-    cp = char_poly(m, 2.0 + 1.0j)
-    assert cp.coeffs[(1,)] == pytest.approx(-0.5)
-    assert cp.coeffs[(-1,)] == pytest.approx(-1.0)
-    assert cp.coeffs[(0,)] == pytest.approx(2.0 + 1.0j)
-    q, c = cp.univariate_coeffs()
-    assert q == 1
-    np.testing.assert_allclose(c, [-1.0, 2.0 + 1.0j, -0.5], atol=1e-15)
+    cp = char_poly(m)
+    # rows are powers of E, columns beta^-1, beta^0, beta^1
+    assert cp.lo == (-1,)
+    np.testing.assert_array_equal(cp.coeffs, [[-1.0, 0.0, -0.5], [0.0, 1.0, 0.0]])
+    np.testing.assert_allclose(cp.at(2.0 + 1.0j), [-1.0, 2.0 + 1.0j, -0.5], atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -139,19 +137,34 @@ def test_char_poly_hn_coefficients():
 def test_char_poly_evaluates_to_determinant(model):
     rng = np.random.default_rng(7)
     E = 0.37 - 0.21j
-    cp = char_poly(model, E)
+    cp = char_poly(model)
+    C = cp.at(E)
     for _ in range(5):
         beta = np.exp(rng.normal(size=model.dimension) + 1j * rng.uniform(0, 2 * np.pi, model.dimension))
+        value = C
+        for v in reversed(range(model.dimension)):
+            value = value @ beta[v] ** (np.arange(C.shape[v]) + cp.lo[v])
         direct = np.linalg.det(E * np.eye(model.bands) - nonbloch(model, beta))
-        assert cp.evaluate(beta) == pytest.approx(direct, abs=1e-10)
+        assert complex(value) == pytest.approx(direct, abs=1e-10)
 
 
 def test_char_poly_is_a_charpoly_instance():
-    cp = char_poly(builtin_2d(0.5, 1.0, 0.2), 0.1)
+    cp = char_poly(builtin_2d(0.5, 1.0, 0.2))
     assert isinstance(cp, CharPoly)
-    assert cp.nvars == 2
-    lo, hi = cp.exponent_range(1)
-    assert lo == -1 and hi == 1
+    assert cp.coeffs.shape == (2, 3, 3)  # E^0..E^1, beta_x^-1..1, beta_y^-1..1
+    assert cp.span(1) == (-1, 1)
+    assert cp.at([0.1, 0.2, 0.3]).shape == (3, 3, 3)
+
+
+def test_char_poly_span_is_exact_for_longer_range():
+    m = LatticeModel(
+        dimension=1,
+        bands=1,
+        terms=(HoppingTerm((2,), [[0.3]]), HoppingTerm((-2,), [[0.7]])),
+    )
+    cp = char_poly(m)
+    assert cp.span(0) == (-2, 2)
+    np.testing.assert_allclose(cp.at(0.5), [-0.7, 0.0, 0.5, 0.0, -0.3], atol=1e-15)
 
 
 def test_json_round_trip(tmp_path):

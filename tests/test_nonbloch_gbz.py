@@ -24,6 +24,15 @@ def test_root_product_is_hopping_ratio():
         assert np.prod(roots) == pytest.approx(2.0, abs=1e-10)
 
 
+def test_array_of_energies_gives_the_scalar_rows():
+    energies = np.array([0.0, 0.3, 1.0 + 0.4j, -2.7, 0.5 - 0.05j])
+    for m in (builtin_hatano_nelson(0.5, 1.0), builtin_nh_ssh(0.6, 1.0, 0.3)):
+        rows = beta_roots(m, energies)
+        assert rows.shape == (len(energies), 2)
+        for E, row in zip(energies, rows):
+            np.testing.assert_array_equal(row, beta_roots(m, E))
+
+
 def test_one_way_hopping_has_no_roots():
     with pytest.raises(DegenerateCharPolyError):
         beta_roots(builtin_hatano_nelson(0.0, 1.0), 0.3)
