@@ -60,9 +60,9 @@ def _add_model_args(sp: argparse.ArgumentParser) -> None:
     g.add_argument("--tp", type=float, help="diagonal hopping t'")
 
 
-def _resolve_model(args, parser: argparse.ArgumentParser):
+def _resolve_model(args):
     if bool(args.model) == bool(args.builtin):
-        parser.error("exactly one of --model or --builtin is required")
+        args.parser.error("exactly one of --model or --builtin is required")
     from . import model as M
 
     if args.model:
@@ -71,25 +71,27 @@ def _resolve_model(args, parser: argparse.ArgumentParser):
         factory, params = _BUILTINS[args.builtin]
         missing = [f"--{p}" for p in params if getattr(args, p) is None]
         if missing:
-            parser.error(f"--builtin {args.builtin} requires {', '.join(missing)}")
+            args.parser.error(f"--builtin {args.builtin} requires {', '.join(missing)}")
         model = getattr(M, factory)(*(getattr(args, p) for p in params))
     if args.command in _ONE_D and model.dimension != 1:
         raise ValueError(f"{args.command} expects a 1D model")
     return model
 
 
-def _run(args, parser: argparse.ArgumentParser) -> int:
+def _run(args) -> int:
+    """Usage errors found here go through `args.parser`, the subcommand's own
+    parser, so stderr shows that command's usage line."""
     from .io import write_manifest
 
     formats = {f.strip() for f in args.format.split(",")}
     if not formats <= {"csv", "svg", "pgm"}:
-        parser.error(f"--format entries must be csv, svg or pgm, got {args.format!r}")
+        args.parser.error(f"--format entries must be csv, svg or pgm, got {args.format!r}")
     if args.command == "crossover" and not (
         args.eps_count >= 1 and 0 < args.eps_min <= args.eps_max < math.inf
     ):
-        parser.error("crossover needs --eps-count >= 1 and 0 < --eps-min <= --eps-max < inf")
+        args.parser.error("crossover needs --eps-count >= 1 and 0 < --eps-min <= --eps-max < inf")
     # only funnel, which builds its own chain, declares no model options
-    model = _resolve_model(args, parser) if hasattr(args, "builtin") else None
+    model = _resolve_model(args) if hasattr(args, "builtin") else None
     artifacts, summary = args.func(args, model)
     os.makedirs(args.out, exist_ok=True)
     for name, write in artifacts:
@@ -98,7 +100,7 @@ def _run(args, parser: argparse.ArgumentParser) -> int:
     config = {
         k: v
         for k, v in vars(args).items()
-        if k != "func" and (v is None or isinstance(v, (bool, int, float, str, list)))
+        if k not in ("func", "parser") and (v is None or isinstance(v, (bool, int, float, str, list)))
     }
     write_manifest(args.out, {"command": args.command, "config": config})
     for line in summary:
@@ -386,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--tol", type=float, default=None, help="override the command's tolerance"
             )
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, parser=sp)
         return sp
 
     sp = command("spectrum", _cmd_spectrum, "PBC bands vs OBC spectrum")
@@ -459,7 +461,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args, parser)
+        return _run(args)
     except (NHSkinError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

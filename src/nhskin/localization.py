@@ -53,20 +53,42 @@ class SiteProfile:
 
 
 def _cell_sum(values: np.ndarray, imap: IndexMap) -> np.ndarray:
-    out = np.zeros(imap.n_cells, dtype=values.dtype)
-    np.add.at(out, imap.cell_index_of_rows(), values)
+    """Orbital-summed cell values along the last axis (rows are sites)."""
+    out = np.zeros(values.shape[:-1] + (imap.n_cells,), dtype=values.dtype)
+    np.add.at(out, (..., imap.cell_index_of_rows()), values)
     return out
+
+
+def _rows(v) -> np.ndarray:
+    """One state as a single complex row."""
+    return np.asarray(v, dtype=complex).reshape(1, -1)
+
+
+def _right_weights(Rt: np.ndarray, imap: IndexMap) -> np.ndarray:
+    """|psi_n|^2 per cell over <psi|psi>, one row per state (row of Rt)."""
+    # stacked 1 x n @ n x 1 products: the same dot routine as numpy.vdot
+    nrm2 = (np.conj(Rt)[:, None, :] @ Rt[:, :, None])[:, 0, 0].real
+    if np.any(nrm2 == 0):
+        raise ValueError("cannot profile the zero vector")
+    return _cell_sum(np.abs(Rt) ** 2, imap) / nrm2[:, None]
+
+
+def _bio_weights(Lc: np.ndarray, Rt: np.ndarray, imap: IndexMap) -> np.ndarray:
+    """conj(L)_n R_n per cell over <L|R>, one row per pair; Lc is conj(L)."""
+    ip = (Lc[:, None, :] @ Rt[:, :, None])[:, 0, 0]
+    bad = np.flatnonzero(np.abs(ip) < 1e-12)
+    if bad.size:
+        raise EPVicinityError(
+            f"|<L|R>| = {abs(ip[bad[0]]):.3e} is below 1e-12; biorthogonal profile refused"
+        )
+    return _cell_sum(Lc * Rt, imap) / ip[:, None]
 
 
 def density_profile(state, index_map) -> SiteProfile:
     """|psi_n|^2 per cell, orbitals summed, normalized to 1."""
     imap = _index_map(index_map)
-    psi = np.asarray(state, dtype=complex).ravel()
-    nrm2 = float(np.vdot(psi, psi).real)
-    if nrm2 == 0:
-        raise ValueError("cannot profile the zero vector")
-    w = _cell_sum(np.abs(psi) ** 2, imap) / nrm2
-    return SiteProfile(weights=w.real, kind="right", shape=imap.sizes)
+    w = _right_weights(_rows(state), imap)[0]
+    return SiteProfile(weights=w, kind="right", shape=imap.sizes)
 
 
 def biorthogonal_density(L, R, index_map) -> SiteProfile:
@@ -77,14 +99,7 @@ def biorthogonal_density(L, R, index_map) -> SiteProfile:
     biorthogonal decomposition is meaningless.
     """
     imap = _index_map(index_map)
-    l = np.asarray(L, dtype=complex).ravel()
-    r = np.asarray(R, dtype=complex).ravel()
-    ip = np.vdot(l, r)
-    if abs(ip) < 1e-12:
-        raise EPVicinityError(
-            f"|<L|R>| = {abs(ip):.3e} is below 1e-12; biorthogonal profile refused"
-        )
-    w = _cell_sum(np.conj(l) * r, imap) / ip
+    w = _bio_weights(np.conj(_rows(L)), _rows(R), imap)[0]
     return SiteProfile(weights=w, kind="biorthogonal", shape=imap.sizes)
 
 
@@ -110,14 +125,19 @@ def decay_fit(profile: SiteProfile, window) -> dict:
     return {"rate": float(slope), "r_squared": r2}
 
 
+def _participation(weights: np.ndarray) -> np.ndarray:
+    """PR of |weights| along the last axis, one per row."""
+    p = np.abs(weights)
+    s = p.sum(axis=-1, keepdims=True)
+    if np.any(s == 0):
+        raise ValueError("all-zero profile")
+    p /= s
+    return 1.0 / np.sum(p**2, axis=-1)
+
+
 def participation_ratio(profile: SiteProfile) -> float:
     """PR of |weights| (normalized); n_cells for uniform, 1 for a point."""
-    p = np.abs(np.asarray(profile.weights))
-    s = p.sum()
-    if s == 0:
-        raise ValueError("all-zero profile")
-    p = p / s
-    return float(1.0 / np.sum(p**2))
+    return float(_participation(np.asarray(profile.weights)))
 
 
 @dataclass(frozen=True)
@@ -142,11 +162,42 @@ class StateClass:
 
 
 def _edge_masses(weights: np.ndarray, edge_region: float):
-    n = len(weights)
+    """Shares of |weights| in the outer cells of each end, one pair per row."""
+    n = weights.shape[-1]
     ne = max(1, int(np.ceil(edge_region * n)))
     w = np.abs(weights)
-    total = w.sum()
-    return float(w[:ne].sum() / total), float(w[-ne:].sum() / total)
+    total = w.sum(axis=-1)
+    return w[..., :ne].sum(axis=-1) / total, w[..., -ne:].sum(axis=-1) / total
+
+
+def _classify(Lt: np.ndarray, Rt: np.ndarray, imap: IndexMap, th: Thresholds) -> list:
+    """Verdicts for the matched pairs in the rows of Lt and Rt, in one pass.
+
+    Rows of every intermediate array are states, so each per-state sum runs
+    over one row exactly as it would for a single vector.
+    """
+    right = _right_weights(Rt, imap)
+    bio = _bio_weights(np.conj(Lt), Rt, imap)
+    lf, rf = _edge_masses(right, th.edge_region)
+    blf, brf = _edge_masses(bio, th.edge_region)
+    edge = np.maximum(lf, rf)
+    pr = _participation(bio)
+    n = imap.n_cells
+    out = []
+    for i in range(len(pr)):
+        metrics = {
+            "right_edge_fraction": float(edge[i]),
+            "biorthogonal_participation_ratio_scaled": float(pr[i] / n),
+        }
+        if edge[i] > th.edge_fraction and pr[i] > th.pr_scale * n:
+            side = "right" if rf[i] >= lf[i] else "left"
+            out.append(StateClass(label=SKIN, side=side, metrics=metrics))
+        elif edge[i] > th.edge_fraction:
+            side = "right" if brf[i] >= blf[i] else "left"
+            out.append(StateClass(label=TOPOLOGICAL, side=side, metrics=metrics))
+        else:
+            out.append(StateClass(label=BULK, side=None, metrics=metrics))
+    return out
 
 
 def classify_state(L, R, index_map, thresholds: Thresholds | None = None) -> StateClass:
@@ -158,35 +209,13 @@ def classify_state(L, R, index_map, thresholds: Thresholds | None = None) -> Sta
     right-vector side when left and right states live on opposite ends).
     Bulk: everything else.  Exceptional-point refusals propagate.
     """
-    th = thresholds or Thresholds()
     imap = _index_map(index_map)
-    right = density_profile(R, imap)
-    bio = biorthogonal_density(L, R, imap)
-    lf, rf = _edge_masses(right.weights, th.edge_region)
-    edge = max(lf, rf)
-    pr = participation_ratio(bio)
-    n = imap.n_cells
-    metrics = {
-        "right_edge_fraction": edge,
-        "biorthogonal_participation_ratio_scaled": pr / n,
-    }
-    if edge > th.edge_fraction and pr > th.pr_scale * n:
-        side = "right" if rf >= lf else "left"
-        return StateClass(label=SKIN, side=side, metrics=metrics)
-    if edge > th.edge_fraction and pr <= th.pr_scale * n:
-        blf, brf = _edge_masses(bio.weights, th.edge_region)
-        side = "right" if brf >= blf else "left"
-        return StateClass(label=TOPOLOGICAL, side=side, metrics=metrics)
-    return StateClass(label=BULK, side=None, metrics=metrics)
+    return _classify(_rows(L), _rows(R), imap, thresholds or Thresholds())[0]
 
 
 def classify_spectrum(system, op, thresholds: Thresholds | None = None):
-    """classify_state over every matched pair of a BiorthogonalSystem."""
-    imap = _index_map(op)
-    return [
-        classify_state(system.left[:, i], system.right[:, i], imap, thresholds)
-        for i in range(system.n)
-    ]
+    """classify_state over every matched pair of a BiorthogonalSystem, batched."""
+    return _classify(system.left.T, system.right.T, _index_map(op), thresholds or Thresholds())
 
 
 def export_profiles_csv(path, profiles, labels=None) -> None:

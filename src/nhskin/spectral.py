@@ -10,6 +10,19 @@ l_j - l_i = log(|H_ji|/|H_ij|) / 2 across each two-sided bond makes |H_ij|
 symmetric exactly whenever that bond field is curl-free, which covers every
 open chain.  Eigenvalues are preserved exactly; eigenvectors transform by the
 known diagonal, so nothing is lost undoing the gauge afterwards.
+
+After the gauge an open chain with real (or conjugate-paired) hoppings is
+Hermitian, usually real symmetric, with the same eigenvalues (Yao & Wang,
+PRL 121, 086803 (2018)).  Every solve here tests the gauged matrix for that
+once and then takes `eigh`/`eigvalsh` on its Hermitian part, in real
+arithmetic when its imaginary part is exactly zero; the left vectors are
+then the right ones in the gauged basis, so no inverse, no `cond` of the
+eigenvector matrix and no adjoint solve is needed.  Rounding in exp(l)
+leaves an asymmetry of about 1.5 eps max|l| max|H_b|, so the test accepts
+up to 4 eps (1 + max|l|) max|H_b|, which also bounds the eigenvalue shift
+of the symmetrisation to about that size.  Everything else (exceptional
+points and one-way chains, periodic and partially coupled rings, lattices
+with flux) keeps the general `eig`.
 """
 
 from __future__ import annotations
@@ -88,24 +101,42 @@ def gauge_log_scales(H, flux_tol: float = 1e-9, blowup: float = 4.0) -> np.ndarr
 
 
 def _gauged(H):
-    """(H in the gauged basis, per-site scale factors d).  H_b = D^-1 H D."""
+    """(H_b = D^-1 H D, per-site scale factors d or None, Hermitian H_b or None).
+
+    The third item is the symmetrised H_b, real when its imaginary part is
+    exactly zero, if H_b is Hermitian within the rounding of the gauge, and
+    None otherwise.
+    """
     l = gauge_log_scales(H)
-    if not l.any():
-        return H, None
-    d = np.exp(l)
-    return H * (d[None, :] / d[:, None]), d
+    if l.any():
+        d = np.exp(l)
+        Hb = H * (d[None, :] / d[:, None])
+    else:
+        Hb, d = H, None
+    tol = 4 * _EPS * (1 + np.abs(l).max(initial=0.0)) * np.abs(Hb).max(initial=0.0)
+    Hh = Hb.conj().T
+    if np.abs(Hb - Hh).max(initial=0.0) > tol:
+        return Hb, d, None
+    Hh = 0.5 * (Hb + Hh)
+    return Hb, d, (Hh.real if not Hh.imag.any() else Hh)
 
 
-def _gauged_eig(H):
-    """Eigenpairs of the gauged H: (w, Vb, Hb, d) with Vb in the gauged basis."""
+def _gauged_eig(H, vectors: bool = True):
+    """Eigenpairs of the gauged H: (w, Vb, Hb, d, hermitian), Vb in the gauged
+    basis (None when vectors is False).  Hermitian H_b goes to eigh, real when
+    it can; everything else to the general eig."""
     if not np.all(np.isfinite(H)):
         raise EigensolverError("matrix has non-finite entries")
-    Hb, d = _gauged(H)
+    Hb, d, Hh = _gauged(H)
+    la = np.linalg
     try:
-        w, Vb = np.linalg.eig(Hb)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eig failed to converge: {exc}") from exc
-    return w, Vb, Hb, d
+        if Hh is not None:
+            w, Vb = la.eigh(Hh) if vectors else (la.eigvalsh(Hh), None)
+        else:
+            w, Vb = la.eig(Hb) if vectors else (la.eigvals(Hb), None)
+    except la.LinAlgError as exc:
+        raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
+    return w, Vb, Hb, d, Hh is not None
 
 
 def _min_pair_gap(w: np.ndarray) -> float:
@@ -121,25 +152,24 @@ def _min_pair_gap(w: np.ndarray) -> float:
 
 def dense_spectrum(op) -> np.ndarray:
     """Eigenvalues only, gauge-stabilized, sorted by (Re, Im)."""
-    H = _as_matrix(op)
-    Hb, _ = _gauged(H)
-    try:
-        w = np.linalg.eigvals(Hb)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigvals failed to converge: {exc}") from exc
+    w = np.asarray(_gauged_eig(_as_matrix(op), vectors=False)[0], dtype=complex)
     return w[np.lexsort((w.imag, w.real))]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BiorthogonalSystem:
     """Matched eigen-triples (E_i, R_i, L_i) with conditioning diagnostics.
 
     right[:, i] has unit norm with its largest component rotated to the
     positive real axis; left[:, i] is scaled so <L_i|R_i> = 1 whenever the
     pairing is numerically meaningful.  `condition` is the condition number
-    of the physical right-eigenvector matrix; ep_flag marks decompositions
-    whose conditioning (or biorthogonality residual) is consistent with an
-    exceptional point or extreme non-normality.
+    of the physical right-eigenvector matrix; `biorth_residual` is
+    max |L_b^H V_b - I| in the gauged basis, where the physical column-norm
+    ratios cannot amplify rounding; ep_flag marks decompositions whose
+    conditioning (or biorthogonality residual) is consistent with an
+    exceptional point or extreme non-normality.  `solver` names the path
+    taken: "eigh" (Hermitian after the gauge), "eig" (left vectors from the
+    inverse) or "eig+adjoint" (left vectors from an adjoint solve).
     """
 
     eigenvalues: np.ndarray
@@ -149,6 +179,7 @@ class BiorthogonalSystem:
     min_pair_gap: float
     ep_flag: bool
     biorth_residual: float
+    solver: str
 
     @property
     def n(self) -> int:
@@ -161,27 +192,30 @@ class BiorthogonalSystem:
 def eig_biorthogonal(op, tol_biorth: float = 1e-8) -> BiorthogonalSystem:
     """Full right+left eigensystem of a dense operator.
 
-    Left vectors come from inverting the right-eigenvector matrix (exact
-    biorthonormality by construction) whenever that inverse is trustworthy
-    in the gauged working basis; otherwise from a separate adjoint eigensolve
-    with greedy conjugate-eigenvalue matching.  The inverse-route decision is
-    made on the gauged basis because the physical matrix's exponential
-    ill-conditioning is carried exactly by the diagonal gauge factors.
+    When the gauged matrix is Hermitian its unitary eigenvector matrix is its
+    own left partner.  Otherwise left vectors come from inverting the
+    right-eigenvector matrix (exact biorthonormality by construction) whenever
+    that inverse is trustworthy in the gauged working basis; otherwise from a
+    separate adjoint eigensolve with greedy conjugate-eigenvalue matching.
+    The inverse-route decision is made on the gauged basis because the
+    physical matrix's exponential ill-conditioning is carried exactly by the
+    diagonal gauge factors.
     """
-    w, Vb, Hb, d = _gauged_eig(_as_matrix(op))
+    w, Vb, Hb, d, hermitian = _gauged_eig(_as_matrix(op))
     order = np.lexsort((w.imag, w.real))
     w, Vb = w[order], Vb[:, order]
 
-    cond_b = np.linalg.cond(Vb)
-    if cond_b < COND_LIMIT:
-        Lb = np.linalg.inv(Vb).conj().T
+    if hermitian:
+        Lb, solver = Vb, "eigh"
+    elif np.linalg.cond(Vb) < COND_LIMIT:
+        Lb, solver = np.linalg.inv(Vb).conj().T, "eig"
     else:
         # adjoint solve; match each left eigenvalue to the conjugate right one
         try:
             wl, Wb = np.linalg.eig(Hb.conj().T)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"adjoint eig failed to converge: {exc}") from exc
-        Lb = np.empty_like(Vb)
+        Lb, solver = np.empty_like(Vb), "eig+adjoint"
         used = np.zeros(len(wl), dtype=bool)
         for i, wi in enumerate(w):
             dists = np.where(used, np.inf, np.abs(wl - np.conj(wi)))
@@ -191,11 +225,9 @@ def eig_biorthogonal(op, tol_biorth: float = 1e-8) -> BiorthogonalSystem:
             ip = np.vdot(col, Vb[:, i])
             # biorthonormalize when the pairing supports it; else keep unit norm
             Lb[:, i] = col / np.conj(ip) if abs(ip) > 1e-12 else col
-    if d is not None:
-        R = Vb * d[:, None]
-        L = Lb / d[:, None]
-    else:
-        R, L = Vb.copy(), Lb.copy()
+    residual = float(np.max(np.abs(Lb.conj().T @ Vb - np.eye(len(w)))))
+    scale = d[:, None] if d is not None else 1.0
+    R, L = Vb * scale, Lb / scale
 
     norms = np.linalg.norm(R, axis=0)
     R /= norms
@@ -206,18 +238,17 @@ def eig_biorthogonal(op, tol_biorth: float = 1e-8) -> BiorthogonalSystem:
     R /= phase[None, :]
     L *= np.conj(phase)[None, :]
 
-    gram = L.conj().T @ R
-    residual = float(np.max(np.abs(gram - np.eye(len(w)))))
     condition = float(np.linalg.cond(R))
     ep = (condition > COND_LIMIT) or (residual > tol_biorth)
     return BiorthogonalSystem(
-        eigenvalues=w,
-        right=R,
-        left=L,
+        eigenvalues=np.asarray(w, dtype=complex),
+        right=np.asarray(R, dtype=complex),
+        left=np.asarray(L, dtype=complex),
         condition=condition,
         min_pair_gap=_min_pair_gap(w),
         ep_flag=bool(ep),
         biorth_residual=residual,
+        solver=solver,
     )
 
 
@@ -235,7 +266,7 @@ def ep_diagnostic(op) -> dict:
     minus the numerical rank of the right-eigenvector matrix at tolerance
     sqrt(machine eps) * largest singular value.
     """
-    w, Vb, _, d = _gauged_eig(_as_matrix(op))
+    w, Vb, _, d, _ = _gauged_eig(_as_matrix(op))
     V = Vb * d[:, None] if d is not None else Vb
     V = V / np.linalg.norm(V, axis=0)
     s = np.linalg.svd(V, compute_uv=False)

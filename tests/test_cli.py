@@ -233,6 +233,24 @@ def test_undeclared_options_are_usage_errors(tmp_path, args):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["crossover", *HN, "-N", "8", "--eps-count", "0"],
+        ["crossover", *HN, "-N", "8", "--format", "cvs"],
+        ["spectrum", "--builtin", "hatano-nelson", "--jl", "0.5"],
+        ["localize", "--model", "m.json", *HN],
+    ],
+    ids=["crossover-count0", "format-typo", "missing-parameter", "model-and-builtin"],
+)
+def test_usage_errors_after_parsing_show_the_command_usage(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: nhskin {args[0]} ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_thread_cap_env_respected(tmp_path):
     # the cap must be exported before numpy loads; a crash here means the
     # import ordering regressed

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,66 @@ def test_profiles_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + 3 * 6
     assert lines[1].endswith(",a")
+
+
+def _per_state_reference(L, R, op, th=Thresholds()):
+    """The per-state classifier as a plain loop body: numpy.vdot norms,
+    numpy.add.at cell sums and 1-D reductions."""
+    cells, n = op.index_map.cell_index_of_rows(), op.index_map.n_cells
+    right = np.zeros(n)
+    np.add.at(right, cells, np.abs(R) ** 2)
+    right /= np.vdot(R, R).real
+    bio = np.zeros(n, dtype=complex)
+    np.add.at(bio, cells, np.conj(L) * R)
+    bio /= np.vdot(L, R)
+
+    def edges(w):
+        ne = max(1, int(np.ceil(th.edge_region * n)))
+        a = np.abs(w)
+        return a[:ne].sum() / a.sum(), a[-ne:].sum() / a.sum()
+
+    lf, rf = edges(right)
+    p = np.abs(bio) / np.abs(bio).sum()
+    edge, pr = max(lf, rf), 1.0 / np.sum(p**2)
+    if edge > th.edge_fraction and pr > th.pr_scale * n:
+        label, side = "skin", "right" if rf >= lf else "left"
+    elif edge > th.edge_fraction:
+        blf, brf = edges(bio)
+        label, side = "topological_boundary", "right" if brf >= blf else "left"
+    else:
+        label, side = "bulk", None
+    return label, side, {
+        "right_edge_fraction": edge,
+        "biorthogonal_participation_ratio_scaled": pr / n,
+    }
+
+
+@pytest.mark.parametrize(
+    "model, cells",
+    [
+        (builtin_hatano_nelson(0.5, 1.0), 50),
+        (builtin_hatano_nelson(0.5, 1.0), 100),
+        (builtin_nh_ssh(0.6, 1.0, 0.3), 40),
+        (builtin_hatano_nelson(1.0, 1.0), 30),
+    ],
+    ids=["hn50", "hn100", "nh-ssh40", "hermitian30"],
+)
+def test_batched_classifier_equals_per_state_reference(model, cells):
+    # the criterion 04/06 systems plus an all-bulk chain: same arithmetic,
+    # so labels, sides and metrics must agree exactly
+    op = build(model, [cells], OBC)
+    sy = eig_biorthogonal(op)
+    batch = classify_spectrum(sy, op)
+    for i, c in enumerate(batch):
+        ref = _per_state_reference(sy.left[:, i].copy(), sy.right[:, i].copy(), op)
+        assert (c.label, c.side, c.metrics) == ref
+        assert classify_state(sy.left[:, i], sy.right[:, i], op.index_map) == c
+
+
+def test_batched_classifier_refuses_any_ep_pair():
+    op = build(builtin_hatano_nelson(0.5, 1.0), [20], OBC)
+    sy = eig_biorthogonal(op)
+    left = sy.left.copy()
+    left[:, 7] = 0.0  # one pair with <L|R> = 0 among healthy ones
+    with pytest.raises(EPVicinityError):
+        classify_spectrum(dataclasses.replace(sy, left=left), op)

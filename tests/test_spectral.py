@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nhskin.model import builtin_hatano_nelson, builtin_nh_ssh
-from nhskin.realspace import OBC, PBC, build, from_matrix
+import nhskin.spectral
+from nhskin.model import builtin_2d, builtin_hatano_nelson, builtin_nh_ssh
+from nhskin.realspace import OBC, PBC, Coupled, build, from_matrix
 from nhskin.spectral import (
     dense_spectrum,
     eig_biorthogonal,
@@ -146,3 +147,80 @@ def test_spectrum_csv(tmp_path):
 def test_dense_spectrum_accepts_plain_arrays():
     ev = dense_spectrum(from_matrix(np.diag([3.0, 1.0, 2.0])))
     np.testing.assert_allclose(ev, [1.0, 2.0, 3.0], atol=0)
+
+
+@pytest.mark.parametrize("jl, n", [(0.3, 460), (0.5, 1000)])
+def test_gauged_open_chain_takes_eigh(jl, n):
+    # max|l| reaches 138 and 173 here: the Hermiticity tolerance must grow
+    # with the gauge range or these fall back to the general solver
+    sy = eig_biorthogonal(build(builtin_hatano_nelson(jl, 1.0), [n], OBC))
+    assert sy.solver == "eigh"
+    assert np.all(sy.eigenvalues.imag == 0)
+    np.testing.assert_allclose(sy.eigenvalues.real, hn_closed_form(jl, 1.0, n), atol=1e-10)
+
+
+def test_nh_ssh_takes_eigh_and_keeps_its_zero_pair():
+    sy = eig_biorthogonal(build(builtin_nh_ssh(0.5, 1.0, 0.3), [225], OBC))
+    assert sy.solver == "eigh"
+    assert np.sort(np.abs(sy.eigenvalues))[1] < 1e-8
+
+
+def test_complex_hermitian_matrix_takes_eigh():
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+    H = A + A.conj().T
+    op = from_matrix(H)
+    sy = eig_biorthogonal(op)
+    assert sy.solver == "eigh"
+    want = np.linalg.eigvalsh(H)
+    np.testing.assert_allclose(sy.eigenvalues.real, want, atol=1e-12)
+    np.testing.assert_allclose(dense_spectrum(op).real, want, atol=1e-12)
+    np.testing.assert_allclose(sy.left, sy.right, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "op, solver",
+    [
+        (build(builtin_hatano_nelson(0.0, 1.0), [10], OBC), "eig+adjoint"),  # criterion 13
+        (build(builtin_hatano_nelson(0.5, 1.0), [40], PBC), "eig"),
+        (build(builtin_hatano_nelson(0.5, 1.0), [40], Coupled(1e-3)), "eig"),
+        (build(builtin_2d(0.5, 1.0, 0.2), [10, 10], OBC), "eig"),
+    ],
+    ids=["jordan-block", "hn-ring", "coupled-ring", "asym2d"],
+)
+def test_non_hermitian_after_gauge_takes_eig(op, solver):
+    assert eig_biorthogonal(op).solver == solver
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        build(builtin_hatano_nelson(0.5, 1.0), [30], OBC),
+        build(builtin_hatano_nelson(0.5, 1.0), [30], PBC),
+    ],
+    ids=["eigh", "eig"],
+)
+def test_results_stay_complex_on_both_paths(op):
+    assert dense_spectrum(op).dtype == complex
+    sy = eig_biorthogonal(op)
+    assert {sy.eigenvalues.dtype, sy.right.dtype, sy.left.dtype} == {np.dtype(complex)}
+
+
+@pytest.mark.parametrize(
+    "model, cells",
+    [(builtin_hatano_nelson(0.3, 1.0), 450), (builtin_nh_ssh(0.6, 1.0, 0.2), 195)],
+    ids=["hn450", "nh-ssh195"],
+)
+def test_biorth_residual_is_small_on_both_paths(monkeypatch, model, cells):
+    # sizes of the benchmark's open-chain spectra; in the physical basis the
+    # residual of the nh-ssh chain reads about 0.1 on eig and 1e12 on eigh
+    op = build(model, [cells], OBC)
+    fast = eig_biorthogonal(op)
+    # the same solve with no matrix taken as Hermitian
+    gauged = nhskin.spectral._gauged
+    monkeypatch.setattr(nhskin.spectral, "_gauged", lambda H: gauged(H)[:2] + (None,))
+    general = eig_biorthogonal(op)
+    assert (fast.solver, general.solver) == ("eigh", "eig")
+    assert fast.biorth_residual < 1e-10
+    assert general.biorth_residual < 1e-10
+    assert fast.ep_flag == general.ep_flag
