@@ -19,6 +19,7 @@ loads, which is why all numeric imports live inside functions.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -90,6 +91,10 @@ def _run(args) -> int:
         args.eps_count >= 1 and 0 < args.eps_min <= args.eps_max < math.inf
     ):
         args.parser.error("crossover needs --eps-count >= 1 and 0 < --eps-min <= --eps-max < inf")
+    if args.command == "winding" and args.grid < 0:
+        args.parser.error("winding needs --grid >= 0")
+    if args.command == "amoeba" and min(args.resolution, args.phases) < 1:
+        args.parser.error("amoeba needs --resolution >= 1 and --phases >= 1")
     # only funnel, which builds its own chain, declares no model options
     model = _resolve_model(args) if hasattr(args, "builtin") else None
     artifacts, summary = args.func(args, model)
@@ -153,7 +158,7 @@ def _cmd_spectrum(args, model):
 
 
 def _cmd_winding(args, model):
-    from .io import parse_complex, write_csv
+    from .io import parse_complex
     from .topology import predict_skin_side, winding_map, winding_number
 
     base = parse_complex(args.base)
@@ -162,17 +167,19 @@ def _cmd_winding(args, model):
     raw = res.raw_integral
     row = (base.real, base.imag, res.w, float(raw.real), float(raw.imag), res.k_samples_used)
     header = ["re_base", "im_base", "w", "re_raw", "im_raw", "k_samples"]
-
-    def winding_map_csv(path):
+    side = predict_skin_side(res)
+    artifacts = [("winding.csv", _csv(header, [row]))]
+    summary = [f"w = {res.w}", f"skin side: {side if side else 'none'}"]
+    if args.grid:
         w = args.window
         rows = winding_map(model, (w[0], w[1]), (w[2], w[3]), resolution=args.grid, gap_tol=gap_tol)
-        write_csv(path, ["re_base", "im_base", "w"], rows)
-
-    artifacts = [("winding.csv", _csv(header, [row]))]
-    if args.grid:
-        artifacts.append(("winding_map.csv", winding_map_csv))
-    side = predict_skin_side(res)
-    return artifacts, [f"w = {res.w}", f"skin side: {side if side else 'none'}"]
+        artifacts.append(("winding_map.csv", _csv(["re_base", "im_base", "w"], rows)))
+        blank = sum(r[2] == "" for r in rows)
+        summary.append(
+            f"map: {len(rows)} points, {blank} blank (gap closed or not integral), "
+            f"{rows.bisected} bisected"
+        )
+    return artifacts, summary
 
 
 def _cmd_gbz(args, model):
@@ -456,10 +463,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # argparse ties a parser's ~650 objects together in reference cycles, so
+    # one built per call lingers until the cyclic collector runs and inflates
+    # the heap of a process that calls `main` repeatedly; parsing leaves the
+    # parser unchanged and the handlers never mutate `args`, so one parser
+    # serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
     _apply_thread_cap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except (NHSkinError, ValueError, OSError) as exc:

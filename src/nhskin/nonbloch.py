@@ -219,7 +219,7 @@ def amoeba_points(
     the phase circle; those intervals are what get filled.  (Marking isolated
     root samples instead leaves sampling pinholes that read as spurious
     holes.)  Root-finding failures are tolerated on up to `max_bad_fraction`
-    of the samples.
+    of the samples; an empty sampling plan is refused.
     """
     if model.dimension != 2:
         raise ValueError("amoeba construction requires a 2D model")
@@ -232,6 +232,8 @@ def amoeba_points(
     nx = int(r_x_samples)
     ny = int(r_x_samples)
     nph = int(phase_samples)
+    if min(nx, nph) < 1:
+        raise SamplingError(f"empty sampling plan: {nx} raster columns x {nph} phases")
     rx = np.linspace(xlo, xhi, nx)
     ph = np.linspace(0.0, 2 * np.pi, nph, endpoint=False)
     bx = np.exp(rx[:, None] + 1j * ph[None, :])  # (nx, nph)

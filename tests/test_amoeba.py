@@ -91,6 +91,16 @@ def test_amoeba_requires_2d():
         amoeba_points(builtin_hatano_nelson(0.5, 1.0), 0.0)
 
 
+@pytest.mark.parametrize("sizes", [(0, 40), (40, 0)], ids=["no-columns", "no-phases"])
+def test_empty_sampling_plan_is_refused(sizes):
+    # an empty raster would make the bad-sample fraction nan, which passes
+    # the max_bad_fraction guard unnoticed
+    from nhskin.errors import SamplingError
+
+    with pytest.raises(SamplingError):
+        amoeba_points(builtin_2d(0.5, 1.0, 0.2), 4.0, r_x_samples=sizes[0], phase_samples=sizes[1])
+
+
 def test_pgm_export(tmp_path):
     r = ring_raster(n=40)
     path = tmp_path / "ring.pgm"

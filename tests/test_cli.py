@@ -213,6 +213,9 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         ["crossover", *HN, "-N", "8", "--eps-min", "1e-3", "--eps-max", "1e-6"],
         ["spectrum", *HN, "-N", "8", "--format", "cvs"],
         ["spectrum", *HN, "-N", "8", "--format", ""],
+        ["winding", *HN, "--grid", "-3"],
+        ["amoeba", *ASYM2D, "--energy", "4+0i", "--resolution", "0", "--phases", "80"],
+        ["amoeba", *ASYM2D, "--energy", "4+0i", "--resolution", "40", "--phases", "0"],
     ],
     ids=[
         "funnel-N",
@@ -224,6 +227,9 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         "crossover-min-above-max",
         "format-typo",
         "format-empty",
+        "winding-grid-negative",
+        "amoeba-resolution0",
+        "amoeba-phases0",
     ],
 )
 def test_undeclared_options_are_usage_errors(tmp_path, args):
@@ -233,6 +239,16 @@ def test_undeclared_options_are_usage_errors(tmp_path, args):
     assert not any(tmp_path.iterdir())
 
 
+def test_winding_map_reports_its_health(tmp_path, capsys):
+    # HN(1, 1) is Hermitian: the five real-axis grid points lie on the band
+    # and stay blank; four of them pass the 2048-k gap test and are bisected
+    args = ["winding", "--builtin", "hatano-nelson", "--jl", "1", "--jr", "1", "--base", "0+1i"]
+    assert main([*args, "--grid", "5", "--window", "-1", "1", "-0.5", "0.5", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "map: 25 points, 5 blank (gap closed or not integral), 4 bisected"
+    assert (tmp_path / "winding_map.csv").read_text().count(",\n") == 5
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -240,8 +256,19 @@ def test_undeclared_options_are_usage_errors(tmp_path, args):
         ["crossover", *HN, "-N", "8", "--format", "cvs"],
         ["spectrum", "--builtin", "hatano-nelson", "--jl", "0.5"],
         ["localize", "--model", "m.json", *HN],
+        ["winding", *HN, "--grid", "-3"],
+        ["amoeba", *ASYM2D, "--energy", "4+0i", "--resolution", "0"],
+        ["amoeba", *ASYM2D, "--energy", "4+0i", "--phases", "0"],
     ],
-    ids=["crossover-count0", "format-typo", "missing-parameter", "model-and-builtin"],
+    ids=[
+        "crossover-count0",
+        "format-typo",
+        "missing-parameter",
+        "model-and-builtin",
+        "winding-grid-negative",
+        "amoeba-resolution0",
+        "amoeba-phases0",
+    ],
 )
 def test_usage_errors_after_parsing_show_the_command_usage(tmp_path, capsys, args):
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nhskin.errors import GapClosedError
+from nhskin.errors import GapClosedError, WindingError
 from nhskin.localization import classify_spectrum
 from nhskin.model import builtin_hatano_nelson, builtin_nh_ssh
 from nhskin.realspace import OBC, build
@@ -111,3 +111,71 @@ def test_winding_map_blanks_closed_gaps():
 def test_winding_map_hn_interior():
     rows = winding_map(builtin_hatano_nelson(0.5, 1.0), (-0.5, 0.5), (-0.2, 0.2), resolution=3)
     assert all(r[2] == -1 for r in rows)
+
+
+# (model, E_B, w, raw_integral, k_samples_used) recorded with the per-point
+# implementation that sampled the Bloch bands once per base point; the last
+# four points need bisection
+RECORDED = [
+    (builtin_hatano_nelson(0.5, 1.0), 0.0, -1, -1.0, 257),
+    (builtin_hatano_nelson(1.0, 0.5), 0.0, 1, 1.0, 257),
+    (builtin_hatano_nelson(0.5, 1.0), 0.2 + 0.1j, -1, -1.0, 257),
+    (builtin_hatano_nelson(0.5, 1.0), 3.0, 0, 1.766974823035287e-17, 257),
+    (builtin_hatano_nelson(0.5, 1.0), 1.0j, 0, 3.533949646070574e-17, 257),
+    (builtin_hatano_nelson(0.5, 1.0), 0.3j, -1, -1.0, 257),
+    (builtin_nh_ssh(0.6, 1.0, 0.3), 0.0, 0, 3.5781240166464566e-16, 257),
+    (builtin_nh_ssh(0.6, 1.0, 0.3), 1.0, 1, 1.0, 257),
+    (builtin_nh_ssh(0.6, 1.0, 0.3), -1.0, 1, 1.0, 257),
+    (builtin_hatano_nelson(0.5, 1.0), 1.5 + 0.0125j, 0, 1.0601848938211722e-16, 261),
+    (builtin_hatano_nelson(0.5, 1.0), 1.4875 + 0.05j, -1, -1.0, 258),
+    (builtin_nh_ssh(0.6, 1.0, 0.2), 1.08 + 0.18j, 1, 0.9999999999999999, 259),
+    (builtin_nh_ssh(0.6, 1.0, 0.2), 0.46 - 0.145j, 1, 1.0, 260),
+]
+
+
+@pytest.mark.parametrize("model, e_b, w, raw, k_used", RECORDED)
+def test_winding_number_matches_recorded_values(model, e_b, w, raw, k_used):
+    res = winding_number(model, e_b)
+    assert (res.w, res.k_samples_used, res.E_B) == (w, k_used, complex(e_b))
+    assert res.raw_integral == pytest.approx(raw, abs=1e-15)
+
+
+def reference_map(model, re_range, im_range, resolution):
+    """The map as one winding_number call per base point."""
+    rows = []
+    for re in np.linspace(*re_range, resolution):
+        for im in np.linspace(*im_range, resolution):
+            try:
+                rows.append((float(re), float(im), winding_number(model, complex(re, im)).w))
+            except (GapClosedError, WindingError):
+                rows.append((float(re), float(im), ""))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "model, re_range, im_range, resolution",
+    [
+        (builtin_hatano_nelson(0.5, 1.0), (-2.0, 2.0), (-2.0, 2.0), 7),
+        # Hermitian: the real-axis row touches the band and stays blank
+        (builtin_hatano_nelson(1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5), 5),
+        # the window crosses both band loops, so some points are bisected
+        (builtin_nh_ssh(0.6, 1.0, 0.2), (-1.7, 1.7), (-0.4, 0.4), 12),
+        # 144 points: many chunks of base points
+        (builtin_hatano_nelson(0.5, 1.0), (1.4, 1.6), (-0.1, 0.1), 12),
+    ],
+    ids=["hn", "hn-hermitian", "nh-ssh-bisected", "hn-many-chunks"],
+)
+def test_winding_map_equals_per_point_loop(model, re_range, im_range, resolution):
+    rows = winding_map(model, re_range, im_range, resolution=resolution)
+    assert list(rows) == reference_map(model, re_range, im_range, resolution)
+
+
+def test_winding_map_counts_bisected_points():
+    m = builtin_nh_ssh(0.6, 1.0, 0.2)
+    assert winding_map(m, (-1.7, 1.7), (-0.4, 0.4), resolution=12).bisected > 0
+    assert winding_map(m, (-0.2, 0.2), (-0.2, 0.2), resolution=3).bisected == 0
+    # the four real-axis points off E_B = 0 pass the 2048-k gap test, are
+    # bisected, do not settle, and stay blank
+    rows = winding_map(builtin_hatano_nelson(1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5), resolution=5)
+    assert rows.bisected == 4
+    assert [r[:2] for r in rows if r[2] == ""] == [(x, 0.0) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
