@@ -19,6 +19,7 @@ loads, which is why all numeric imports live inside functions.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import math
 import os
@@ -82,7 +83,7 @@ def _resolve_model(args):
 def _run(args) -> int:
     """Usage errors found here go through `args.parser`, the subcommand's own
     parser, so stderr shows that command's usage line."""
-    from .io import write_manifest
+    from .io import parse_complex, write_manifest
 
     formats = {f.strip() for f in args.format.split(",")}
     if not formats <= {"csv", "svg", "pgm"}:
@@ -91,8 +92,14 @@ def _run(args) -> int:
         args.eps_count >= 1 and 0 < args.eps_min <= args.eps_max < math.inf
     ):
         args.parser.error("crossover needs --eps-count >= 1 and 0 < --eps-min <= --eps-max < inf")
-    if args.command == "winding" and args.grid < 0:
-        args.parser.error("winding needs --grid >= 0")
+    if args.command == "winding" and not (
+        args.grid >= 0
+        and all(map(math.isfinite, args.window))
+        and cmath.isfinite(parse_complex(args.base))
+    ):
+        args.parser.error("winding needs --grid >= 0 and a finite --base and --window")
+    if getattr(args, "tol", None) is not None and not 0 < args.tol < math.inf:
+        args.parser.error("--tol must be finite and > 0")
     if args.command == "amoeba" and min(args.resolution, args.phases) < 1:
         args.parser.error("amoeba needs --resolution >= 1 and --phases >= 1")
     # only funnel, which builds its own chain, declares no model options
@@ -162,11 +169,11 @@ def _cmd_winding(args, model):
     from .topology import predict_skin_side, winding_map, winding_number
 
     base = parse_complex(args.base)
-    gap_tol = args.tol if args.tol else 1e-6
+    gap_tol = args.tol or 1e-6
     res = winding_number(model, base, gap_tol=gap_tol)
     raw = res.raw_integral
-    row = (base.real, base.imag, res.w, float(raw.real), float(raw.imag), res.k_samples_used)
-    header = ["re_base", "im_base", "w", "re_raw", "im_raw", "k_samples"]
+    row = (base.real, base.imag, res.w, float(raw.real), float(raw.imag), res.root_margin)
+    header = ["re_base", "im_base", "w", "re_raw", "im_raw", "root_margin"]
     side = predict_skin_side(res)
     artifacts = [("winding.csv", _csv(header, [row]))]
     summary = [f"w = {res.w}", f"skin side: {side if side else 'none'}"]
@@ -175,10 +182,7 @@ def _cmd_winding(args, model):
         rows = winding_map(model, (w[0], w[1]), (w[2], w[3]), resolution=args.grid, gap_tol=gap_tol)
         artifacts.append(("winding_map.csv", _csv(["re_base", "im_base", "w"], rows)))
         blank = sum(r[2] == "" for r in rows)
-        summary.append(
-            f"map: {len(rows)} points, {blank} blank (gap closed or not integral), "
-            f"{rows.bisected} bisected"
-        )
+        summary.append(f"map: {len(rows)} points, {blank} blank (gap closed)")
     return artifacts, summary
 
 
@@ -188,7 +192,7 @@ def _cmd_gbz(args, model):
     from .io import write_svg_scatter
     from .nonbloch import export_gbz_csv, gbz_curve
 
-    tol = args.tol if args.tol else 1e-6
+    tol = args.tol or 1e-6
     samples = gbz_curve(model, N_seed=(args.sizes or [400])[0], gbz_tol=tol)
 
     def gbz_svg(path):
@@ -351,7 +355,7 @@ def _cmd_reciprocity(args, model):
 
     op = build(model, [(args.sizes or [20])[0]], "obc")
     omegas = [parse_complex(w) for w in args.omegas]
-    rows = reciprocity_test(op, omegas, tol=args.tol if args.tol else 1e-10)
+    rows = reciprocity_test(op, omegas, tol=args.tol or 1e-10)
     header = ["re_omega", "im_omega", "asymmetry", "reciprocal"]
     columns = ((r["omega"].real, r["omega"].imag, r["asymmetry"], r["reciprocal"]) for r in rows)
     worst = max(r["asymmetry"] for r in rows)

@@ -26,10 +26,6 @@ class GapClosedError(NHSkinError):
     """Point gap closed at the requested base energy; winding undefined."""
 
 
-class WindingError(NHSkinError):
-    """Phase integration did not settle on an integer."""
-
-
 class DegenerateCharPolyError(NHSkinError):
     """Leading/trailing characteristic coefficient vanishes (no finite GBZ)."""
 

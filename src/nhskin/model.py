@@ -210,6 +210,21 @@ class CharPoly:
         return out
 
 
+# end coefficients of a characteristic polynomial this small relative to its
+# largest coefficient count as vanishing
+_REL_COEFF_TOL = 1e-12
+
+
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of sum_j coeffs[..., j] x^j per leading index: eigenvalues of companion
+    matrices in numpy.roots' layout.  The leading coefficient must be nonzero."""
+    deg = coeffs.shape[-1] - 1
+    comp = np.zeros(coeffs.shape[:-1] + (deg, deg), dtype=complex)
+    comp[..., 1:, :-1] = np.eye(deg - 1)
+    comp[..., 0, :] = -coeffs[..., deg - 1 :: -1] / coeffs[..., deg, None]
+    return np.linalg.eigvals(comp)
+
+
 def _poly_mul(a: Dict[Offset, complex], b: Dict[Offset, complex]) -> Dict[Offset, complex]:
     out: Dict[Offset, complex] = {}
     for ea, ca in a.items():

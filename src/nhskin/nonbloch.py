@@ -22,21 +22,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateCharPolyError, RefinementError, SamplingError
-from .model import LatticeModel, char_poly
+from .model import _REL_COEFF_TOL, LatticeModel, _companion_roots, char_poly
 from .realspace import build
 from .spectral import dense_spectrum
-
-_REL_COEFF_TOL = 1e-12
-
-
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of sum_j coeffs[..., j] x^j per leading index: eigenvalues of companion
-    matrices in numpy.roots' layout.  The leading coefficient must be nonzero."""
-    deg = coeffs.shape[-1] - 1
-    comp = np.zeros(coeffs.shape[:-1] + (deg, deg), dtype=complex)
-    comp[..., 1:, :-1] = np.eye(deg - 1)
-    comp[..., 0, :] = -coeffs[..., deg - 1 :: -1] / coeffs[..., deg, None]
-    return np.linalg.eigvals(comp)
 
 
 def _pair_residual(roots: np.ndarray, q: int) -> np.ndarray:

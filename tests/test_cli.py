@@ -216,6 +216,16 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         ["winding", *HN, "--grid", "-3"],
         ["amoeba", *ASYM2D, "--energy", "4+0i", "--resolution", "0", "--phases", "80"],
         ["amoeba", *ASYM2D, "--energy", "4+0i", "--resolution", "40", "--phases", "0"],
+        ["winding", *HN, "--base", "nan+0i"],
+        ["winding", *HN, "--base", "inf+0i"],
+        ["winding", *HN, "--grid", "3", "--window", "nan", "1", "-1", "1"],
+        ["winding", *HN, "--tol", "-1"],
+        ["winding", *HN, "--tol", "0"],
+        ["winding", *HN, "--tol", "inf"],
+        ["gbz", *HN, "-N", "20", "--tol", "-1"],
+        ["gbz", *HN, "-N", "20", "--tol", "0"],
+        ["reciprocity", *HN, "-N", "8", "--tol", "-1"],
+        ["reciprocity", *HN, "-N", "8", "--tol", "0"],
     ],
     ids=[
         "funnel-N",
@@ -230,6 +240,16 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         "winding-grid-negative",
         "amoeba-resolution0",
         "amoeba-phases0",
+        "winding-base-nan",
+        "winding-base-inf",
+        "winding-window-nan",
+        "winding-tol-negative",
+        "winding-tol0",
+        "winding-tol-inf",
+        "gbz-tol-negative",
+        "gbz-tol0",
+        "reciprocity-tol-negative",
+        "reciprocity-tol0",
     ],
 )
 def test_undeclared_options_are_usage_errors(tmp_path, args):
@@ -241,11 +261,11 @@ def test_undeclared_options_are_usage_errors(tmp_path, args):
 
 def test_winding_map_reports_its_health(tmp_path, capsys):
     # HN(1, 1) is Hermitian: the five real-axis grid points lie on the band
-    # and stay blank; four of them pass the 2048-k gap test and are bisected
+    # and stay blank
     args = ["winding", "--builtin", "hatano-nelson", "--jl", "1", "--jr", "1", "--base", "0+1i"]
     assert main([*args, "--grid", "5", "--window", "-1", "1", "-0.5", "0.5", "--out", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "map: 25 points, 5 blank (gap closed or not integral), 4 bisected"
+    assert lines[-1] == "map: 25 points, 5 blank (gap closed)"
     assert (tmp_path / "winding_map.csv").read_text().count(",\n") == 5
 
 

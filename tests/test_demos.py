@@ -1,0 +1,15 @@
+"""Every script in demos/ runs to the end in-process."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # demos write their figures under ./demo_out
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()

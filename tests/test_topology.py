@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nhskin.errors import GapClosedError, WindingError
+from nhskin.errors import GapClosedError
 from nhskin.localization import classify_spectrum
-from nhskin.model import builtin_hatano_nelson, builtin_nh_ssh
+from nhskin.model import HoppingTerm, LatticeModel, builtin_hatano_nelson, builtin_nh_ssh
 from nhskin.realspace import OBC, build
 from nhskin.spectral import eig_biorthogonal
 from nhskin.topology import (
@@ -31,9 +31,26 @@ def test_base_outside_loop_winds_zero():
     assert winding_number(builtin_hatano_nelson(0.5, 1.0), 0.3j).w == -1
 
 
-def test_gap_closing_raises():
+@pytest.mark.parametrize("e_b", [0.0, 0.5, -0.5, 1.0, -1.0])
+def test_gap_closing_raises(e_b):
+    # every point of [-2, 2] lies on the Hermitian band; a k-sampled gap
+    # test misses the crossings between its samples at all but E_B = 0
     with pytest.raises(GapClosedError):
-        winding_number(builtin_hatano_nelson(1.0, 1.0), 0.0)
+        winding_number(builtin_hatano_nelson(1.0, 1.0), e_b)
+
+
+def test_flat_band_closes_the_gap():
+    # a decoupled orbital at 0.2 is a flat band: det[E_B - H(beta)] vanishes
+    # for every beta at E_B = 0.2, next to a Hatano-Nelson band
+    m = LatticeModel(1, 2, (
+        HoppingTerm((0,), [[0.2, 0.0], [0.0, 0.0]]),
+        HoppingTerm((1,), [[0.0, 0.0], [0.0, 0.5]]),
+        HoppingTerm((-1,), [[0.0, 0.0], [0.0, 1.0]]),
+    ))
+    with pytest.raises(GapClosedError):
+        winding_number(m, 0.2)
+    assert not point_gap_open(m, 0.2)["open"]
+    assert winding_number(m, 0.0).w == -1
 
 
 def test_point_gap_distances():
@@ -103,9 +120,9 @@ def test_winding_agrees_with_localization_side():
 def test_winding_map_blanks_closed_gaps():
     rows = winding_map(builtin_hatano_nelson(1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5), resolution=5)
     assert len(rows) == 25
-    vals = {r[2] for r in rows}
-    assert "" in vals  # real-axis base points touch the Hermitian band
     assert all(r[2] == "" or isinstance(r[2], int) for r in rows)
+    # exactly the five real-axis base points touch the Hermitian band
+    assert [r[:2] for r in rows if r[2] == ""] == [(x, 0.0) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
 
 
 def test_winding_map_hn_interior():
@@ -113,9 +130,10 @@ def test_winding_map_hn_interior():
     assert all(r[2] == -1 for r in rows)
 
 
-# (model, E_B, w, raw_integral, k_samples_used) recorded with the per-point
-# implementation that sampled the Bloch bands once per base point; the last
-# four points need bisection
+# (model, E_B, w, raw_integral, k_used) recorded with an earlier
+# implementation that counted the phase of det[H(k) - E_B] on a k-grid it
+# bisected near the bands; k_used is the grid it ended with, so the last four
+# points lie close to a band
 RECORDED = [
     (builtin_hatano_nelson(0.5, 1.0), 0.0, -1, -1.0, 257),
     (builtin_hatano_nelson(1.0, 0.5), 0.0, 1, 1.0, 257),
@@ -136,8 +154,11 @@ RECORDED = [
 @pytest.mark.parametrize("model, e_b, w, raw, k_used", RECORDED)
 def test_winding_number_matches_recorded_values(model, e_b, w, raw, k_used):
     res = winding_number(model, e_b)
-    assert (res.w, res.k_samples_used, res.E_B) == (w, k_used, complex(e_b))
+    assert (res.w, res.E_B) == (w, complex(e_b))
     assert res.raw_integral == pytest.approx(raw, abs=1e-15)
+    assert res.root_margin > 1e-6
+    # only the points the bisection had to refine lie within 0.01 of closing the gap
+    assert (res.root_margin < 0.01) == (k_used > 257)
 
 
 def reference_map(model, re_range, im_range, resolution):
@@ -147,35 +168,61 @@ def reference_map(model, re_range, im_range, resolution):
         for im in np.linspace(*im_range, resolution):
             try:
                 rows.append((float(re), float(im), winding_number(model, complex(re, im)).w))
-            except (GapClosedError, WindingError):
+            except GapClosedError:
                 rows.append((float(re), float(im), ""))
     return rows
 
 
-@pytest.mark.parametrize(
-    "model, re_range, im_range, resolution",
+def phase_sum_winding(kind, params, E_B):
+    """Winding of det[H(k) - E_B] and the least band distance for each base
+    point, from closed-form bands and the phase on 8192 k; numpy only."""
+    ks = np.linspace(-np.pi, np.pi, 8193)
+    if kind == "hn":
+        jl, jr = params
+        bands = (jl * np.exp(1j * ks) + jr * np.exp(-1j * ks))[:, None]
+    else:
+        t1, t2, g = params
+        root = np.sqrt((t1 + g + t2 * np.exp(-1j * ks)) * (t1 - g + t2 * np.exp(1j * ks)))
+        bands = np.stack([root, -root], axis=1)
+    diff = bands[None] - np.asarray(E_B)[:, None, None]
+    det = diff.prod(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # base points on a band sample
+        w = np.angle(det[:, 1:] / det[:, :-1]).sum(axis=1) / (2 * np.pi)
+    return np.rint(w), np.abs(diff).min(axis=(1, 2))
+
+
+BUILD = {"hn": builtin_hatano_nelson, "ssh": builtin_nh_ssh}
+MAP_CASES = pytest.mark.parametrize(
+    "kind, params, re_range, im_range, resolution",
     [
-        (builtin_hatano_nelson(0.5, 1.0), (-2.0, 2.0), (-2.0, 2.0), 7),
+        ("hn", (0.5, 1.0), (-2.0, 2.0), (-2.0, 2.0), 7),
         # Hermitian: the real-axis row touches the band and stays blank
-        (builtin_hatano_nelson(1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5), 5),
-        # the window crosses both band loops, so some points are bisected
-        (builtin_nh_ssh(0.6, 1.0, 0.2), (-1.7, 1.7), (-0.4, 0.4), 12),
-        # 144 points: many chunks of base points
-        (builtin_hatano_nelson(0.5, 1.0), (1.4, 1.6), (-0.1, 0.1), 12),
+        ("hn", (1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5), 5),
+        # the window crosses both band loops
+        ("ssh", (0.6, 1.0, 0.2), (-1.7, 1.7), (-0.4, 0.4), 12),
+        # 144 points near the edge of the band loop
+        ("hn", (0.5, 1.0), (1.4, 1.6), (-0.1, 0.1), 12),
+        # one-way hopping, span (-1, 0): the leading coefficient vanishes at E_B = 0
+        ("hn", (0.0, 1.0), (-2.0, 2.0), (-2.0, 2.0), 9),
+        # t1 = gamma, span (0, 1): the trailing coefficient vanishes at E_B = +-1
+        ("ssh", (0.5, 1.0, 0.5), (-2.0, 2.0), (-2.0, 2.0), 9),
     ],
-    ids=["hn", "hn-hermitian", "nh-ssh-bisected", "hn-many-chunks"],
+    ids=["hn", "hn-hermitian", "nh-ssh-bisected", "hn-many-chunks", "hn-one-way", "nh-ssh-one-way"],
 )
-def test_winding_map_equals_per_point_loop(model, re_range, im_range, resolution):
+
+
+@MAP_CASES
+def test_winding_map_equals_per_point_loop(kind, params, re_range, im_range, resolution):
+    model = BUILD[kind](*params)
     rows = winding_map(model, re_range, im_range, resolution=resolution)
     assert list(rows) == reference_map(model, re_range, im_range, resolution)
 
 
-def test_winding_map_counts_bisected_points():
-    m = builtin_nh_ssh(0.6, 1.0, 0.2)
-    assert winding_map(m, (-1.7, 1.7), (-0.4, 0.4), resolution=12).bisected > 0
-    assert winding_map(m, (-0.2, 0.2), (-0.2, 0.2), resolution=3).bisected == 0
-    # the four real-axis points off E_B = 0 pass the 2048-k gap test, are
-    # bisected, do not settle, and stay blank
-    rows = winding_map(builtin_hatano_nelson(1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5), resolution=5)
-    assert rows.bisected == 4
-    assert [r[:2] for r in rows if r[2] == ""] == [(x, 0.0) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+@MAP_CASES
+def test_winding_map_agrees_with_phase_sum(kind, params, re_range, im_range, resolution):
+    rows = winding_map(BUILD[kind](*params), re_range, im_range, resolution=resolution)
+    w, dist = phase_sum_winding(kind, params, [complex(re, im) for re, im, _ in rows])
+    far = dist > 0.02
+    assert far.sum() > resolution
+    assert [r[2] for r, f in zip(rows, far) if f] == list(w[far].astype(int))
+    assert not far[[r[2] == "" for r in rows]].any()  # blanks lie on a band
