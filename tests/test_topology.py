@@ -120,14 +120,32 @@ def test_winding_agrees_with_localization_side():
 def test_winding_map_blanks_closed_gaps():
     rows = winding_map(builtin_hatano_nelson(1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5), resolution=5)
     assert len(rows) == 25
+    vals = {r[2] for r in rows}
+    assert "" in vals  # real-axis base points touch the Hermitian band
     assert all(r[2] == "" or isinstance(r[2], int) for r in rows)
-    # exactly the five real-axis base points touch the Hermitian band
-    assert [r[:2] for r in rows if r[2] == ""] == [(x, 0.0) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
 
 
 def test_winding_map_hn_interior():
     rows = winding_map(builtin_hatano_nelson(0.5, 1.0), (-0.5, 0.5), (-0.2, 0.2), resolution=3)
     assert all(r[2] == -1 for r in rows)
+
+
+def test_winding_map_counts_bisected_points():
+    # the points an earlier k-grid phase sum had to bisect are the open ones
+    # whose nearest characteristic root lies within 0.01 of |beta| = 1
+    def near_band(model, re_range, im_range, resolution):
+        return sum(
+            winding_number(model, complex(re, im)).root_margin < 0.01
+            for re, im, w in winding_map(model, re_range, im_range, resolution=resolution)
+            if w != ""
+        )
+
+    m = builtin_nh_ssh(0.6, 1.0, 0.2)
+    assert near_band(m, (-1.7, 1.7), (-0.4, 0.4), 12) > 0
+    assert near_band(m, (-0.2, 0.2), (-0.2, 0.2), 3) == 0
+    # exactly the five real-axis base points touch the Hermitian band
+    rows = winding_map(builtin_hatano_nelson(1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5), resolution=5)
+    assert [r[:2] for r in rows if r[2] == ""] == [(x, 0.0) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
 
 
 # (model, E_B, w, raw_integral, k_used) recorded with an earlier
