@@ -92,12 +92,15 @@ def _run(args) -> int:
         args.eps_count >= 1 and 0 < args.eps_min <= args.eps_max < math.inf
     ):
         args.parser.error("crossover needs --eps-count >= 1 and 0 < --eps-min <= --eps-max < inf")
-    if args.command == "winding" and not (
-        args.grid >= 0
-        and all(map(math.isfinite, args.window))
-        and cmath.isfinite(parse_complex(args.base))
+    # complex literals stay strings in args, so the manifest echoes them as typed
+    literals = [getattr(args, k) for k in ("base", "energy", "target") if hasattr(args, k)]
+    if not (
+        all(map(math.isfinite, getattr(args, "window", ())))
+        and all(cmath.isfinite(parse_complex(z)) for z in literals + getattr(args, "omegas", []))
     ):
-        args.parser.error("winding needs --grid >= 0 and a finite --base and --window")
+        args.parser.error("complex options and --window entries must be finite")
+    if getattr(args, "grid", 0) < 0:
+        args.parser.error("winding needs --grid >= 0")
     if getattr(args, "tol", None) is not None and not 0 < args.tol < math.inf:
         args.parser.error("--tol must be finite and > 0")
     if args.command == "amoeba" and min(args.resolution, args.phases) < 1:
@@ -120,11 +123,11 @@ def _run(args) -> int:
     return 0
 
 
-def _csv(header, rows):
-    """Writer of one CSV file; a generator of rows is consumed only if it runs."""
+def _csv(header, columns):
+    """Writer of one CSV file from its columns."""
     from .io import write_csv
 
-    return lambda path: write_csv(path, header, rows)
+    return lambda path: write_csv(path, header, columns)
 
 
 # ------------------------------------------------------------------ commands
@@ -144,17 +147,14 @@ def _cmd_spectrum(args, model):
     system = eig_biorthogonal(build(model, [N], "obc"))
     ev = system.eigenvalues
     header = ["k"] + [f"{part}_e{b}" for b in range(bands.shape[1]) for part in ("re", "im")]
-    rows = (
-        [float(k)] + [x for z in bands[i] for x in (float(z.real), float(z.imag))]
-        for i, k in enumerate(ks)
-    )
+    columns = [ks] + [x for z in bands.T for x in (z.real, z.imag)]
     groups = [
         (bands.real.ravel(), bands.imag.ravel(), "steelblue", "PBC"),
         (ev.real, ev.imag, "crimson", "OBC"),
     ]
     title = f"{model.name or 'model'}: PBC vs OBC spectrum"
     artifacts = [
-        ("pbc_bands.csv", _csv(header, rows)),
+        ("pbc_bands.csv", _csv(header, columns)),
         ("obc_spectrum.csv", lambda path: export_spectrum_csv(path, system)),
         ("spectrum.svg", lambda path: write_svg_scatter(path, groups, title=title)),
     ]
@@ -175,12 +175,12 @@ def _cmd_winding(args, model):
     row = (base.real, base.imag, res.w, float(raw.real), float(raw.imag), res.root_margin)
     header = ["re_base", "im_base", "w", "re_raw", "im_raw", "root_margin"]
     side = predict_skin_side(res)
-    artifacts = [("winding.csv", _csv(header, [row]))]
+    artifacts = [("winding.csv", _csv(header, [[v] for v in row]))]
     summary = [f"w = {res.w}", f"skin side: {side if side else 'none'}"]
     if args.grid:
         w = args.window
         rows = winding_map(model, (w[0], w[1]), (w[2], w[3]), resolution=args.grid, gap_tol=gap_tol)
-        artifacts.append(("winding_map.csv", _csv(["re_base", "im_base", "w"], rows)))
+        artifacts.append(("winding_map.csv", _csv(["re_base", "im_base", "w"], list(zip(*rows)))))
         blank = sum(r[2] == "" for r in rows)
         summary.append(f"map: {len(rows)} points, {blank} blank (gap closed)")
     return artifacts, summary
@@ -237,6 +237,8 @@ def _cmd_amoeba(args, model):
 def _cmd_localize(args, model):
     from collections import Counter
 
+    import numpy as np
+
     from .io import write_svg_scatter
     from .localization import classify_spectrum, density_profile, export_profiles_csv
     from .realspace import build
@@ -247,18 +249,15 @@ def _cmd_localize(args, model):
     classes = classify_spectrum(system, op)
     ev = system.eigenvalues
     header = ["index", "re_e", "im_e", "label", "side", "edge_fraction", "pr_scaled"]
-    states = (
-        (
-            i,
-            float(ev[i].real),
-            float(ev[i].imag),
-            c.label,
-            c.side or "",
-            c.metrics["right_edge_fraction"],
-            c.metrics["biorthogonal_participation_ratio_scaled"],
-        )
-        for i, c in enumerate(classes)
-    )
+    states = [
+        np.arange(len(ev)),
+        ev.real,
+        ev.imag,
+        [c.label for c in classes],
+        [c.side or "" for c in classes],
+        [c.metrics["right_edge_fraction"] for c in classes],
+        [c.metrics["biorthogonal_participation_ratio_scaled"] for c in classes],
+    ]
 
     def profiles_csv(path):
         profiles = [density_profile(system.right[:, i], op.index_map) for i in range(op.n)]
@@ -297,14 +296,14 @@ def _cmd_funnel(args, model):
     psi0 = np.zeros(op.n, dtype=complex)
     psi0[args.site] = 1.0
     traj = time_evolve(op, psi0, args.tmax, args.dt)
-    rows = (
-        (float(traj.times[k]), s, float(traj.densities[k, s]))
-        for k in range(len(traj.times))
-        for s in range(op.n)
+    columns = (
+        np.repeat(traj.times, op.n),
+        np.tile(np.arange(op.n), len(traj.times)),
+        traj.densities.ravel(),
     )
     title = f"funnel |psi|^2 (t down, site across), J_L={args.jl}, J_R={args.jr}"
     artifacts = [
-        ("trajectory.csv", _csv(["t", "site", "density"], rows)),
+        ("trajectory.csv", _csv(["t", "site", "density"], columns)),
         ("funnel.svg", lambda path: write_svg_heatmap(path, traj.densities, title=title)),
     ]
     center = args.half - 0.5  # interface sits between sites half-1 and half
@@ -328,7 +327,8 @@ def _cmd_sensor(args, model):
         slope = float(np.polyfit(ns, np.log(des), 1)[0])
         summary.append(f"slope of ln|dE| vs N: {slope:+.6f}")
     summary += [f"N={r['N']}: |dE| = {r['delta_E']:.6e}" for r in rows]
-    return [("sensor.csv", _csv(["N", "delta_e"], ((r["N"], r["delta_E"]) for r in rows)))], summary
+    columns = ([r["N"] for r in rows], [r["delta_E"] for r in rows])
+    return [("sensor.csv", _csv(["N", "delta_e"], columns))], summary
 
 
 def _cmd_crossover(args, model):
@@ -339,7 +339,7 @@ def _cmd_crossover(args, model):
     N = (args.sizes or [40])[0]
     epsilons = np.logspace(np.log10(args.eps_min), np.log10(args.eps_max), args.eps_count)
     rows = boundary_crossover(model, N, epsilons)
-    columns = ((r["epsilon"], r["distance"], r["max_imag"]) for r in rows)
+    columns = [[r[key] for r in rows] for key in ("epsilon", "distance", "max_imag")]
     final = rows[-1]["distance"]
     eps_star = next((r["epsilon"] for r in rows if r["distance"] >= 0.5 * final), None)
     summary = [f"distance at eps={rows[-1]['epsilon']:.3e}: {final:.6f}"]
@@ -357,7 +357,8 @@ def _cmd_reciprocity(args, model):
     omegas = [parse_complex(w) for w in args.omegas]
     rows = reciprocity_test(op, omegas, tol=args.tol or 1e-10)
     header = ["re_omega", "im_omega", "asymmetry", "reciprocal"]
-    columns = ((r["omega"].real, r["omega"].imag, r["asymmetry"], r["reciprocal"]) for r in rows)
+    columns = [[r["omega"].real for r in rows], [r["omega"].imag for r in rows]]
+    columns += [[r[key] for r in rows] for key in ("asymmetry", "reciprocal")]
     worst = max(r["asymmetry"] for r in rows)
     verdict = all(r["reciprocal"] for r in rows)
     return [("reciprocity.csv", _csv(header, columns))], [

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def fmt_float(x) -> str:
@@ -45,24 +45,29 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex literal {text!r}; expected a+bi") from None
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int,)):
-        return str(v)
-    if isinstance(v, float):
-        return fmt_float(v)
-    if isinstance(v, complex):
-        # callers normally split complex into Re/Im columns themselves
-        return fmt_complex(v)
-    return str(v)
+# cell format by dtype kind; anything else (ints, strings) goes through str
+_FORMATS = {"b": lambda v: "1" if v else "0", "f": repr, "c": fmt_complex}
+_CHUNK_ROWS = 8192
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
+    """One column per header entry, each formatted once by its dtype: floats
+    as `fmt_float`, ints with str, bools as 1/0, complex as `fmt_complex`,
+    strings unchanged.  Rows are written in chunks, so no whole-file string
+    is built."""
+    import numpy as np
+
+    n = len(columns[0]) if len(columns) else 0
+    if len(columns) != len(header) or any(len(c) != n for c in columns):
+        raise ValueError("write_csv needs one column per header entry, all of one length")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+        for lo in range(0, n, _CHUNK_ROWS):
+            cells = []
+            for col in columns:
+                a = np.asarray(col[lo : lo + _CHUNK_ROWS])
+                cells.append(map(_FORMATS.get(a.dtype.kind, str), a.tolist()))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_pgm(path, occupancy) -> None:
@@ -169,6 +174,8 @@ def write_svg_heatmap(path, grid, title="", max_cols=240) -> None:
     import numpy as np
 
     g = np.asarray(grid, dtype=float)
+    if not np.isfinite(g).all():
+        raise ValueError("heatmap grid has non-finite entries")
     if g.shape[1] > max_cols:
         step = int(np.ceil(g.shape[1] / max_cols))
         g = g[:, ::step]
@@ -176,21 +183,19 @@ def write_svg_heatmap(path, grid, title="", max_cols=240) -> None:
     nr, nc = g.shape
     cw = (_SVG_W - 2 * _MARG) / nc
     ch = (_SVG_H - 2 * _MARG) / nr
-    body = _svg_open(title)
-    for i in range(nr):
-        for j in range(nc):
-            v = g[i, j] / vmax
-            if v <= 0:
-                continue
-            shade = int(255 * (1 - v))
-            body.append(
-                f'<rect x="{_MARG + j * cw:.1f}" y="{_MARG + i * ch:.1f}" '
-                f'width="{cw + 0.5:.1f}" height="{ch + 0.5:.1f}" '
-                f'fill="rgb({shade},{shade},{shade})"/>'
-            )
-    body.append("</svg>")
+    # each drawn cell is an x prefix, a y and a shade suffix, all built once
+    xs = [f'<rect x="{_MARG + j * cw:.1f}" y="' for j in range(nc)]
+    tail = f'" width="{cw + 0.5:.1f}" height="{ch + 0.5:.1f}" fill="rgb('
+    fills = [f'{tail}{s},{s},{s})"/>\n' for s in range(256)]
     with open(path, "w") as fh:
-        fh.write("\n".join(body) + "\n")
+        fh.write("\n".join(_svg_open(title)) + "\n")
+        for i in range(nr):
+            y = f"{_MARG + i * ch:.1f}"
+            v = g[i] / vmax
+            cols = np.flatnonzero(v > 0)
+            shades = (255 * (1 - v[cols])).astype(int)  # truncates like int() on 0 < v <= 1
+            fh.write("".join(xs[j] + y + fills[s] for j, s in zip(cols.tolist(), shades.tolist())))
+        fh.write("</svg>\n")
 
 
 def write_manifest(outdir, payload: dict) -> None:

@@ -222,9 +222,10 @@ def export_profiles_csv(path, profiles, labels=None) -> None:
     """site index, Re(weight), Im(weight), kind tag — one block per profile."""
     from .io import write_csv
 
-    rows = []
-    for j, prof in enumerate(profiles):
-        tag = labels[j] if labels else prof.kind
-        for n, w in enumerate(np.asarray(prof.weights, dtype=complex)):
-            rows.append((n, float(w.real), float(w.imag), tag))
-    write_csv(path, ["site", "re_weight", "im_weight", "kind"], rows)
+    weights = [np.asarray(prof.weights, dtype=complex) for prof in profiles]
+    sizes = [len(w) for w in weights]
+    tags = np.asarray([labels[j] if labels else prof.kind for j, prof in enumerate(profiles)], str)
+    w = np.concatenate(weights or [np.zeros(0, complex)])
+    site = np.concatenate([np.arange(k) for k in sizes] or [np.zeros(0, int)])
+    columns = [site, w.real, w.imag, np.repeat(tags, sizes)]
+    write_csv(path, ["site", "re_weight", "im_weight", "kind"], columns)

@@ -319,20 +319,19 @@ def obc_member_2d(model: LatticeModel, E, sampling: Optional[AmoebaSampling] = N
 def export_gbz_csv(path, samples: List[GBZSample]) -> None:
     from .io import write_csv
 
+    beta = np.array([s.beta for s in samples], dtype=complex)
+    energy = np.array([s.energy for s in samples], dtype=complex)
     write_csv(
         path,
         ["re_beta", "im_beta", "re_e", "im_e", "residual", "side"],
-        (
-            (
-                float(s.beta.real),
-                float(s.beta.imag),
-                float(s.energy.real),
-                float(s.energy.imag),
-                float(s.modulus_residual),
-                s.side,
-            )
-            for s in samples
-        ),
+        [
+            beta.real,
+            beta.imag,
+            energy.real,
+            energy.imag,
+            np.array([s.modulus_residual for s in samples], dtype=float),
+            [s.side for s in samples],
+        ],
     )
 
 
@@ -349,8 +348,4 @@ def export_raster_csv(raster: AmoebaRaster, path) -> None:
     xs = raster.axis_centers(0)
     ys = raster.axis_centers(1)
     ix, iy = np.nonzero(raster.occupancy)
-    write_csv(
-        path,
-        ["rx", "log_abs_beta_y"],
-        ((float(xs[i]), float(ys[j])) for i, j in zip(ix, iy)),
-    )
+    write_csv(path, ["rx", "log_abs_beta_y"], [xs[ix], ys[iy]])

@@ -201,11 +201,4 @@ def export_matrix_csv(op: RealSpaceOperator, path) -> None:
 
     rows, cols = np.nonzero(op.matrix)
     vals = op.matrix[rows, cols]
-    write_csv(
-        path,
-        ["row", "col", "re", "im"],
-        (
-            (int(r), int(c), float(v.real), float(v.imag))
-            for r, c, v in zip(rows, cols, vals)
-        ),
-    )
+    write_csv(path, ["row", "col", "re", "im"], [rows, cols, vals.real, vals.imag])

@@ -22,7 +22,7 @@ leaves an asymmetry of about 1.5 eps max|l| max|H_b|, so the test accepts
 up to 4 eps (1 + max|l|) max|H_b|, which also bounds the eigenvalue shift
 of the symmetrisation to about that size.  Everything else (exceptional
 points and one-way chains, periodic and partially coupled rings, lattices
-with flux) keeps the general `eig`.
+with flux) keeps the general `eig`, in real arithmetic when H_b is real.
 """
 
 from __future__ import annotations
@@ -123,11 +123,14 @@ def _gauged(H):
 
 def _gauged_eig(H, vectors: bool = True):
     """Eigenpairs of the gauged H: (w, Vb, Hb, d, hermitian), Vb in the gauged
-    basis (None when vectors is False).  Hermitian H_b goes to eigh, real when
-    it can; everything else to the general eig."""
+    basis (None when vectors is False).  Hermitian H_b goes to eigh and
+    everything else to the general eig, each in real arithmetic when H_b is
+    real; w and Vb are then real too unless the spectrum is complex."""
     if not np.all(np.isfinite(H)):
         raise EigensolverError("matrix has non-finite entries")
     Hb, d, Hh = _gauged(H)
+    if not Hb.imag.any():
+        Hb = Hb.real
     la = np.linalg
     try:
         if Hh is not None:
@@ -215,7 +218,7 @@ def eig_biorthogonal(op, tol_biorth: float = 1e-8) -> BiorthogonalSystem:
             wl, Wb = np.linalg.eig(Hb.conj().T)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"adjoint eig failed to converge: {exc}") from exc
-        Lb, solver = np.empty_like(Vb), "eig+adjoint"
+        Lb, solver = np.empty_like(Vb, dtype=complex), "eig+adjoint"
         used = np.zeros(len(wl), dtype=bool)
         for i, wi in enumerate(w):
             dists = np.where(used, np.inf, np.abs(wl - np.conj(wi)))
@@ -300,10 +303,8 @@ def export_spectrum_csv(path, system: BiorthogonalSystem, profiles: bool = False
     header = ["index", "re_e", "im_e", "kappa_i"]
     if profiles:
         header += [f"abs_psi_{n}" for n in range(system.right.shape[0])]
-    rows = []
-    for i, e in enumerate(system.eigenvalues):
-        row = [i, float(e.real), float(e.imag), float(kappa_i[i])]
-        if profiles:
-            row += [float(x) for x in np.abs(system.right[:, i])]
-        rows.append(row)
-    write_csv(path, header, rows)
+    ev = system.eigenvalues
+    columns = [np.arange(len(ev)), ev.real, ev.imag, kappa_i]
+    if profiles:
+        columns += list(np.abs(system.right))
+    write_csv(path, header, columns)

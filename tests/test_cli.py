@@ -226,6 +226,13 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         ["gbz", *HN, "-N", "20", "--tol", "0"],
         ["reciprocity", *HN, "-N", "8", "--tol", "-1"],
         ["reciprocity", *HN, "-N", "8", "--tol", "0"],
+        ["amoeba", *ASYM2D, *SMALL_AMOEBA, "--energy", "nan+0i"],
+        ["amoeba", *ASYM2D, *SMALL_AMOEBA, "--energy", "inf+0i"],
+        ["amoeba", *ASYM2D, *SMALL_AMOEBA, "--window", "nan", "1", "-1", "1"],
+        ["sensor", *HN, "-N", "8", "10", "--target", "nan+0i"],
+        ["sensor", *HN, "-N", "8", "10", "--target", "0-infi"],
+        ["reciprocity", *HN, "-N", "8", "--omegas", "3", "nan+0i"],
+        ["reciprocity", *HN, "-N", "8", "--omegas", "1+infi"],
     ],
     ids=[
         "funnel-N",
@@ -250,6 +257,13 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         "gbz-tol0",
         "reciprocity-tol-negative",
         "reciprocity-tol0",
+        "amoeba-energy-nan",
+        "amoeba-energy-inf",
+        "amoeba-window-nan",
+        "sensor-target-nan",
+        "sensor-target-inf",
+        "reciprocity-omegas-nan",
+        "reciprocity-omegas-inf",
     ],
 )
 def test_undeclared_options_are_usage_errors(tmp_path, args):

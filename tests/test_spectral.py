@@ -197,13 +197,28 @@ def test_non_hermitian_after_gauge_takes_eig(op, solver):
     [
         build(builtin_hatano_nelson(0.5, 1.0), [30], OBC),
         build(builtin_hatano_nelson(0.5, 1.0), [30], PBC),
+        # real H_b with an all-real spectrum: the real eig returns real
+        # vectors, and the adjoint path must still fill complex left vectors
+        build(builtin_hatano_nelson(0.0, 1.0), [10], OBC),
     ],
-    ids=["eigh", "eig"],
+    ids=["eigh", "eig", "jordan-block"],
 )
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
 def test_results_stay_complex_on_both_paths(op):
     assert dense_spectrum(op).dtype == complex
     sy = eig_biorthogonal(op)
     assert {sy.eigenvalues.dtype, sy.right.dtype, sy.left.dtype} == {np.dtype(complex)}
+
+
+@pytest.mark.parametrize("jl, n", [(0.5, 40), (0.3, 90)])
+def test_hn_ring_matches_closed_form_in_conjugate_pairs(jl, n):
+    # the ring keeps flux, so it takes the general eig; H is real, so the
+    # solve runs in real arithmetic and complex eigenvalues come in exact
+    # conjugate pairs
+    ev = dense_spectrum(build(builtin_hatano_nelson(jl, 1.0), [n], PBC))
+    k = 2 * np.pi * np.arange(n) / n
+    assert hausdorff_distance(ev, jl * np.exp(1j * k) + np.exp(-1j * k)) < 1e-12
+    np.testing.assert_array_equal(np.sort_complex(ev), np.sort_complex(ev.conj()))
 
 
 @pytest.mark.parametrize(
