@@ -327,7 +327,7 @@ def _cmd_sensor(args, model):
         slope = float(np.polyfit(ns, np.log(des), 1)[0])
         summary.append(f"slope of ln|dE| vs N: {slope:+.6f}")
     summary += [f"N={r['N']}: |dE| = {r['delta_E']:.6e}" for r in rows]
-    columns = ([r["N"] for r in rows], [r["delta_E"] for r in rows])
+    columns = [[r[key] for r in rows] for key in ("N", "delta_E")]
     return [("sensor.csv", _csv(["N", "delta_e"], columns))], summary
 
 

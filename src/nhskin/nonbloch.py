@@ -321,17 +321,11 @@ def export_gbz_csv(path, samples: List[GBZSample]) -> None:
 
     beta = np.array([s.beta for s in samples], dtype=complex)
     energy = np.array([s.energy for s in samples], dtype=complex)
+    residual = [s.modulus_residual for s in samples]
     write_csv(
         path,
         ["re_beta", "im_beta", "re_e", "im_e", "residual", "side"],
-        [
-            beta.real,
-            beta.imag,
-            energy.real,
-            energy.imag,
-            np.array([s.modulus_residual for s in samples], dtype=float),
-            [s.side for s in samples],
-        ],
+        [beta.real, beta.imag, energy.real, energy.imag, residual, [s.side for s in samples]],
     )
 
 
