@@ -94,10 +94,12 @@ def _run(args) -> int:
         args.parser.error("crossover needs --eps-count >= 1 and 0 < --eps-min <= --eps-max < inf")
     # complex literals stay strings in args, so the manifest echoes them as typed
     literals = [getattr(args, k) for k in ("base", "energy", "target") if hasattr(args, k)]
-    if not (
-        all(map(math.isfinite, getattr(args, "window", ())))
-        and all(cmath.isfinite(parse_complex(z)) for z in literals + getattr(args, "omegas", []))
-    ):
+    try:
+        values = [parse_complex(z) for z in literals + getattr(args, "omegas", [])]
+    except ValueError as exc:
+        args.parser.error(str(exc))
+    values += getattr(args, "window", [])
+    if not all(map(cmath.isfinite, values)):
         args.parser.error("complex options and --window entries must be finite")
     if getattr(args, "grid", 0) < 0:
         args.parser.error("winding needs --grid >= 0")

@@ -16,13 +16,18 @@ Hermitian, usually real symmetric, with the same eigenvalues (Yao & Wang,
 PRL 121, 086803 (2018)).  Every solve here tests the gauged matrix for that
 once and then takes `eigh`/`eigvalsh` on its Hermitian part, in real
 arithmetic when its imaginary part is exactly zero; the left vectors are
-then the right ones in the gauged basis, so no inverse, no `cond` of the
-eigenvector matrix and no adjoint solve is needed.  Rounding in exp(l)
-leaves an asymmetry of about 1.5 eps max|l| max|H_b|, so the test accepts
-up to 4 eps (1 + max|l|) max|H_b|, which also bounds the eigenvalue shift
-of the symmetrisation to about that size.  Everything else (exceptional
-points and one-way chains, periodic and partially coupled rings, lattices
-with flux) keeps the general `eig`, in real arithmetic when H_b is real.
+then the right ones in the gauged basis.  Rounding in exp(l) leaves an
+asymmetry of about 1.5 eps max|l| max|H_b|, so the test accepts up to
+4 eps (1 + max|l|) max|H_b|, which also bounds the eigenvalue shift of the
+symmetrisation to about that size.  Everything else (exceptional points and
+one-way chains, periodic and partially coupled rings, lattices with flux)
+keeps the general eigensolver, in real arithmetic when H_b is real: one
+LAPACK `geev` call returns the left and right vectors, paired by index.
+
+Conditioning comes from the singular values of the gauged right-vector
+matrix, which is unitary on the `eigh` path.  The physical basis would add
+the skin effect's exponential non-normality (Trefethen & Embree, 2005),
+which the gauge removes exactly and which is no exceptional point.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .realspace import RealSpaceOperator
 
 _EPS = float(np.finfo(float).eps)
 COND_LIMIT = 1.0 / np.sqrt(_EPS)
+TOL_BIORTH = 1e-8
 
 
 def _as_matrix(op) -> np.ndarray:
@@ -122,10 +128,11 @@ def _gauged(H):
 
 
 def _gauged_eig(H, vectors: bool = True):
-    """Eigenpairs of the gauged H: (w, Vb, Hb, d, hermitian), Vb in the gauged
-    basis (None when vectors is False).  Hermitian H_b goes to eigh and
-    everything else to the general eig, each in real arithmetic when H_b is
-    real; w and Vb are then real too unless the spectrum is complex."""
+    """Eigenpairs of the gauged H: (w, Vb, Lb, d, hermitian), right and left
+    vectors in the gauged basis (None when vectors is False).  Hermitian H_b
+    goes to eigh (Lb is Vb), everything else to one general eig, each in real
+    arithmetic when H_b is real.  Left vectors are scaled to <L_i|R_i> = 1
+    where |<L_i|R_i>| > 1e-12 and keep unit norm elsewhere."""
     if not np.all(np.isfinite(H)):
         raise EigensolverError("matrix has non-finite entries")
     Hb, d, Hh = _gauged(H)
@@ -135,22 +142,44 @@ def _gauged_eig(H, vectors: bool = True):
     try:
         if Hh is not None:
             w, Vb = la.eigh(Hh) if vectors else (la.eigvalsh(Hh), None)
+            Lb = Vb
+        elif vectors:
+            from scipy.linalg import eig
+
+            w, Lb, Vb = eig(Hb, left=True, right=True, check_finite=False)
+            ip = np.sum(Lb.conj() * Vb, axis=0)
+            Lb = Lb / np.where(np.abs(ip) > 1e-12, ip, 1.0).conj()
         else:
-            w, Vb = la.eig(Hb) if vectors else (la.eigvals(Hb), None)
+            w, Vb, Lb = la.eigvals(Hb), None, None
     except la.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
-    return w, Vb, Hb, d, Hh is not None
+    return w, Vb, Lb, d, Hh is not None
+
+
+def _conditioning(Vb, hermitian: bool):
+    """(s_0/s_min, count of s <= sqrt(eps) s_0) from the singular values s of
+    the gauged right vectors (unit columns); unitary on eigh, so no SVD."""
+    if hermitian:
+        return 1.0, 0
+    s = np.linalg.svd(Vb, compute_uv=False)
+    kappa = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+    return kappa, int(np.sum(s <= np.sqrt(_EPS) * s[0]))
+
+
+def _distances(a, b) -> np.ndarray:
+    """|a_i - b_j| for all pairs, as sqrt(dx^2 + dy^2): np.abs rounds some
+    distances differently in the last bit, which crossover.csv would show."""
+    a, b = (np.asarray(z, dtype=complex).ravel() for z in (a, b))
+    dx = a.real[:, None] - b.real
+    dy = a.imag[:, None] - b.imag
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def _min_pair_gap(w: np.ndarray) -> float:
     """Smallest distance between two eigenvalues; inf for fewer than two."""
-    if len(w) < 2:
-        return np.inf
-    from scipy.spatial import cKDTree
-
-    pts = np.column_stack([w.real, w.imag])
-    dd, _ = cKDTree(pts).query(pts, k=2)
-    return float(dd[:, 1].min())
+    D = _distances(w, w)
+    np.fill_diagonal(D, np.inf)
+    return float(D.min(initial=np.inf))
 
 
 def dense_spectrum(op) -> np.ndarray:
@@ -166,13 +195,14 @@ class BiorthogonalSystem:
     right[:, i] has unit norm with its largest component rotated to the
     positive real axis; left[:, i] is scaled so <L_i|R_i> = 1 whenever the
     pairing is numerically meaningful.  `condition` is the condition number
-    of the physical right-eigenvector matrix; `biorth_residual` is
-    max |L_b^H V_b - I| in the gauged basis, where the physical column-norm
-    ratios cannot amplify rounding; ep_flag marks decompositions whose
-    conditioning (or biorthogonality residual) is consistent with an
-    exceptional point or extreme non-normality.  `solver` names the path
-    taken: "eigh" (Hermitian after the gauge), "eig" (left vectors from the
-    inverse) or "eig+adjoint" (left vectors from an adjoint solve).
+    of the right-eigenvector matrix in the gauged basis (columns of unit
+    norm), 1 on the `eigh` path; it measures closeness to an exceptional
+    point, not the skin effect's non-normality, which the gauge removes.
+    `biorth_residual` is max |L_b^H V_b - I| in the gauged basis, where the
+    physical column-norm ratios cannot amplify rounding; ep_flag marks
+    decompositions whose conditioning (or biorthogonality residual) is
+    consistent with an exceptional point.  `solver` names the path taken:
+    "eigh" (Hermitian after the gauge) or "eig" (the general eigensolver).
     """
 
     eigenvalues: np.ndarray
@@ -192,43 +222,19 @@ class BiorthogonalSystem:
         return self.eigenvalues[i], self.right[:, i], self.left[:, i]
 
 
-def eig_biorthogonal(op, tol_biorth: float = 1e-8) -> BiorthogonalSystem:
-    """Full right+left eigensystem of a dense operator.
+def eig_biorthogonal(op) -> BiorthogonalSystem:
+    """Full right+left eigensystem of a dense operator from one eigensolve.
 
     When the gauged matrix is Hermitian its unitary eigenvector matrix is its
-    own left partner.  Otherwise left vectors come from inverting the
-    right-eigenvector matrix (exact biorthonormality by construction) whenever
-    that inverse is trustworthy in the gauged working basis; otherwise from a
-    separate adjoint eigensolve with greedy conjugate-eigenvalue matching.
-    The inverse-route decision is made on the gauged basis because the
-    physical matrix's exponential ill-conditioning is carried exactly by the
-    diagonal gauge factors.
+    own left partner; otherwise the general eigensolver returns the left
+    vectors with the right ones.  ep_flag is set when `condition` exceeds
+    COND_LIMIT or the biorthogonality residual exceeds TOL_BIORTH.
     """
-    w, Vb, Hb, d, hermitian = _gauged_eig(_as_matrix(op))
+    w, Vb, Lb, d, hermitian = _gauged_eig(_as_matrix(op))
     order = np.lexsort((w.imag, w.real))
-    w, Vb = w[order], Vb[:, order]
-
-    if hermitian:
-        Lb, solver = Vb, "eigh"
-    elif np.linalg.cond(Vb) < COND_LIMIT:
-        Lb, solver = np.linalg.inv(Vb).conj().T, "eig"
-    else:
-        # adjoint solve; match each left eigenvalue to the conjugate right one
-        try:
-            wl, Wb = np.linalg.eig(Hb.conj().T)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"adjoint eig failed to converge: {exc}") from exc
-        Lb, solver = np.empty_like(Vb, dtype=complex), "eig+adjoint"
-        used = np.zeros(len(wl), dtype=bool)
-        for i, wi in enumerate(w):
-            dists = np.where(used, np.inf, np.abs(wl - np.conj(wi)))
-            j = int(np.argmin(dists))
-            used[j] = True
-            col = Wb[:, j]
-            ip = np.vdot(col, Vb[:, i])
-            # biorthonormalize when the pairing supports it; else keep unit norm
-            Lb[:, i] = col / np.conj(ip) if abs(ip) > 1e-12 else col
+    w, Vb, Lb = w[order], Vb[:, order], Lb[:, order]
     residual = float(np.max(np.abs(Lb.conj().T @ Vb - np.eye(len(w)))))
+    condition = _conditioning(Vb, hermitian)[0]
     scale = d[:, None] if d is not None else 1.0
     R, L = Vb * scale, Lb / scale
 
@@ -241,17 +247,15 @@ def eig_biorthogonal(op, tol_biorth: float = 1e-8) -> BiorthogonalSystem:
     R /= phase[None, :]
     L *= np.conj(phase)[None, :]
 
-    condition = float(np.linalg.cond(R))
-    ep = (condition > COND_LIMIT) or (residual > tol_biorth)
     return BiorthogonalSystem(
         eigenvalues=np.asarray(w, dtype=complex),
         right=np.asarray(R, dtype=complex),
         left=np.asarray(L, dtype=complex),
         condition=condition,
         min_pair_gap=_min_pair_gap(w),
-        ep_flag=bool(ep),
+        ep_flag=bool(condition > COND_LIMIT or residual > TOL_BIORTH),
         biorth_residual=residual,
-        solver=solver,
+        solver="eigh" if hermitian else "eig",
     )
 
 
@@ -265,34 +269,20 @@ def non_normality(op) -> float:
 def ep_diagnostic(op) -> dict:
     """kappa_V, minimal eigenvalue pair gap, and the eigenbasis defect.
 
-    defect_estimate counts missing eigenvector directions: matrix dimension
-    minus the numerical rank of the right-eigenvector matrix at tolerance
-    sqrt(machine eps) * largest singular value.
+    kappa_V is the condition number of the right-eigenvector matrix in the
+    gauged basis (the `condition` of eig_biorthogonal); defect_estimate
+    counts missing eigenvector directions: matrix dimension minus its
+    numerical rank at tolerance sqrt(machine eps) * largest singular value.
     """
-    w, Vb, _, d, _ = _gauged_eig(_as_matrix(op))
-    V = Vb * d[:, None] if d is not None else Vb
-    V = V / np.linalg.norm(V, axis=0)
-    s = np.linalg.svd(V, compute_uv=False)
-    rank = int(np.sum(s > np.sqrt(_EPS) * s[0]))
-    kappa = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-    return {
-        "kappa_V": kappa,
-        "min_pair_gap": _min_pair_gap(w),
-        "defect_estimate": len(w) - rank,
-    }
+    w, Vb, _, _, hermitian = _gauged_eig(_as_matrix(op))
+    kappa, defect = _conditioning(Vb, hermitian)
+    return {"kappa_V": kappa, "min_pair_gap": _min_pair_gap(w), "defect_estimate": defect}
 
 
 def hausdorff_distance(a, b) -> float:
     """Hausdorff distance between two finite sets of complex numbers."""
-    from scipy.spatial import cKDTree
-
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    pa = np.column_stack([a.real, a.imag])
-    pb = np.column_stack([b.real, b.imag])
-    d_ab = cKDTree(pb).query(pa)[0].max()
-    d_ba = cKDTree(pa).query(pb)[0].max()
-    return float(max(d_ab, d_ba))
+    D = _distances(a, b)
+    return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
 
 
 def export_spectrum_csv(path, system: BiorthogonalSystem, profiles: bool = False) -> None:

@@ -233,6 +233,10 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         ["sensor", *HN, "-N", "8", "10", "--target", "0-infi"],
         ["reciprocity", *HN, "-N", "8", "--omegas", "3", "nan+0i"],
         ["reciprocity", *HN, "-N", "8", "--omegas", "1+infi"],
+        ["sensor", *HN, "-N", "8", "10", "--target", "abc"],
+        ["winding", *HN, "--base", "1+"],
+        ["amoeba", *ASYM2D, *SMALL_AMOEBA, "--energy", "x"],
+        ["reciprocity", *HN, "-N", "8", "--omegas", "3", "zz"],
     ],
     ids=[
         "funnel-N",
@@ -264,6 +268,10 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         "sensor-target-inf",
         "reciprocity-omegas-nan",
         "reciprocity-omegas-inf",
+        "sensor-target-malformed",
+        "winding-base-malformed",
+        "amoeba-energy-malformed",
+        "reciprocity-omegas-malformed",
     ],
 )
 def test_undeclared_options_are_usage_errors(tmp_path, args):
@@ -327,3 +335,23 @@ def test_thread_cap_env_respected(tmp_path):
     )
     assert r.returncode == 0
     assert "w = -1" in r.stdout
+
+
+def test_spectral_commands_leave_scipy_spatial_unloaded(tmp_path):
+    # eigenvalue distances are computed in numpy, so these runs need no
+    # scipy.spatial import
+    runs = [
+        ["spectrum", *HN, "-N", "30", "--out", str(tmp_path / "spectrum")],
+        ["localize", *SSH, "-N", "20", "--out", str(tmp_path / "localize")],
+        ["crossover", *HN, "-N", "20", "--eps-count", "3", "--out", str(tmp_path / "crossover")],
+    ]
+    script = (
+        "import sys\n"
+        "from nhskin.cli import main\n"
+        f"for args in {runs!r}:\n"
+        "    assert main(args) == 0\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"
