@@ -222,7 +222,7 @@ def _cmd_amoeba(args, model):
     raster = amoeba_points(
         model, E, r_x_samples=args.resolution, phase_samples=args.phases, window=window
     )
-    hole = has_hole(raster, min_hole_cells=args.min_hole_cells)
+    hole = has_hole(raster)
 
     def amoeba_svg(path):
         occupancy = raster.occupancy.T[::-1].astype(float)
@@ -434,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("X_MIN", "X_MAX", "Y_MIN", "Y_MAX"),
         help="log-modulus window",
     )
-    sp.add_argument("--min-hole-cells", type=int, default=4, help="smallest hole that counts")
 
     command("localize", _cmd_localize, "classify eigenstates: skin / topological / bulk")
 

@@ -225,6 +225,36 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
+def _char_roots(coeffs: np.ndarray) -> np.ndarray:
+    """The n = coeffs.shape[-1] - 1 roots of sum_j coeffs[..., j] x^j per leading index.
+
+    A coefficient within _REL_COEFF_TOL of its row's largest vanishes.  Each
+    vanishing leading one is a root at inf, each vanishing trailing one a root
+    at exactly 0, and a row that vanishes entirely is nan; a constant (n = 0)
+    is one root at inf, or nan.  Only rows with a vanishing end are trimmed and
+    grouped.  Private, so traces charge the companion solve to the caller.
+    """
+    mag = np.abs(coeffs)
+    small = mag <= _REL_COEFF_TOL * mag.max(axis=-1, keepdims=True)
+    n = coeffs.shape[-1] - 1
+    if n == 0:
+        return np.where(small, np.nan, np.inf).astype(complex)
+    if not (small[..., 0] | small[..., -1]).any():
+        del mag, small  # held through the solve, they raise the peak RSS of an amoeba
+        return _companion_roots(coeffs)
+    c, small = coeffs.reshape(-1, n + 1), small.reshape(-1, n + 1)
+    roots = np.full(c.shape[:1] + (n,), np.nan, dtype=complex)
+    top, bot = small[:, ::-1].cumprod(axis=1).sum(axis=1), small.cumprod(axis=1).sum(axis=1)
+    e = small[:, 0] | small[:, -1]
+    for t, b in {(0, 0), *zip(top[e], bot[e])}:
+        rows, d = (top == t) & (bot == b), n - t - b  # d < 0 where the row vanishes entirely
+        if d >= 0 and rows.any():
+            if d:
+                roots[rows, :d] = _companion_roots(c[rows, b : n + 1 - t])
+            roots[rows, d:] = [0.0] * b + [np.inf] * t
+    return roots.reshape(coeffs.shape[:-1] + (n,))
+
+
 def _poly_mul(a: Dict[Offset, complex], b: Dict[Offset, complex]) -> Dict[Offset, complex]:
     out: Dict[Offset, complex] = {}
     for ea, ca in a.items():

@@ -10,21 +10,30 @@ log-modulus — develops a central hole exactly when E lies outside the OBC
 spectrum.
 
 Both tests read the model's one characteristic polynomial, `char_poly`, whose
-exact exponent span fixes q.  Roots are eigenvalues of batched companion
-matrices, so `beta_roots` takes one energy or a 1-D array of energies.
+exact exponent span fixes q; `gbz_membership` expands it once, `gbz_curve`
+twice however many seeds it refines.  Its roots come from
+`model._char_roots` in one batched companion solve, so `beta_roots`
+takes one energy or a 1-D array of energies; a vanishing end coefficient
+comes back as a root at inf or 0, which `beta_roots` refuses and the amoeba
+drops.  The numerical settings no caller varies are the module constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import DegenerateCharPolyError, RefinementError, SamplingError
-from .model import _REL_COEFF_TOL, LatticeModel, _companion_roots, char_poly
+from .model import LatticeModel, _char_roots, char_poly
 from .realspace import build
 from .spectral import dense_spectrum
+
+REFINE_TOL = 1e-8  # energy tolerance of each GBZ seed refinement
+MAX_FAILURE_FRACTION = 0.05  # of GBZ seeds left off the zone after refinement
+MAX_BAD_FRACTION = 0.01  # of amoeba samples with a vanishing leading coefficient
+MIN_HOLE_CELLS = 4  # smallest unreached complement component that is a hole
 
 
 def _pair_residual(roots: np.ndarray, q: int) -> np.ndarray:
@@ -33,17 +42,10 @@ def _pair_residual(roots: np.ndarray, q: int) -> np.ndarray:
     return np.abs(b1 - b2) / b1
 
 
-def beta_roots(model: LatticeModel, E) -> np.ndarray:
-    """All roots of beta^q det[E - H(beta)], ascending by (modulus, argument).
-
-    q is the pole order; the root count is p + q with [-q, p] the exact
-    exponent span.  E is one energy (one row of roots) or a 1-D array of
-    energies (one sorted row per energy).  One-way hopping (vanishing
-    leading or trailing coefficient) has no finite set of characteristic
-    roots and is reported.
-    """
+def _char_poly_1d(model: LatticeModel, name: str):
+    """The characteristic polynomial of a 1D model that hops both ways."""
     if model.dimension != 1:
-        raise ValueError("beta_roots is defined for 1D models only")
+        raise ValueError(f"{name} is defined for 1D models only")
     cp = char_poly(model)
     lo, hi = cp.span(0)
     if hi < 1 or lo > -1:
@@ -51,23 +53,39 @@ def beta_roots(model: LatticeModel, E) -> np.ndarray:
             "characteristic polynomial reaches only one hopping direction; "
             "no finite generalized zone exists (one-way hopping)"
         )
-    coeff = cp.at(E)
-    floor = _REL_COEFF_TOL * np.abs(coeff).max(axis=-1)
-    bad = (np.abs(coeff[..., -1]) <= floor) | (np.abs(coeff[..., 0]) <= floor)
+    return cp
+
+
+def _sorted_roots(cp, E) -> np.ndarray:
+    """`beta_roots` of an already expanded characteristic polynomial."""
+    roots = _char_roots(cp.at(E))
+    bad = (~np.isfinite(roots) | (roots == 0)).any(axis=-1)
     if bad.any():
         E_bad = np.asarray(E)[bad][0]
         raise DegenerateCharPolyError(
             f"degenerate leading/trailing characteristic coefficient at E={E_bad}"
         )
-    roots = _companion_roots(coeff)
     order = np.lexsort((np.angle(roots), np.abs(roots)), axis=-1)
     return np.take_along_axis(roots, order, axis=-1)
 
 
+def beta_roots(model: LatticeModel, E) -> np.ndarray:
+    """All roots of beta^q det[E - H(beta)], ascending by (modulus, argument).
+
+    q is the pole order; the root count is p + q with [-q, p] the exact
+    exponent span.  E is one energy (one row of roots) or a 1-D array of
+    energies (one sorted row per energy).  One-way hopping (vanishing
+    leading or trailing coefficient, a root at inf or 0) has no finite set
+    of characteristic roots and is reported.
+    """
+    return _sorted_roots(_char_poly_1d(model, "beta_roots"), E)
+
+
 def gbz_membership(model: LatticeModel, E, gbz_tol: float = 1e-6) -> dict:
     """Middle-modulus degeneracy verdict at one energy."""
-    roots = beta_roots(model, E)
-    q = -char_poly(model).span(0)[0]
+    cp = _char_poly_1d(model, "gbz_membership")
+    roots = _sorted_roots(cp, E)
+    q = -cp.span(0)[0]
     residual = float(_pair_residual(roots, q))
     return {
         "member": bool(residual < gbz_tol),
@@ -97,26 +115,20 @@ def _side_of(beta: complex, tol: float) -> str:
     return "bloch"
 
 
-def gbz_curve(
-    model: LatticeModel,
-    N_seed: int = 400,
-    refine_tol: float = 1e-8,
-    gbz_tol: float = 1e-6,
-    max_failure_fraction: float = 0.05,
-) -> List[GBZSample]:
+def gbz_curve(model: LatticeModel, N_seed: int = 400, gbz_tol: float = 1e-6) -> List[GBZSample]:
     """Generalized-zone samples seeded from a finite-lattice spectrum.
 
     Finite-size eigenvalues sit O(1/N) off the infinite-size curve, so each
     seed whose residual is not already below gbz_tol / 10 is nudged along
     the local normal of the spectral curve to the minimum of the
-    modulus-degeneracy residual.  Both degenerate-modulus roots are emitted
-    per refined energy.
+    modulus-degeneracy residual, to within REFINE_TOL in energy.  Both
+    degenerate-modulus roots are emitted per refined energy; more than
+    MAX_FAILURE_FRACTION of seeds left at or above gbz_tol is an error.
     """
     from scipy.optimize import minimize_scalar
 
-    if model.dimension != 1:
-        raise ValueError("gbz_curve is defined for 1D models only")
-    q = -char_poly(model).span(0)[0]
+    cp = _char_poly_1d(model, "gbz_curve")
+    q = -cp.span(0)[0]
     seeds = dense_spectrum(build(model, [int(N_seed)], "obc"))
 
     def normal(i: int) -> complex:
@@ -129,21 +141,22 @@ def gbz_curve(
 
     spacing = np.maximum(np.abs(np.diff(seeds, prepend=seeds[0] - (seeds[1] - seeds[0]))), 1e-6)
     E_ref = seeds.astype(complex)
+    # the seed batch goes through the public beta_roots so traces count it
     r_ref = _pair_residual(beta_roots(model, E_ref), q)
     for i in np.flatnonzero(r_ref >= gbz_tol * 0.1):
         E0, nhat = E_ref[i], normal(i)
         h = 2.0 * float(spacing[i])
         opt = minimize_scalar(
-            lambda t: _pair_residual(beta_roots(model, E0 + t * nhat), q),
+            lambda t: _pair_residual(_sorted_roots(cp, E0 + t * nhat), q),
             bounds=(-h, h),
             method="bounded",
-            options={"xatol": refine_tol},
+            options={"xatol": REFINE_TOL},
         )
         E_ref[i] = E0 + float(opt.x) * nhat
         r_ref[i] = opt.fun
     kept = r_ref < gbz_tol
     failures = np.flatnonzero(~kept).tolist()
-    if len(failures) > max_failure_fraction * len(seeds):
+    if len(failures) > MAX_FAILURE_FRACTION * len(seeds):
         raise RefinementError(
             f"{len(failures)}/{len(seeds)} seeds failed GBZ refinement; "
             f"first failing indices: {failures[:10]}"
@@ -155,7 +168,7 @@ def gbz_curve(
             modulus_residual=float(r),
             side=_side_of(b, gbz_tol),
         )
-        for E, r, roots in zip(E_ref[kept], r_ref[kept], beta_roots(model, E_ref[kept]))
+        for E, r, roots in zip(E_ref[kept], r_ref[kept], _sorted_roots(cp, E_ref[kept]))
         for b in roots[q - 1 : q + 1]
     ]
 
@@ -163,30 +176,16 @@ def gbz_curve(
 # ------------------------------------------------------------------- amoebas
 
 
-@dataclass(frozen=True)
-class AmoebaSampling:
-    """Sampling plan for amoeba rasterization; defaults sized so built-in
-    tentacle widths span several grid cells."""
-
-    r_x_samples: int = 300
-    phase_samples: int = 600
-    window: Tuple[Tuple[float, float], Tuple[float, float]] = ((-3.0, 3.0), (-3.0, 3.0))
-    min_hole_cells: int = 4
-
-
 @dataclass
 class AmoebaRaster:
-    """Boolean occupancy over (log|beta_x|, log|beta_y|) with hit counts."""
+    """Boolean occupancy over (log|beta_x|, log|beta_y|)."""
 
     window: Tuple[Tuple[float, float], Tuple[float, float]]
     resolution: Tuple[int, int]
     occupancy: np.ndarray
-    counts: np.ndarray
 
     def axis_centers(self, axis: int) -> np.ndarray:
-        (lo, hi) = self.window[axis]
-        n = self.resolution[axis]
-        return np.linspace(lo, hi, n)
+        return np.linspace(*self.window[axis], self.resolution[axis])
 
 
 def amoeba_points(
@@ -195,7 +194,6 @@ def amoeba_points(
     r_x_samples: int = 300,
     phase_samples: int = 600,
     window: Tuple[Tuple[float, float], Tuple[float, float]] = ((-3.0, 3.0), (-3.0, 3.0)),
-    max_bad_fraction: float = 0.01,
 ) -> AmoebaRaster:
     """Rasterize the amoeba of det[E - H(beta_x, beta_y)] = 0.
 
@@ -206,8 +204,10 @@ def amoeba_points(
     functions of the phase, so every modulus rank sweeps a full interval over
     the phase circle; those intervals are what get filled.  (Marking isolated
     root samples instead leaves sampling pinholes that read as spurious
-    holes.)  Root-finding failures are tolerated on up to `max_bad_fraction`
-    of the samples; an empty sampling plan is refused.
+    holes.)  Samples with a root at infinity (a vanishing leading
+    coefficient) are dropped, on up to MAX_BAD_FRACTION of the samples; an
+    empty sampling plan is refused.  The defaults are sized so the built-in
+    tentacle widths span several grid cells.
     """
     if model.dimension != 2:
         raise ValueError("amoeba construction requires a 2D model")
@@ -217,8 +217,7 @@ def amoeba_points(
     if deg < 1:
         raise DegenerateCharPolyError("model has no hopping along the y axis")
     (xlo, xhi), (ylo, yhi) = window
-    nx = int(r_x_samples)
-    ny = int(r_x_samples)
+    nx = ny = int(r_x_samples)
     nph = int(phase_samples)
     if min(nx, nph) < 1:
         raise SamplingError(f"empty sampling plan: {nx} raster columns x {nph} phases")
@@ -233,24 +232,20 @@ def amoeba_points(
         for jy in np.flatnonzero(row):
             A[..., jy] += row[jy] * bx_pow
 
-    lead = A[..., deg]
-    good = np.abs(lead) > _REL_COEFF_TOL * np.abs(A).max(axis=-1)
+    roots = _char_roots(A)
+    good = np.isfinite(roots).all(axis=-1)
     bad_fraction = 1.0 - good.mean()
-    if bad_fraction > max_bad_fraction:
+    if bad_fraction > MAX_BAD_FRACTION:
         raise SamplingError(
             f"{bad_fraction:.1%} of amoeba samples have degenerate leading "
-            f"coefficients (limit {max_bad_fraction:.1%})"
+            f"coefficients (limit {MAX_BAD_FRACTION:.1%})"
         )
-
-    lead[~good] = 1.0  # in place in A; the roots of these samples are dropped below
-    roots = _companion_roots(A)
     with np.errstate(divide="ignore"):
         ry = np.log(np.abs(roots))
     ry = np.sort(ry, axis=-1)  # sorted moduli: continuous in the phase
     ry[~good] = np.nan
 
     occ = np.zeros((nx, ny), dtype=bool)
-    counts = np.zeros((nx, ny), dtype=np.int64)
     yscale = (ny - 1) / (yhi - ylo)
 
     with np.errstate(invalid="ignore"):
@@ -264,53 +259,29 @@ def amoeba_points(
         for i in np.nonzero(visible)[0]:
             occ[i, ia[i] : ib[i] + 1] = True
 
-    # hit counts at the sampled points themselves (diagnostics / CSV cloud)
-    pts_ix = np.broadcast_to(np.arange(nx)[:, None, None], ry.shape)
-    inside = ~np.isnan(ry) & (ry >= ylo) & (ry <= yhi)
-    iy = np.clip(np.round((ry[inside] - ylo) * yscale), 0, ny - 1).astype(int)
-    np.add.at(counts, (pts_ix[inside], iy), 1)
-
     return AmoebaRaster(
         window=((float(xlo), float(xhi)), (float(ylo), float(yhi))),
         resolution=(nx, ny),
         occupancy=occ,
-        counts=counts,
     )
 
 
-def has_hole(raster: AmoebaRaster, min_hole_cells: int = 4) -> bool:
+def has_hole(raster: AmoebaRaster) -> bool:
     """Flood-fill the complement from the window boundary (4-connectivity);
-    a hole is an unreached complement component of at least min_hole_cells.
+    a hole is an unreached complement component of at least MIN_HOLE_CELLS.
     The minimum size suppresses single-cell pinholes from finite sampling."""
     from scipy import ndimage
 
-    occ = raster.occupancy
-    if not occ.any():
-        return False
-    labels, n = ndimage.label(~occ)  # default structure = 4-connectivity
-    if n == 0:
-        return False
-    border = np.unique(
-        np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])
-    )
+    labels, n = ndimage.label(~raster.occupancy)  # default structure = 4-connectivity
     sizes = np.bincount(labels.ravel(), minlength=n + 1)
-    for lbl in range(1, n + 1):
-        if lbl not in border and sizes[lbl] >= min_hole_cells:
-            return True
-    return False
+    sizes[0] = 0  # label 0 is the occupied cells
+    sizes[np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])] = 0
+    return bool((sizes >= MIN_HOLE_CELLS).any())
 
 
-def obc_member_2d(model: LatticeModel, E, sampling: Optional[AmoebaSampling] = None) -> bool:
+def obc_member_2d(model: LatticeModel, E) -> bool:
     """E belongs to the 2D OBC spectrum iff its amoeba has no hole."""
-    s = sampling or AmoebaSampling()
-    raster = amoeba_points(
-        model,
-        E,
-        r_x_samples=s.r_x_samples,
-        phase_samples=s.phase_samples,
-        window=s.window,
-    )
-    return not has_hole(raster, min_hole_cells=s.min_hole_cells)
+    return not has_hole(amoeba_points(model, E))
 
 
 # ------------------------------------------------------------------- exports

@@ -129,29 +129,19 @@ def time_evolve(
 
     n_steps = int(round(t_max / dt))
     U = expm(-1j * H * dt)
-    im = op.index_map
-    n_cells = int(np.prod(im.sizes))
-
-    def cell_density(v: np.ndarray) -> np.ndarray:
-        d = np.zeros(n_cells)
-        np.add.at(d, im.cell_index_of_rows(), np.abs(v) ** 2)
-        return d
-
-    times = np.zeros(n_steps + 1)
     states = np.zeros((n_steps + 1, op.n), dtype=complex)
-    dens = np.zeros((n_steps + 1, n_cells))
     logg = np.zeros(n_steps + 1)
-    states[0], dens[0] = psi, cell_density(psi)
-    acc = 0.0
+    states[0] = psi
     for k in range(1, n_steps + 1):
         psi = U @ psi
         nrm = np.linalg.norm(psi)
         psi /= nrm
-        acc += float(np.log(nrm))
-        times[k] = k * dt
         states[k] = psi
-        dens[k] = cell_density(psi)
-        logg[k] = acc
+        logg[k] = logg[k - 1] + np.log(nrm)
+    im = op.index_map
+    dens = np.zeros((n_steps + 1, int(np.prod(im.sizes))))
+    np.add.at(dens, (slice(None), im.cell_index_of_rows()), np.abs(states) ** 2)
+    times = np.arange(n_steps + 1) * dt
     return Trajectory(times=times, states=states, densities=dens, log_growth=logg)
 
 

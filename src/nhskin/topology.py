@@ -3,9 +3,11 @@
 By the argument principle, the winding of det[H(k) - E_B] as k crosses the
 Brillouin zone is the number of roots of beta^q det[E_B - H(beta)] inside the
 unit circle minus the pole order q, and the point gap is closed exactly when
-a root lies on |beta| = 1.  One batched companion-matrix solve of the model's
-characteristic polynomial, `_windings`, thus decides both for every base
-point; no k-grid is sampled or refined.
+a root lies on |beta| = 1.  One batched solve of the model's characteristic
+polynomial, `_windings`, thus decides both for every base point; no k-grid is
+sampled or refined.  A vanishing leading coefficient is a root at inf, which
+lies outside, a vanishing trailing one a root at 0, inside, and a base point
+on a flat band, where every coefficient vanishes, closes the gap.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapClosedError
-from .model import _REL_COEFF_TOL, LatticeModel, _companion_roots, bloch_samples, char_poly
+from .model import LatticeModel, _char_roots, bloch_samples, char_poly
+
+K_GRID = 2048  # Bloch samples behind point_gap_open's band distance
 
 
 @dataclass(frozen=True)
@@ -37,28 +41,19 @@ def _windings(model: LatticeModel, E_B: np.ndarray, gap_tol: float):
     if not np.isfinite(E_B).all():
         raise ValueError("base energies must be finite")
     cp = char_poly(model)
-    c = cp.at(E_B)  # c[:, j] multiplies beta^(j + lo)
-    small = np.abs(c) <= _REL_COEFF_TOL * np.abs(c).max(axis=1, keepdims=True)
-    # vanishing leading coefficients are roots at infinity; a vanishing trailing
-    # one is a root at 0, which the companion matrix counts inside
-    top = small[:, ::-1].cumprod(axis=1).sum(axis=1)
-    # all vanish where E_B lies on a flat band
-    inside, margin = np.zeros(E_B.size), np.where(top == c.shape[1], 0.0, np.inf)
-    for b in set(top):
-        rows = top == b
-        if c.shape[1] - b > 1:
-            mods = np.abs(_companion_roots(c[rows, : c.shape[1] - b]))
-            inside[rows] = (mods < 1).sum(axis=1)
-            margin[rows] = np.abs(mods - 1).min(axis=1)
-    return np.where(margin > gap_tol, inside + cp.lo[0], np.nan), margin
+    # a root at inf lies outside, one at 0 inside; nan rows are flat bands
+    mods = np.abs(_char_roots(cp.at(E_B)))
+    margin = np.abs(mods - 1).min(axis=1)
+    margin[np.isnan(margin)] = 0.0
+    return np.where(margin > gap_tol, (mods < 1).sum(axis=1) + cp.lo[0], np.nan), margin
 
 
-def point_gap_open(model: LatticeModel, E_B, k_grid: int = 2048, gap_tol: float = 1e-6) -> dict:
+def point_gap_open(model: LatticeModel, E_B, gap_tol: float = 1e-6) -> dict:
     """Whether no characteristic root lies within gap_tol of |beta| = 1, and the
-    least distance from E_B to the bands sampled on `k_grid` points."""
+    least distance from E_B to the bands sampled on K_GRID points."""
     E_B = complex(E_B)
     _, (margin,) = _windings(model, np.array([E_B]), gap_tol)
-    ks = np.linspace(-np.pi, np.pi, int(k_grid), endpoint=False)
+    ks = np.linspace(-np.pi, np.pi, K_GRID, endpoint=False)
     Hs = bloch_samples(model, ks[:, None])
     bands = Hs[:, :, 0] if model.bands == 1 else np.linalg.eigvals(Hs)
     return {"open": bool(margin > gap_tol), "min_dist": float(np.abs(bands - E_B).min())}

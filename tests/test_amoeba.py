@@ -4,7 +4,6 @@ import pytest
 from nhskin.model import LatticeModel, HoppingTerm, builtin_2d
 from nhskin.nonbloch import (
     AmoebaRaster,
-    AmoebaSampling,
     amoeba_points,
     export_raster_csv,
     export_raster_pgm,
@@ -19,7 +18,7 @@ def ring_raster(inner=8, outer=20, n=60):
     y, x = np.meshgrid(np.arange(n), np.arange(n))
     r = np.hypot(x - n / 2, y - n / 2)
     occ = (r >= inner) & (r <= outer)
-    return AmoebaRaster(window=((-3, 3), (-3, 3)), resolution=(n, n), occupancy=occ, counts=occ.astype(np.int64))
+    return AmoebaRaster(window=((-3, 3), (-3, 3)), resolution=(n, n), occupancy=occ)
 
 
 def test_hole_detection_on_synthetic_rings():
@@ -31,15 +30,18 @@ def test_hole_detection_on_synthetic_rings():
 def test_min_hole_cells_suppresses_pinholes():
     r = ring_raster(inner=0)
     r.occupancy[30, 30] = False  # single dead cell inside the body
-    assert not has_hole(r, min_hole_cells=4)
-    assert has_hole(r, min_hole_cells=1)
+    assert not has_hole(r)
+    r.occupancy[30, 31] = r.occupancy[31, 30] = False  # three cells, one short of four
+    assert not has_hole(r)
+    r.occupancy[31, 31] = False  # a 2x2 dead block: four cells make a hole
+    assert has_hole(r)
 
 
 def test_hole_touching_border_does_not_count():
     n = 60
     occ = np.ones((n, n), dtype=bool)
     occ[20:40, 30:] = False  # notch open to the border
-    r = AmoebaRaster(window=((-3, 3), (-3, 3)), resolution=(n, n), occupancy=occ, counts=occ.astype(np.int64))
+    r = AmoebaRaster(window=((-3, 3), (-3, 3)), resolution=(n, n), occupancy=occ)
     assert not has_hole(r)
 
 
@@ -49,21 +51,14 @@ def test_interior_energy_has_no_hole():
     e = ev[np.argmin(np.abs(ev - ev.mean()))]
     raster = amoeba_points(m, e, r_x_samples=150, phase_samples=300)
     assert not has_hole(raster)
-    assert obc_member_2d(m, e, AmoebaSampling(r_x_samples=150, phase_samples=300))
+    assert obc_member_2d(m, e)
 
 
 def test_outside_energy_has_hole():
     m = builtin_2d(0.5, 1.0, 0.2)
     raster = amoeba_points(m, 4.5, r_x_samples=150, phase_samples=300)
     assert has_hole(raster)
-    assert not obc_member_2d(m, 4.5, AmoebaSampling(r_x_samples=150, phase_samples=300))
-
-
-def test_counts_live_inside_occupancy():
-    m = builtin_2d(0.5, 1.0, 0.2)
-    raster = amoeba_points(m, 1.0 + 0.5j, r_x_samples=80, phase_samples=160)
-    assert raster.counts.sum() > 0
-    assert raster.occupancy[raster.counts > 0].all()
+    assert not obc_member_2d(m, 4.5)
 
 
 def test_axis_swap_symmetry():
@@ -94,7 +89,7 @@ def test_amoeba_requires_2d():
 @pytest.mark.parametrize("sizes", [(0, 40), (40, 0)], ids=["no-columns", "no-phases"])
 def test_empty_sampling_plan_is_refused(sizes):
     # an empty raster would make the bad-sample fraction nan, which passes
-    # the max_bad_fraction guard unnoticed
+    # the MAX_BAD_FRACTION guard unnoticed
     from nhskin.errors import SamplingError
 
     with pytest.raises(SamplingError):

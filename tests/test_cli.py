@@ -208,6 +208,7 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         ["spectrum", *HN, "--tol", "1e-3"],
         ["winding", *HN, "-N", "5"],
         ["amoeba", *ASYM2D, *SMALL_AMOEBA, "-N", "5"],
+        ["amoeba", *ASYM2D, *SMALL_AMOEBA, "--min-hole-cells", "4"],
         ["crossover", *HN, "-N", "8", "--eps-count", "0"],
         ["crossover", *HN, "-N", "8", "--eps-min", "0"],
         ["crossover", *HN, "-N", "8", "--eps-min", "1e-3", "--eps-max", "1e-6"],
@@ -243,6 +244,7 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         "spectrum-tol",
         "winding-N",
         "amoeba-N",
+        "amoeba-min-hole-cells",
         "crossover-count0",
         "crossover-min0",
         "crossover-min-above-max",

@@ -8,6 +8,7 @@ from nhskin.model import (
     CharPoly,
     HoppingTerm,
     LatticeModel,
+    _char_roots,
     bloch,
     bloch_samples,
     builtin_2d,
@@ -165,6 +166,30 @@ def test_char_poly_span_is_exact_for_longer_range():
     cp = char_poly(m)
     assert cp.span(0) == (-2, 2)
     np.testing.assert_allclose(cp.at(0.5), [-0.7, 0.0, 0.5, 0.0, -0.3], atol=1e-15)
+
+
+def test_char_roots_encode_vanishing_end_coefficients():
+    # rows of sum_j c_j x^j: a vanishing leading coefficient is a root at inf,
+    # a vanishing trailing one a root at exactly 0, an all-vanishing row nan
+    c = np.array([
+        [2.0, -3.0, 1.0],      # (x - 1)(x - 2)
+        [2.0, 1.0, 1e-14],     # 1 + x/2 = 0 and inf
+        [1e-13, -3.0, 1.0],    # 0 and 3
+        [0.0, 5.0, 0.0],       # 0 and inf
+        [0.0, 0.0, 0.0],
+    ], dtype=complex)
+    roots = _char_roots(c)
+    assert roots.shape == (5, 2)
+    np.testing.assert_allclose(np.sort_complex(roots[0]), [1.0, 2.0], atol=1e-14)
+    assert roots[1, 1] == np.inf and roots[1, 0] == pytest.approx(-2.0)
+    assert roots[2, 1] == 0 and roots[2, 0] == pytest.approx(3.0)
+    assert list(roots[3]) == [0, np.inf]
+    assert np.isnan(roots[4]).all()
+    # a batch without vanishing ends is one companion solve, row for row the same
+    np.testing.assert_array_equal(_char_roots(c[:1]), roots[:1])
+    # a constant has no finite root: one at inf, nan where it vanishes
+    const = _char_roots(np.array([[3.0], [0.0]]))
+    assert const.shape == (2, 1) and const[0, 0] == np.inf and np.isnan(const[1, 0])
 
 
 def test_json_round_trip(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nhskin.errors import DegenerateCharPolyError
-from nhskin.model import builtin_hatano_nelson, builtin_nh_ssh
+from nhskin.model import HoppingTerm, LatticeModel, builtin_hatano_nelson, builtin_nh_ssh
 from nhskin.nonbloch import GBZSample, beta_roots, export_gbz_csv, gbz_curve, gbz_membership
 from nhskin.realspace import OBC, build
 from nhskin.spectral import dense_spectrum
@@ -78,6 +78,26 @@ def test_curve_energies_stay_near_obc_spectrum():
     ref = dense_spectrum(build(builtin_hatano_nelson(0.5, 1.0), [100], OBC))
     d = [np.abs(ref - s.energy).min() for s in samples]
     assert max(d) < 0.05
+
+
+def test_refined_seeds_are_kept(monkeypatch):
+    # a next-nearest-neighbour chain with |t_1|^2 |t_-2| = |t_-1|^2 |t_2|, whose
+    # complex t_-2 keeps every finite-size seed off the zone: each one is
+    # refined, and each refinement lands on it
+    import scipy.optimize
+
+    calls = []
+    minimize_scalar = scipy.optimize.minimize_scalar
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar",
+                        lambda *a, **k: calls.append(1) or minimize_scalar(*a, **k))
+    terms = [((1,), 1.0), ((-1,), 0.8), ((2,), 0.3), ((-2,), 0.192 * np.exp(0.7j))]
+    m = LatticeModel(1, 1, tuple(HoppingTerm(off, [[a]]) for off, a in terms))
+    samples = gbz_curve(m, N_seed=50)
+    assert len(calls) == 50
+    assert len(samples) == 100
+    assert max(s.modulus_residual for s in samples) < 1e-7
+    seeds = dense_spectrum(build(m, [50], OBC))
+    assert min(np.abs(seeds - s.energy).min() for s in samples) > 0
 
 
 def test_nh_ssh_roots_on_spectrum_degenerate():
