@@ -10,6 +10,7 @@ beta_i.  Sign convention is fixed so the asymmetric-hopping chain built by
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -225,6 +226,13 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
+def _vanishing(coeffs: np.ndarray) -> np.ndarray:
+    """Mask of the coefficients within _REL_COEFF_TOL of their row's largest."""
+    mag = np.abs(coeffs)
+    largest = functools.reduce(np.maximum, np.moveaxis(mag, -1, 0))  # fast for short rows
+    return mag <= _REL_COEFF_TOL * largest[..., None]
+
+
 def _char_roots(coeffs: np.ndarray) -> np.ndarray:
     """The n = coeffs.shape[-1] - 1 roots of sum_j coeffs[..., j] x^j per leading index.
 
@@ -234,13 +242,12 @@ def _char_roots(coeffs: np.ndarray) -> np.ndarray:
     is one root at inf, or nan.  Only rows with a vanishing end are trimmed and
     grouped.  Private, so traces charge the companion solve to the caller.
     """
-    mag = np.abs(coeffs)
-    small = mag <= _REL_COEFF_TOL * mag.max(axis=-1, keepdims=True)
+    small = _vanishing(coeffs)
     n = coeffs.shape[-1] - 1
     if n == 0:
         return np.where(small, np.nan, np.inf).astype(complex)
     if not (small[..., 0] | small[..., -1]).any():
-        del mag, small  # held through the solve, they raise the peak RSS of an amoeba
+        del small  # held through the solve, it raises the peak RSS of an amoeba
         return _companion_roots(coeffs)
     c, small = coeffs.reshape(-1, n + 1), small.reshape(-1, n + 1)
     roots = np.full(c.shape[:1] + (n,), np.nan, dtype=complex)
@@ -253,6 +260,29 @@ def _char_roots(coeffs: np.ndarray) -> np.ndarray:
                 roots[rows, :d] = _companion_roots(c[rows, b : n + 1 - t])
             roots[rows, d:] = [0.0] * b + [np.inf] * t
     return roots.reshape(coeffs.shape[:-1] + (n,))
+
+
+def _quadratic_roots(coeffs: np.ndarray) -> np.ndarray:
+    """`_char_roots` of quadratics (coeffs.shape[-1] == 3) in closed form.
+
+    With c + b x + a x^2, q = -(b + s) / 2 where s = +-sqrt(b^2 - 4ac) takes
+    the sign with Re(conj(b) s) >= 0, so b and s never cancel; the roots are
+    q / a and c / q.  Rows with a vanishing end coefficient go to `_char_roots`,
+    which keeps their inf / 0 / nan encoding.  Only the amoeba calls this: its
+    ~10^5 rows per energy are where a companion solve is slow, while the 1D
+    callers (`beta_roots`, `gbz_curve`, `topology._windings`) solve a few
+    thousand rows per call, well under 10 ms, and keep the companion solve;
+    the benchmark's `nonbloch.companion_solves` count reads theirs.
+    """
+    ends = _vanishing(coeffs)[..., [0, -1]].any(axis=-1)
+    c, b, a = np.moveaxis(coeffs, -1, 0)
+    s = np.sqrt(b * b - 4 * a * c)
+    q = -0.5 * (b + np.where((b.conj() * s).real < 0, -s, s))
+    with np.errstate(divide="ignore", invalid="ignore"):  # only in rows with a vanishing end
+        roots = np.stack([q / a, c / q], axis=-1)
+    if ends.any():
+        roots[ends] = _char_roots(coeffs[ends])
+    return roots
 
 
 def _poly_mul(a: Dict[Offset, complex], b: Dict[Offset, complex]) -> Dict[Offset, complex]:

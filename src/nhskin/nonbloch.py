@@ -11,11 +11,14 @@ spectrum.
 
 Both tests read the model's one characteristic polynomial, `char_poly`, whose
 exact exponent span fixes q; `gbz_membership` expands it once, `gbz_curve`
-twice however many seeds it refines.  Its roots come from
+twice however many seeds it refines.  The 1D roots come from
 `model._char_roots` in one batched companion solve, so `beta_roots`
-takes one energy or a 1-D array of energies; a vanishing end coefficient
-comes back as a root at inf or 0, which `beta_roots` refuses and the amoeba
-drops.  The numerical settings no caller varies are the module constants.
+takes one energy or a 1-D array of energies; the amoeba's quadratics in
+beta_y are solved in closed form by `model._quadratic_roots`.  Either way a
+vanishing end coefficient comes back as a root at inf or 0, which
+`beta_roots` refuses and the amoeba drops.  The hole test fills the
+complement from the window's edge in numpy row and column passes.  The
+numerical settings no caller varies are the module constants.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DegenerateCharPolyError, RefinementError, SamplingError
-from .model import LatticeModel, _char_roots, char_poly
+from .model import LatticeModel, _char_roots, _quadratic_roots, char_poly
 from .realspace import build
 from .spectral import dense_spectrum
 
@@ -199,15 +202,16 @@ def amoeba_points(
 
     For each log-modulus r_x and phase phi the substitution
     beta_x = exp(r_x + i phi) leaves a univariate characteristic polynomial
-    in beta_y, solved for all branches at once via batched companion
-    matrices.  Along each raster column the sorted root moduli are continuous
-    functions of the phase, so every modulus rank sweeps a full interval over
-    the phase circle; those intervals are what get filled.  (Marking isolated
-    root samples instead leaves sampling pinholes that read as spurious
-    holes.)  Samples with a root at infinity (a vanishing leading
-    coefficient) are dropped, on up to MAX_BAD_FRACTION of the samples; an
-    empty sampling plan is refused.  The defaults are sized so the built-in
-    tentacle widths span several grid cells.
+    in beta_y, solved for all branches of all samples at once: in closed
+    form when it is quadratic (its beta_y exponents span two, as in asym2d),
+    else by batched companion matrices.  Along each raster column the sorted
+    root moduli are continuous functions of the phase, so every modulus rank
+    sweeps a full interval over the phase circle; those intervals are what
+    get filled.  (Marking isolated root samples instead leaves sampling
+    pinholes that read as spurious holes.)  Samples with a root at infinity
+    (a vanishing leading coefficient) are dropped, on up to MAX_BAD_FRACTION
+    of the samples; an empty sampling plan is refused.  The defaults are
+    sized so the built-in tentacle widths span several grid cells.
     """
     if model.dimension != 2:
         raise ValueError("amoeba construction requires a 2D model")
@@ -232,7 +236,7 @@ def amoeba_points(
         for jy in np.flatnonzero(row):
             A[..., jy] += row[jy] * bx_pow
 
-    roots = _char_roots(A)
+    roots = _quadratic_roots(A) if deg == 2 else _char_roots(A)
     good = np.isfinite(roots).all(axis=-1)
     bad_fraction = 1.0 - good.mean()
     if bad_fraction > MAX_BAD_FRACTION:
@@ -242,17 +246,22 @@ def amoeba_points(
         )
     with np.errstate(divide="ignore"):
         ry = np.log(np.abs(roots))
-    ry = np.sort(ry, axis=-1)  # sorted moduli: continuous in the phase
-    ry[~good] = np.nan
+    # log-moduli by rank, (nx, nph) each: sorted, they are continuous in the phase
+    if deg == 2:
+        ranks = [np.minimum(ry[..., 0], ry[..., 1]), np.maximum(ry[..., 0], ry[..., 1])]
+    else:
+        ranks = np.moveaxis(np.sort(ry, axis=-1), -1, 0)
 
     occ = np.zeros((nx, ny), dtype=bool)
     yscale = (ny - 1) / (yhi - ylo)
-
-    with np.errstate(invalid="ignore"):
-        ymin = np.nanmin(ry, axis=1)  # (nx, deg) per-rank interval bottom
-        ymax = np.nanmax(ry, axis=1)
-    for r in range(deg):
-        a, b = ymin[:, r], ymax[:, r]
+    all_good = good.all()
+    for rank in ranks:
+        if all_good:
+            a, b = rank.min(axis=1), rank.max(axis=1)  # the interval it sweeps per column
+        else:
+            rank[~good] = np.nan
+            with np.errstate(invalid="ignore"):
+                a, b = np.nanmin(rank, axis=1), np.nanmax(rank, axis=1)
         visible = ~np.isnan(a) & (b >= ylo) & (a <= yhi)
         ia = np.clip(np.floor((a - ylo) * yscale), 0, ny - 1).astype(int)
         ib = np.clip(np.ceil((b - ylo) * yscale), 0, ny - 1).astype(int)
@@ -269,14 +278,34 @@ def amoeba_points(
 def has_hole(raster: AmoebaRaster) -> bool:
     """Flood-fill the complement from the window boundary (4-connectivity);
     a hole is an unreached complement component of at least MIN_HOLE_CELLS.
-    The minimum size suppresses single-cell pinholes from finite sampling."""
-    from scipy import ndimage
+    The minimum size suppresses single-cell pinholes from finite sampling.
 
-    labels, n = ndimage.label(~raster.occupancy)  # default structure = 4-connectivity
-    sizes = np.bincount(labels.ravel(), minlength=n + 1)
-    sizes[0] = 0  # label 0 is the occupied cells
-    sizes[np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])] = 0
-    return bool((sizes >= MIN_HOLE_CELLS).any())
+    Each free cell carries a label: -1 (reached) on the window's edge, its
+    own index elsewhere.  Row and column passes alternate, each giving every
+    free run the least label in it, until nothing changes; then the reached
+    cells hold -1 and each unreached component one label of its own.
+    """
+    free = ~raster.occupancy
+    F = int(np.count_nonzero(free))
+    index = np.zeros(free.shape, dtype=np.intp)
+    index[free] = np.arange(F)
+    edge = np.ones_like(free)
+    edge[1:-1, 1:-1] = False
+    label = np.where(edge[free], -1, np.arange(F))
+    row_prev = np.pad(free, ((0, 0), (1, 0)))[:, :-1]
+    col_prev = np.pad(free, ((1, 0), (0, 0)))[:-1]
+    runs = [  # (free cells in run order, first position of each run), rows then columns
+        (np.arange(F), np.flatnonzero(~row_prev[free])),
+        (index.T[free.T], np.flatnonzero(~col_prev.T[free.T])),
+    ]
+    changed = F > 0
+    while changed:
+        old = label.copy()
+        for cells, starts in runs:
+            run_min = np.minimum.reduceat(label[cells], starts)
+            label[cells] = np.repeat(run_min, np.diff(starts, append=F))
+        changed = not np.array_equal(label, old)
+    return bool((np.bincount(label[label >= 0]) >= MIN_HOLE_CELLS).any())
 
 
 def obc_member_2d(model: LatticeModel, E) -> bool:

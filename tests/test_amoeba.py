@@ -1,7 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from nhskin.model import LatticeModel, HoppingTerm, builtin_2d
+from nhskin import nonbloch
+from nhskin.model import LatticeModel, HoppingTerm, _char_roots, builtin_2d
 from nhskin.nonbloch import (
     AmoebaRaster,
     amoeba_points,
@@ -43,6 +47,67 @@ def test_hole_touching_border_does_not_count():
     occ[20:40, 30:] = False  # notch open to the border
     r = AmoebaRaster(window=((-3, 3), (-3, 3)), resolution=(n, n), occupancy=occ)
     assert not has_hole(r)
+
+
+def reference_has_hole(occupancy):
+    # the same verdict through scipy.ndimage's component labelling
+    from scipy import ndimage
+
+    labels, n = ndimage.label(~occupancy)
+    sizes = np.bincount(labels.ravel(), minlength=n + 1)
+    sizes[0] = 0
+    sizes[np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])] = 0
+    return bool((sizes >= nonbloch.MIN_HOLE_CELLS).any())
+
+
+def test_has_hole_matches_component_labelling():
+    rng = np.random.default_rng(3)
+    rasters = [ring_raster().occupancy, ring_raster(inner=0).occupancy]
+    pinholes = ring_raster(inner=0).occupancy
+    for i, j in [(22, 22), (22, 30), (30, 22), (35, 35), (30, 30)]:
+        pinholes[i, j : j + 2] = False  # five separate 2-cell pinholes, ten cells in all
+    rasters.append(pinholes)
+    for _ in range(300):
+        shape = tuple(rng.integers(1, 25, size=2))
+        rasters.append(rng.random(shape) < rng.uniform(0.3, 0.9))
+    verdicts = [has_hole(AmoebaRaster(((-3, 3), (-3, 3)), r.shape, r)) for r in rasters]
+    assert verdicts == [reference_has_hole(r) for r in rasters]
+    assert verdicts[:3] == [True, False, False]
+    assert 30 < sum(verdicts) < 270  # the random rasters include both verdicts
+
+
+def criterion_07_energies():
+    m = builtin_2d(0.5, 1.0, 0.2)
+    e2d = dense_spectrum(build(m, [20, 20], "obc"))
+    centroid = complex(np.mean(e2d))
+    reach = float(np.max(np.abs(e2d - centroid)))
+    inside = e2d[np.argsort(np.abs(e2d - centroid))[:10]]
+    outside = centroid + (reach + 1.0) * np.exp(2j * np.pi * np.arange(10) / 10)
+    return m, [complex(E) for E in (*inside, *outside)]
+
+
+def test_closed_form_amoeba_matches_companion_solve(monkeypatch):
+    m, energies = criterion_07_energies()
+    plan = dict(r_x_samples=60, phase_samples=120)
+    fast = [amoeba_points(m, E, **plan).occupancy for E in energies]
+    monkeypatch.setattr(nonbloch, "_quadratic_roots", _char_roots)
+    for E, occ in zip(energies, fast):
+        np.testing.assert_array_equal(occ, amoeba_points(m, E, **plan).occupancy)
+
+
+def test_amoeba_command_leaves_scipy_ndimage_unloaded(tmp_path):
+    args = ["amoeba", "--builtin", "asym2d", "--jl", "0.5", "--jr", "1.0", "--tp", "0.2",
+            "--energy", "4+0i", "--resolution", "40", "--phases", "80", "--format", "pgm",
+            "--out", str(tmp_path)]
+    script = (
+        "import sys\n"
+        "from nhskin.cli import main\n"
+        f"assert main({args!r}) == 0\n"
+        "print('scipy.ndimage' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"
 
 
 def test_interior_energy_has_no_hole():

@@ -9,6 +9,7 @@ from nhskin.model import (
     HoppingTerm,
     LatticeModel,
     _char_roots,
+    _quadratic_roots,
     bloch,
     bloch_samples,
     builtin_2d,
@@ -190,6 +191,50 @@ def test_char_roots_encode_vanishing_end_coefficients():
     # a constant has no finite root: one at inf, nan where it vanishes
     const = _char_roots(np.array([[3.0], [0.0]]))
     assert const.shape == (2, 1) and const[0, 0] == np.inf and np.isnan(const[1, 0])
+
+
+def test_quadratic_roots_match_char_roots():
+    rng = np.random.default_rng(7)
+    c = rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3))
+    c *= 10.0 ** rng.uniform(-3, 3, size=(500, 1))
+    got = np.sort_complex(_quadratic_roots(c))
+    ref = np.sort_complex(_char_roots(c))
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+    # the batch shape is kept, so an amoeba's (columns, phases) grid passes as is
+    assert _quadratic_roots(c.reshape(20, 25, 3)).shape == (20, 25, 2)
+
+
+def test_quadratic_roots_keep_the_small_root_under_cancellation():
+    # 1 + 1e8 x + x^2: the naive (-b + sqrt(b^2 - 4ac)) / 2a gives 0 or a few
+    # digits of the small root -1e-8 - 1e-24
+    roots = np.sort_complex(_quadratic_roots(np.array([1.0, 1e8, 1.0], dtype=complex)))
+    small = -1e-8 - 1e-24
+    assert abs(roots[1] - small) <= 1e-15 * abs(small)
+    assert abs(roots[0] + 1e8) <= 1e-15 * 1e8
+
+
+def test_quadratic_roots_double_root():
+    # (x - 1.5 - 0.5i)^2: the discriminant is exactly zero
+    r = 1.5 + 0.5j
+    roots = _quadratic_roots(np.array([r * r, -2 * r, 1.0]))
+    np.testing.assert_allclose(roots, [r, r], rtol=1e-15)
+
+
+def test_quadratic_roots_encode_vanishing_end_coefficients():
+    # the same rows as test_char_roots_encode_vanishing_end_coefficients,
+    # mixed with ordinary rows so only some rows take the general solver
+    c = np.array([
+        [2.0, -3.0, 1.0],
+        [2.0, 1.0, 1e-14],     # vanishing leading: inf
+        [1e-13, -3.0, 1.0],    # vanishing trailing: 0
+        [0.0, 5.0, 0.0],       # both
+        [0.0, 0.0, 0.0],       # every coefficient: nan
+        [1.0, 0.0, -4.0],
+    ], dtype=complex)
+    got, ref = _quadratic_roots(c), _char_roots(c)
+    np.testing.assert_array_equal(got[1:5], ref[1:5])
+    np.testing.assert_allclose(np.sort_complex(got[[0, 5]]), np.sort_complex(ref[[0, 5]]), rtol=1e-15)
+    assert got[1, 1] == np.inf and got[2, 1] == 0 and np.isnan(got[4]).all()
 
 
 def test_json_round_trip(tmp_path):
