@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help, model=True, tol=False):
         # model=False: the command builds its own chain, so it takes no model options
-        sp = sub.add_parser(name, help=help)
+        sp = sub.add_parser(name, help=help, description=help)
         if model:
             _add_model_args(sp)
         if name in _SIZED:
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="base-energy window for --grid",
     )
 
-    command("gbz", _cmd_gbz, "generalized Brillouin zone curve", tol=True)
+    command("gbz", _cmd_gbz, "GBZ curve, sampled as an N-cell chain (-N) samples it", tol=True)
 
     sp = command("amoeba", _cmd_amoeba, "amoeba raster and hole verdict at one energy")
     sp.add_argument("--energy", required=True, help="test energy, a+bi literal")

@@ -30,12 +30,8 @@ class DegenerateCharPolyError(NHSkinError):
     """Leading/trailing characteristic coefficient vanishes (no finite GBZ)."""
 
 
-class RefinementError(NHSkinError):
-    """Too many GBZ seeds failed to refine onto the modulus-degenerate set."""
-
-
 class SamplingError(NHSkinError):
-    """Too many amoeba samples failed root-finding."""
+    """A sampling plan is empty, or too few of its samples gave a result."""
 
 
 class EPVicinityError(NHSkinError):

@@ -270,9 +270,9 @@ def _quadratic_roots(coeffs: np.ndarray) -> np.ndarray:
     q / a and c / q.  Rows with a vanishing end coefficient go to `_char_roots`,
     which keeps their inf / 0 / nan encoding.  Only the amoeba calls this: its
     ~10^5 rows per energy are where a companion solve is slow, while the 1D
-    callers (`beta_roots`, `gbz_curve`, `topology._windings`) solve a few
-    thousand rows per call, well under 10 ms, and keep the companion solve;
-    the benchmark's `nonbloch.companion_solves` count reads theirs.
+    callers (`beta_roots`, `topology._windings`, `gbz_curve`'s resultant)
+    solve a few thousand rows per call, well under 10 ms, and keep the
+    companion solve; the benchmark's `nonbloch.companion_solves` reads theirs.
     """
     ends = _vanishing(coeffs)[..., [0, -1]].any(axis=-1)
     c, b, a = np.moveaxis(coeffs, -1, 0)

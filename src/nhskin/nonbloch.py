@@ -11,7 +11,7 @@ spectrum.
 
 Both tests read the model's one characteristic polynomial, `char_poly`, whose
 exact exponent span fixes q; `gbz_membership` expands it once, `gbz_curve`
-twice however many seeds it refines.  The 1D roots come from
+twice, the second time for its one `beta_roots` check.  The 1D roots come from
 `model._char_roots` in one batched companion solve, so `beta_roots`
 takes one energy or a 1-D array of energies; the amoeba's quadratics in
 beta_y are solved in closed form by `model._quadratic_roots`.  Either way a
@@ -28,13 +28,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import DegenerateCharPolyError, RefinementError, SamplingError
+from .errors import DegenerateCharPolyError, SamplingError
 from .model import LatticeModel, _char_roots, _quadratic_roots, char_poly
-from .realspace import build
-from .spectral import dense_spectrum
 
-REFINE_TOL = 1e-8  # energy tolerance of each GBZ seed refinement
-MAX_FAILURE_FRACTION = 0.05  # of GBZ seeds left off the zone after refinement
+COPY_TOL = 1e-6  # relative distance within which resultant roots are one multiple root
 MAX_BAD_FRACTION = 0.01  # of amoeba samples with a vanishing leading coefficient
 MIN_HOLE_CELLS = 4  # smallest unreached complement component that is a hole
 
@@ -109,71 +106,77 @@ class GBZSample:
     side: str
 
 
-def _side_of(beta: complex, tol: float) -> str:
-    m = abs(beta)
-    if m < 1 - tol:
-        return "left"
-    if m > 1 + tol:
-        return "right"
-    return "bloch"
+def _f_and_grad(cp, beta, E):
+    """det[E - H(beta)] with its partial derivatives in beta and in E."""
+    j, k = np.arange(cp.coeffs.shape[1]) + cp.lo[0], np.arange(cp.coeffs.shape[0])
+    pw, Ek = beta[..., None] ** j, E[..., None] ** k
+    a, da = pw @ cp.coeffs.T, (pw * j / beta[..., None]) @ cp.coeffs.T  # E-coefficients
+    return (a * Ek).sum(-1), (da * Ek).sum(-1), (a[..., 1:] * k[1:] * Ek[..., :-1]).sum(-1)
 
 
 def gbz_curve(model: LatticeModel, N_seed: int = 400, gbz_tol: float = 1e-6) -> List[GBZSample]:
-    """Generalized-zone samples seeded from a finite-lattice spectrum.
+    """The generalized zone, sampled as an N_seed-cell chain samples it.
 
-    Finite-size eigenvalues sit O(1/N) off the infinite-size curve, so each
-    seed whose residual is not already below gbz_tol / 10 is nudged along
-    the local normal of the spectral curve to the minimum of the
-    modulus-degeneracy residual, to within REFINE_TOL in energy.  Both
-    degenerate-modulus roots are emitted per refined energy; more than
-    MAX_FAILURE_FRACTION of seeds left at or above gbz_tol is an error.
+    Roots beta and beta e^{i theta} of one energy are the zeros of the resultant
+    R(beta) = Res_E[f(beta, .), f(beta e^{i theta}, .)], f = det[E - H(beta)]
+    (Yang et al., PRL 125, 226402 (2020)).  For theta = 2 pi m / (N_seed + 1),
+    m = 1..N_seed, one FFT of 2B x 2B Sylvester determinants on the unit circle
+    gives R's Laurent coefficients; its roots (less those at 0 or inf) take the
+    energy their two polynomials share and one Newton step on the pair.  A root
+    is kept when beta and beta e^{i theta} are the middle-modulus pair at E, to
+    within gbz_tol.  For Hatano-Nelson the energies are the N_seed-site OBC
+    eigenvalues, each once per root of its pair.
     """
-    from scipy.optimize import minimize_scalar
-
+    if N_seed < 1:
+        raise SamplingError(f"the zone needs at least one theta sample, got N_seed = {N_seed}")
     cp = _char_poly_1d(model, "gbz_curve")
-    q = -cp.span(0)[0]
-    seeds = dense_spectrum(build(model, [int(N_seed)], "obc"))
+    (lo, hi), B = cp.span(0), cp.coeffs.shape[0] - 1
+    j = np.arange(lo, hi + 1)
+    theta = 2 * np.pi * np.arange(1, N_seed + 1) / (N_seed + 1)
+    M = 2 * B * (hi - lo) + 1  # R spans the exponents [2B lo, 2B hi]
+    pw = np.exp(2j * np.pi * np.arange(M) / M)[:, None] ** j
+    a = pw @ cp.coeffs.T  # (M, B + 1): the E-coefficients of f(beta, .)
+    # rows of f(beta e^{i theta}, .) less those of f(beta, .): the same
+    # determinant, without cancelling two nearly equal rows at small theta
+    d = (pw * np.expm1(1j * theta[:, None, None] * j)) @ cp.coeffs.T
+    syl = np.zeros((N_seed, M, 2 * B, 2 * B), dtype=complex)
+    for i in range(B):
+        syl[..., i, i : i + B + 1] = a[..., ::-1]
+        syl[..., B + i, i : i + B + 1] = d[..., ::-1]
+    R = np.fft.fft(np.linalg.det(syl), axis=-1)[:, np.arange(2 * B * lo, 2 * B * hi + 1) % M]
+    roots = _char_roots(R)
+    valid = np.isfinite(roots) & (roots != 0)
+    roots = np.where(valid, roots, 1.0)
+    turn = np.broadcast_to(np.exp(1j * theta)[:, None], roots.shape)
 
-    def normal(i: int) -> complex:
-        a = seeds[max(i - 1, 0)]
-        b = seeds[min(i + 1, len(seeds) - 1)]
-        t = b - a
-        if abs(t) < 1e-14:
-            return 1j
-        return 1j * t / abs(t)
+    same = np.abs(roots[..., :, None] - roots[..., None, :]) <= COPY_TOL * np.abs(roots)[..., None]
+    copy = np.tril(same, -1).sum(-1)[..., None]
+    lead = np.take_along_axis(roots, same.argmax(-1), -1)  # the first copy of each root
+    E = np.ones(roots.shape + (B,), dtype=complex)  # the roots of each f(lead, .)
+    E[valid] = _char_roots(lead[valid][:, None] ** j @ cp.coeffs.T)
+    # best shared energy first; the copies of a multiple root take them in turn
+    miss = np.abs(_f_and_grad(cp, (lead * turn)[..., None], E)[0])
+    pick = np.take_along_axis(np.argsort(miss, -1), np.minimum(copy, B - 1), -1)
+    beta, E, turn = roots[valid], np.take_along_axis(E, pick, -1)[valid, 0], turn[valid]
 
-    spacing = np.maximum(np.abs(np.diff(seeds, prepend=seeds[0] - (seeds[1] - seeds[0]))), 1e-6)
-    E_ref = seeds.astype(complex)
-    # the seed batch goes through the public beta_roots so traces count it
-    r_ref = _pair_residual(beta_roots(model, E_ref), q)
-    for i in np.flatnonzero(r_ref >= gbz_tol * 0.1):
-        E0, nhat = E_ref[i], normal(i)
-        h = 2.0 * float(spacing[i])
-        opt = minimize_scalar(
-            lambda t: _pair_residual(_sorted_roots(cp, E0 + t * nhat), q),
-            bounds=(-h, h),
-            method="bounded",
-            options={"xatol": REFINE_TOL},
-        )
-        E_ref[i] = E0 + float(opt.x) * nhat
-        r_ref[i] = opt.fun
-    kept = r_ref < gbz_tol
-    failures = np.flatnonzero(~kept).tolist()
-    if len(failures) > MAX_FAILURE_FRACTION * len(seeds):
-        raise RefinementError(
-            f"{len(failures)}/{len(seeds)} seeds failed GBZ refinement; "
-            f"first failing indices: {failures[:10]}"
-        )
-    return [
-        GBZSample(
-            beta=complex(b),
-            energy=complex(E),
-            modulus_residual=float(r),
-            side=_side_of(b, gbz_tol),
-        )
-        for E, r, roots in zip(E_ref[kept], r_ref[kept], _sorted_roots(cp, E_ref[kept]))
-        for b in roots[q - 1 : q + 1]
-    ]
+    # one Newton step on the pair restores the digits a multiple root loses
+    f1, f1b, f1e = _f_and_grad(cp, beta, E)
+    f2, f2b, f2e = _f_and_grad(cp, beta * turn, E)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = f1b * f2e - f1e * f2b * turn
+        beta, E = beta - (f1 * f2e - f2 * f1e) / det, E - (f2 * f1b - f1 * f2b * turn) / det
+    ok = np.isfinite(beta) & np.isfinite(E)
+    beta, E = beta[ok], E[ok]
+
+    at_E = beta_roots(model, E)  # one batch through the public function, so traces count it
+    residual = _pair_residual(at_E, -lo)
+    kept = (residual < gbz_tol) & (np.abs(np.abs(at_E[:, -lo - 1] / beta) - 1) < gbz_tol)
+    if not kept.any():
+        raise SamplingError(f"no point of the zone on {N_seed} theta samples (a flat band?)")
+    mod = np.abs(beta)
+    side = np.where(mod < 1 - gbz_tol, "left", np.where(mod > 1 + gbz_tol, "right", "bloch"))
+    cols = (beta[kept].tolist(), E[kept].tolist(), residual[kept].tolist(), side[kept].tolist())
+    return [GBZSample(*row) for row in zip(*cols)]
 
 
 # ------------------------------------------------------------------- amoebas

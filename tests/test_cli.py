@@ -48,6 +48,11 @@ def test_computational_failure_exits_one(tmp_path):
     assert "error" in r.stderr.lower()
 
 
+def test_gbz_without_theta_samples_exits_one(tmp_path, capsys):
+    assert main(["gbz", *HN, "-N", "0", "--out", str(tmp_path)]) == 1
+    assert "SamplingError" in capsys.readouterr().err
+
+
 def test_spectrum_outputs_and_determinism(tmp_path):
     args = ["spectrum", "--builtin", "hatano-nelson", "--jl", "0.5", "--jr", "1.0",
             "-N", "40", "--k-samples", "64"]

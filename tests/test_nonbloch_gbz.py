@@ -1,7 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from nhskin.errors import DegenerateCharPolyError
+from nhskin.errors import DegenerateCharPolyError, SamplingError
 from nhskin.model import HoppingTerm, LatticeModel, builtin_hatano_nelson, builtin_nh_ssh
 from nhskin.nonbloch import GBZSample, beta_roots, export_gbz_csv, gbz_curve, gbz_membership
 from nhskin.realspace import OBC, build
@@ -64,7 +67,7 @@ def test_hermitian_curve_is_bloch_circle():
 
 def test_hn_curve_radius_and_side():
     samples = gbz_curve(builtin_hatano_nelson(0.5, 1.0), N_seed=100)
-    assert len(samples) == 200  # two degenerate roots per refined seed
+    assert len(samples) == 200  # both roots of the degenerate pair per theta sample
     mods = np.array([abs(s.beta) for s in samples])
     np.testing.assert_allclose(mods, np.sqrt(2.0), atol=1e-8)
     assert {s.side for s in samples} == {"right"}
@@ -80,24 +83,86 @@ def test_curve_energies_stay_near_obc_spectrum():
     assert max(d) < 0.05
 
 
-def test_refined_seeds_are_kept(monkeypatch):
-    # a next-nearest-neighbour chain with |t_1|^2 |t_-2| = |t_-1|^2 |t_2|, whose
-    # complex t_-2 keeps every finite-size seed off the zone: each one is
-    # refined, and each refinement lands on it
-    import scipy.optimize
+def chain(amplitudes):
+    """One-band chain with the given hoppings at offsets +1, -1, +2, -2."""
+    offsets = (1, -1, 2, -2)
+    return LatticeModel(1, 1, tuple(HoppingTerm((o,), [[a]]) for o, a in zip(offsets, amplitudes)))
 
-    calls = []
-    minimize_scalar = scipy.optimize.minimize_scalar
-    monkeypatch.setattr(scipy.optimize, "minimize_scalar",
-                        lambda *a, **k: calls.append(1) or minimize_scalar(*a, **k))
-    terms = [((1,), 1.0), ((-1,), 0.8), ((2,), 0.3), ((-2,), 0.192 * np.exp(0.7j))]
-    m = LatticeModel(1, 1, tuple(HoppingTerm(off, [[a]]) for off, a in terms))
-    samples = gbz_curve(m, N_seed=50)
-    assert len(calls) == 50
+
+# the next-nearest-neighbour cycles of FLUX_CHAIN carry imaginary flux;
+# COMPLEX_CHAIN has |t_1|^2 |t_-2| = |t_-1|^2 |t_2| and a complex t_-2
+FLUX_CHAIN = chain([0.5, 1.0, 0.2, 0.1])
+COMPLEX_CHAIN = chain([1.0, 0.8, 0.3, 0.192 * np.exp(0.7j)])
+
+
+def test_refined_seeds_are_kept():
+    # every resultant root of this chain lands on the zone after its Newton step
+    samples = gbz_curve(COMPLEX_CHAIN, N_seed=50)
     assert len(samples) == 100
-    assert max(s.modulus_residual for s in samples) < 1e-7
-    seeds = dense_spectrum(build(m, [50], OBC))
-    assert min(np.abs(seeds - s.energy).min() for s in samples) > 0
+    assert max(s.modulus_residual for s in samples) < 1e-10
+
+
+@pytest.mark.parametrize("model", [FLUX_CHAIN, COMPLEX_CHAIN], ids=["flux", "complex"])
+def test_longer_range_chains_give_a_curve_at_every_size(model):
+    for N_seed in (50, 100, 200, 400):
+        samples = gbz_curve(model, N_seed=N_seed)
+        assert len(samples) >= N_seed
+        assert max(s.modulus_residual for s in samples) < 1e-10
+    # the finite chain's spectrum lies within O(1/N) of the curve
+    energies = np.array([s.energy for s in samples])
+    dense = dense_spectrum(build(model, [40], OBC))
+    assert np.abs(dense[:, None] - energies[None, :]).min(axis=1).max() < 0.05
+
+
+def test_hn_energies_are_the_finite_chain_eigenvalues():
+    N, jl, jr = 37, 0.5, 1.0
+    samples = gbz_curve(builtin_hatano_nelson(jl, jr), N_seed=N)
+    exact = 2 * np.sqrt(jl * jr) * np.cos(np.pi * np.arange(1, N + 1) / (N + 1))
+    got = np.sort([s.energy.real for s in samples])
+    np.testing.assert_allclose(got, np.sort(np.repeat(exact, 2)), atol=1e-12)
+    assert max(abs(s.energy.imag) for s in samples) < 1e-12
+
+
+def test_nh_ssh_double_roots_are_polished_and_take_both_energies():
+    # the resultant of this chiral chain is a perfect square; the Newton
+    # step restores the digits its double roots lose, and the two copies of
+    # each take the two energies +E and -E they share
+    samples = gbz_curve(builtin_nh_ssh(0.6, 1.0, 0.2), N_seed=30)
+    assert len(samples) == 120
+    beta = np.array([s.beta for s in samples])
+    energy = np.array([s.energy for s in samples])
+    np.testing.assert_allclose(np.abs(beta), np.sqrt(0.4 / 0.8), rtol=0, atol=1e-10)
+    pairs = np.round(np.stack([beta.real, beta.imag, energy.real], axis=1), 9)
+    assert len(np.unique(pairs, axis=0)) == 120
+    np.testing.assert_allclose(np.sort(energy.real), -np.sort(energy.real)[::-1], atol=1e-12)
+
+
+def test_curve_refuses_an_empty_theta_grid_and_a_flat_band():
+    with pytest.raises(SamplingError):
+        gbz_curve(builtin_hatano_nelson(0.5, 1.0), N_seed=0)
+    # a flat band is shared by f(beta, .) and f(beta e^{i theta}, .) at every
+    # beta, so the resultant vanishes identically
+    flat = LatticeModel(1, 2, (
+        HoppingTerm((0,), [[0.0, 0.0], [0.0, 0.3]]),
+        HoppingTerm((1,), [[0.5, 0.0], [0.0, 0.0]]),
+        HoppingTerm((-1,), [[1.0, 0.0], [0.0, 0.0]]),
+    ))
+    with pytest.raises(SamplingError):
+        gbz_curve(flat, N_seed=20)
+
+
+def test_gbz_command_leaves_scipy_optimize_and_linalg_unloaded(tmp_path):
+    args = ["gbz", "--builtin", "nh-ssh", "--t1", "0.6", "--t2", "1.0", "--gamma", "0.2",
+            "-N", "20", "--out", str(tmp_path)]
+    script = (
+        "import sys\n"
+        "from nhskin.cli import main\n"
+        f"assert main({args!r}) == 0\n"
+        "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False False"
 
 
 def test_nh_ssh_roots_on_spectrum_degenerate():
