@@ -9,7 +9,9 @@ gauge* similarity does: rescaling site n by exp(l_n) with
 l_j - l_i = log(|H_ji|/|H_ij|) / 2 across each two-sided bond makes |H_ij|
 symmetric exactly whenever that bond field is curl-free, which covers every
 open chain.  Eigenvalues are preserved exactly; eigenvectors transform by the
-known diagonal, so nothing is lost undoing the gauge afterwards.
+known diagonal, so nothing is lost undoing the gauge afterwards.  After one
+`H != 0` pass, the gauge, the Hermitian test below and the finiteness check
+cost O(nnz) on the bond list (each nonzero and its transposed entry).
 
 After the gauge an open chain with real (or conjugate-paired) hoppings is
 Hermitian, usually real symmetric, with the same eigenvalues (Yao & Wang,
@@ -43,6 +45,8 @@ from .realspace import RealSpaceOperator
 _EPS = float(np.finfo(float).eps)
 COND_LIMIT = 1.0 / np.sqrt(_EPS)
 TOL_BIORTH = 1e-8
+FLUX_TOL = 1e-9  # largest log-scale mismatch around a cycle that the gauge accepts
+BLOWUP = 4.0  # largest growth of max|H| that the gauge may cause
 
 
 def _as_matrix(op) -> np.ndarray:
@@ -54,7 +58,18 @@ def _as_matrix(op) -> np.ndarray:
     return M
 
 
-def gauge_log_scales(H, flux_tol: float = 1e-9, blowup: float = 4.0) -> np.ndarray:
+def _entries(H):
+    """(i, j, k) over every entry with H_ij or H_ji nonzero, row-major: entry
+    k[e] is entry e's transpose.  A one-sided bond gets its zero partner."""
+    n = H.shape[0]
+    key = np.flatnonzero(H != 0)  # i n + j, sorted; np.union1d would import numpy.ma
+    tkey = key % n * n + key // n
+    key = np.sort(np.concatenate([key, tkey[~np.isin(tkey, key, assume_unique=True)]]))
+    i, j = np.divmod(key, n)
+    return i, j, np.searchsorted(key, j * n + i)
+
+
+def gauge_log_scales(H, entries=None) -> np.ndarray:
     """Per-site log scales that symmetrize |H|, or zeros when impossible.
 
     A spanning forest of the hopping graph fixes l up to a constant per
@@ -62,69 +77,73 @@ def gauge_log_scales(H, flux_tol: float = 1e-9, blowup: float = 4.0) -> np.ndarr
     carry nonzero flux, e.g. rings or 2D lattices with diagonals, in which
     case no exact gauge exists and the identity is returned).  A blow-up
     guard also bails out if scaling would inflate the largest amplitude by
-    more than `blowup`, so one-sided numerics can't get worse than untouched.
+    more than BLOWUP, so one-sided numerics can't get worse than untouched.
+    Works on the bond list in O(nnz); `entries` is `(*_entries(H), values)`
+    when the caller has read them already.
     """
     H = np.asarray(H)
     n = H.shape[0]
-    A = np.abs(H).astype(float)
-    np.fill_diagonal(A, 0.0)
-    if not A.any():
+    i, j, k, h = entries if entries is not None else (*_entries(H), None)
+    a = np.abs(H[i, j] if h is None else h).astype(float)
+    a[i == j] = 0.0
+    on = a > 0
+    if not on.any():
         return np.zeros(n)
-    l = np.zeros(n)
-    seen = np.zeros(n, dtype=bool)
-    sym = A + A.T
-    adj = [np.nonzero(sym[i])[0] for i in range(n)]
+    log_a = np.log(a, out=np.zeros_like(a), where=on)
+    two_sided = on & on[k]
+    # half-log ratio across each edge; a one-way bond carries no constraint
+    half = np.where(two_sided, 0.5 * (log_a[k] - log_a), 0.0)
+    # breadth-first over the row-major (CSR) adjacency
+    start = np.searchsorted(i, np.arange(n + 1)).tolist()
+    nbr, step = j.tolist(), half.tolist()
+    l, seen = [0.0] * n, [False] * n
     for root in range(n):
         if seen[root]:
             continue
-        seen[root] = True
-        queue = deque([root])
+        seen[root], queue = True, deque([root])
         while queue:
-            i = queue.popleft()
-            for j in adj[i]:
-                if seen[j]:
-                    continue
-                if A[i, j] > 0 and A[j, i] > 0:
-                    l[j] = l[i] + 0.5 * (np.log(A[j, i]) - np.log(A[i, j]))
-                else:
-                    l[j] = l[i]  # one-way bond carries no symmetrization constraint
-                seen[j] = True
-                queue.append(j)
-    ii, jj = np.nonzero(A)
-    two_sided = A[jj, ii] > 0
-    dl = l[jj] - l[ii]
-    want = np.where(
-        two_sided,
-        0.5 * (np.log(np.where(two_sided, A[jj, ii], 1.0)) - np.log(A[ii, jj])),
-        dl,
-    )
-    if np.any(np.abs(dl - want) > flux_tol):
+            u = queue.popleft()
+            for e in range(start[u], start[u + 1]):
+                v = nbr[e]
+                if not seen[v]:
+                    l[v], seen[v] = l[u] + step[e], True
+                    queue.append(v)
+    l = np.array(l)
+    dl = l[j] - l[i]
+    if np.any(np.abs(dl[two_sided] - half[two_sided]) > FLUX_TOL):
         return np.zeros(n)
-    scaled_log_max = float(np.max(np.log(A[ii, jj]) + dl))
-    if not np.isfinite(scaled_log_max) or scaled_log_max > np.log(A.max()) + np.log(blowup):
+    scaled_log_max = float(np.max(log_a[on] + dl[on]))
+    if not np.isfinite(scaled_log_max) or scaled_log_max > np.log(a.max()) + np.log(BLOWUP):
         return np.zeros(n)
     return l - l.mean()
 
 
-def _gauged(H):
-    """(H_b = D^-1 H D, per-site scale factors d or None, Hermitian H_b or None).
+def _hermitian_part(hb, k, tol):
+    """Entries of (H_b + H_b^H)/2 from those of H_b, or None if not Hermitian within tol."""
+    hh = hb[k].conj()
+    return None if np.abs(hb - hh).max(initial=0.0) > tol else 0.5 * (hb + hh)
 
-    The third item is the symmetrised H_b, real when its imaginary part is
-    exactly zero, if H_b is Hermitian within the rounding of the gauge, and
-    None otherwise.
-    """
-    l = gauge_log_scales(H)
-    if l.any():
-        d = np.exp(l)
-        Hb = H * (d[None, :] / d[:, None])
-    else:
-        Hb, d = H, None
-    tol = 4 * _EPS * (1 + np.abs(l).max(initial=0.0)) * np.abs(Hb).max(initial=0.0)
-    Hh = Hb.conj().T
-    if np.abs(Hb - Hh).max(initial=0.0) > tol:
-        return Hb, d, None
-    Hh = 0.5 * (Hb + Hh)
-    return Hb, d, (Hh.real if not Hh.imag.any() else Hh)
+
+def _gauged(H):
+    """(M, d, hermitian) for H_b = D^-1 H D, d the per-site scales or None:
+    M is H_b symmetrised if H_b is Hermitian within the rounding of the
+    gauge, else H_b, and real when its imaginary part is exactly zero."""
+    i, j, k = _entries(H)
+    h = H[i, j]
+    if not np.all(np.isfinite(h)):
+        raise EigensolverError("matrix has non-finite entries")
+    l = gauge_log_scales(H, (i, j, k, h))
+    d = np.exp(l) if l.any() else None
+    hb = h if d is None else h * (d[j] / d[i])
+    tol = 4 * _EPS * (1 + np.abs(l).max(initial=0.0)) * np.abs(hb).max(initial=0.0)
+    s = _hermitian_part(hb, k, tol)
+    v = hb if s is None else s
+    if not v.imag.any():
+        v, H = v.real, H.real
+    if s is not None or d is not None:  # the matrix to solve, from its entries
+        H = np.zeros(H.shape, dtype=v.dtype)
+        H[i, j] = v
+    return H, d, s is not None
 
 
 def _gauged_eig(H, vectors: bool = True):
@@ -133,27 +152,23 @@ def _gauged_eig(H, vectors: bool = True):
     goes to eigh (Lb is Vb), everything else to one general eig, each in real
     arithmetic when H_b is real.  Left vectors are scaled to <L_i|R_i> = 1
     where |<L_i|R_i>| > 1e-12 and keep unit norm elsewhere."""
-    if not np.all(np.isfinite(H)):
-        raise EigensolverError("matrix has non-finite entries")
-    Hb, d, Hh = _gauged(H)
-    if not Hb.imag.any():
-        Hb = Hb.real
+    M, d, hermitian = _gauged(H)
     la = np.linalg
     try:
-        if Hh is not None:
-            w, Vb = la.eigh(Hh) if vectors else (la.eigvalsh(Hh), None)
+        if hermitian:
+            w, Vb = la.eigh(M) if vectors else (la.eigvalsh(M), None)
             Lb = Vb
         elif vectors:
             from scipy.linalg import eig
 
-            w, Lb, Vb = eig(Hb, left=True, right=True, check_finite=False)
+            w, Lb, Vb = eig(M, left=True, right=True, check_finite=False)
             ip = np.sum(Lb.conj() * Vb, axis=0)
             Lb = Lb / np.where(np.abs(ip) > 1e-12, ip, 1.0).conj()
         else:
-            w, Vb, Lb = la.eigvals(Hb), None, None
+            w, Vb, Lb = la.eigvals(M), None, None
     except la.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
-    return w, Vb, Lb, d, Hh is not None
+    return w, Vb, Lb, d, hermitian
 
 
 def _conditioning(Vb, hermitian: bool):
@@ -177,6 +192,9 @@ def _distances(a, b) -> np.ndarray:
 
 def _min_pair_gap(w: np.ndarray) -> float:
     """Smallest distance between two eigenvalues; inf for fewer than two."""
+    if not w.imag.any():  # sorted neighbours suffice, by the same formula
+        dx = np.diff(np.sort(w.real))
+        return float(np.sqrt(dx * dx).min(initial=np.inf))
     D = _distances(w, w)
     np.fill_diagonal(D, np.inf)
     return float(D.min(initial=np.inf))
@@ -232,8 +250,10 @@ def eig_biorthogonal(op) -> BiorthogonalSystem:
     """
     w, Vb, Lb, d, hermitian = _gauged_eig(_as_matrix(op))
     order = np.lexsort((w.imag, w.real))
-    w, Vb, Lb = w[order], Vb[:, order], Lb[:, order]
-    residual = float(np.max(np.abs(Lb.conj().T @ Vb - np.eye(len(w)))))
+    w, Vb = w[order], Vb[:, order]
+    # np.conj copies, so the product never takes matmul's Vb^T Vb shortcut
+    Lb = Vb if hermitian else Lb[:, order]
+    residual = float(np.max(np.abs(np.conj(Lb).T @ Vb - np.eye(len(w)))))
     condition = _conditioning(Vb, hermitian)[0]
     scale = d[:, None] if d is not None else 1.0
     R, L = Vb * scale, Lb / scale

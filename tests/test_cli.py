@@ -362,3 +362,24 @@ def test_spectral_commands_leave_scipy_spatial_unloaded(tmp_path):
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "False"
+
+
+def test_gauge_hermitian_chains_leave_scipy_linalg_sparse_and_numpy_ma_unloaded(tmp_path):
+    # the gauge and the Hermitian test read the bond list in numpy and the
+    # solve is numpy's eigh: importing scipy.linalg would cost more than the
+    # whole solve at these sizes, and np.unique (behind np.union1d) imports
+    # numpy.ma, about 1 MB of resident memory
+    runs = [
+        ["spectrum", *HN, "-N", "60", "--out", str(tmp_path / "spectrum")],
+        ["localize", *SSH, "-N", "30", "--out", str(tmp_path / "localize")],
+    ]
+    script = (
+        "import sys\n"
+        "from nhskin.cli import main\n"
+        f"for args in {runs!r}:\n"
+        "    assert main(args) == 0\n"
+        "print([m in sys.modules for m in ('scipy.linalg', 'scipy.sparse', 'numpy.ma')])\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "[False, False, False]"

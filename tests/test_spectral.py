@@ -1,7 +1,10 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 import nhskin.spectral
+from nhskin.errors import EigensolverError
 from nhskin.model import builtin_2d, builtin_hatano_nelson, builtin_nh_ssh
 from nhskin.realspace import OBC, PBC, Coupled, build, from_matrix
 from nhskin.spectral import (
@@ -256,10 +259,216 @@ def test_biorth_residual_is_small_on_both_paths(monkeypatch, model, cells):
     op = build(model, [cells], OBC)
     fast = eig_biorthogonal(op)
     # the same solve with no matrix taken as Hermitian
-    gauged = nhskin.spectral._gauged
-    monkeypatch.setattr(nhskin.spectral, "_gauged", lambda H: gauged(H)[:2] + (None,))
+    monkeypatch.setattr(nhskin.spectral, "_hermitian_part", lambda *args: None)
     general = eig_biorthogonal(op)
     assert (fast.solver, general.solver) == ("eigh", "eig")
     assert fast.biorth_residual < 1e-10
     assert general.biorth_residual < 1e-10
     assert fast.ep_flag == general.ep_flag
+
+
+# The dense n x n gauge, Hermitian test and pair gap that the bond-list code
+# replaced, kept as oracles: the bond-list code must reproduce them bit for bit.
+
+
+def _dense_gauge(H):
+    A = np.abs(H).astype(float)
+    np.fill_diagonal(A, 0.0)
+    n = len(A)
+    if not A.any():
+        return np.zeros(n)
+    l = np.zeros(n)
+    seen = np.zeros(n, dtype=bool)
+    sym = A + A.T
+    adj = [np.nonzero(sym[i])[0] for i in range(n)]
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            i = queue.popleft()
+            for j in adj[i]:
+                if seen[j]:
+                    continue
+                if A[i, j] > 0 and A[j, i] > 0:
+                    l[j] = l[i] + 0.5 * (np.log(A[j, i]) - np.log(A[i, j]))
+                else:
+                    l[j] = l[i]
+                seen[j] = True
+                queue.append(j)
+    ii, jj = np.nonzero(A)
+    two_sided = A[jj, ii] > 0
+    dl = l[jj] - l[ii]
+    want = np.where(
+        two_sided,
+        0.5 * (np.log(np.where(two_sided, A[jj, ii], 1.0)) - np.log(A[ii, jj])),
+        dl,
+    )
+    if np.any(np.abs(dl - want) > nhskin.spectral.FLUX_TOL):
+        return np.zeros(n)
+    scaled_log_max = float(np.max(np.log(A[ii, jj]) + dl))
+    blowup = np.log(A.max()) + np.log(nhskin.spectral.BLOWUP)
+    if not np.isfinite(scaled_log_max) or scaled_log_max > blowup:
+        return np.zeros(n)
+    return l - l.mean()
+
+
+def _dense_gauged(H):
+    """(M, d, hermitian) as `spectral._gauged` returns it, from dense passes."""
+    if not np.all(np.isfinite(H)):
+        raise EigensolverError("matrix has non-finite entries")
+    l = _dense_gauge(H)
+    if l.any():
+        d = np.exp(l)
+        Hb = H * (d[None, :] / d[:, None])
+    else:
+        Hb, d = H, None
+    tol = 4 * np.finfo(float).eps * (1 + np.abs(l).max(initial=0.0)) * np.abs(Hb).max(initial=0.0)
+    Hh = Hb.conj().T
+    if np.abs(Hb - Hh).max(initial=0.0) > tol:
+        return (Hb if Hb.imag.any() else Hb.real), d, False
+    Hh = 0.5 * (Hb + Hh)
+    return (Hh if Hh.imag.any() else Hh.real), d, True
+
+
+def _dense_min_pair_gap(w):
+    w = np.asarray(w, dtype=complex)
+    dx = w.real[:, None] - w.real
+    dy = w.imag[:, None] - w.imag
+    D = np.sqrt(dx * dx + dy * dy)
+    np.fill_diagonal(D, np.inf)
+    return float(D.min(initial=np.inf))
+
+
+def _random_sparse(seed):
+    """A small matrix of one of seven kinds, chosen by the seed."""
+    rng = np.random.default_rng(seed)
+    kind, n = seed % 7, int(rng.integers(1, 14))
+    H = np.zeros((n, n), dtype=complex)
+    if kind == 0:  # random directed bonds, many one-sided, with flux
+        m = rng.random((n, n)) < 0.3
+        H[m] = rng.normal(size=m.sum()) * np.exp(rng.uniform(-3, 3, size=m.sum()))
+    elif kind == 1:  # a random tree of real two-sided bonds: gaugeable
+        for v in range(1, n):
+            u, t = int(rng.integers(0, v)), rng.uniform(0.2, 2) * rng.choice([-1, 1])
+            H[u, v], H[v, u] = t * rng.uniform(0.1, 3), t / rng.uniform(0.1, 3)
+        H[np.diag_indices(n)] = rng.normal(size=n)
+    elif kind == 2:  # a tree of complex hoppings, conjugate up to the gauge
+        for v in range(1, n):
+            u, z = int(rng.integers(0, v)), rng.normal() + 1j * rng.normal()
+            r = np.exp(rng.uniform(-2, 2))
+            H[u, v], H[v, u] = z * r, np.conj(z) / r
+        H[np.diag_indices(n)] = rng.normal(size=n)
+    elif kind == 3:  # an asymmetric ring: net flux unless it is a single bond
+        for v in range(n):
+            w = (v + 1) % n
+            if w != v:
+                H[v, w] += rng.uniform(0.2, 2)
+                H[w, v] += rng.uniform(0.2, 2)
+    elif kind == 4:  # two disconnected chains with some one-sided bonds
+        for v in range(1, n):
+            if v != n // 2:
+                H[v - 1, v] = rng.uniform(0.5, 2)
+                if rng.random() < 0.7:
+                    H[v, v - 1] = rng.uniform(0.5, 2)
+    elif kind == 5:  # diagonal only, real or complex
+        H[np.diag_indices(n)] = rng.normal(size=n) + (1j * rng.normal(size=n) if seed % 2 else 0)
+    else:  # a gaugeable chain plus a one-sided corner entry below the tolerance
+        for v in range(1, n):
+            H[v - 1, v] = rng.uniform(0.5, 2)
+            H[v, v - 1] = 0.25 * H[v - 1, v]
+        if n > 2:
+            H[0, n - 1] = 1e-18
+    return H
+
+
+def _assert_same(a, b):
+    np.testing.assert_array_equal(a, b, strict=True)  # strict: dtypes too
+
+
+def _assert_matches_dense_oracles(monkeypatch, H):
+    """Bond-list and dense paths give bit-identical results; returns the
+    solver taken and whether a gauge was found."""
+    ours = (gauge_log_scales(H), dense_spectrum(H), eig_biorthogonal(H))
+    with monkeypatch.context() as m:
+        m.setattr(nhskin.spectral, "_gauged", _dense_gauged)
+        m.setattr(nhskin.spectral, "_min_pair_gap", _dense_min_pair_gap)
+        oracle = (_dense_gauge(H), dense_spectrum(H), eig_biorthogonal(H))
+        w, Vb, Lb = nhskin.spectral._gauged_eig(H)[:3]
+    # the residual from two reindexed copies of the vectors, as the parent
+    # took it: Lb is Vb on eigh, and Vb^T Vb takes matmul's syrk shortcut,
+    # which rounds differently
+    order = np.lexsort((w.imag, w.real))
+    Vb, Lb = Vb[:, order], Lb[:, order]
+    residual = float(np.max(np.abs(Lb.conj().T @ Vb - np.eye(len(w)))))
+    _assert_same(ours[0], oracle[0])
+    _assert_same(ours[1], oracle[1])
+    sy, ref = ours[2], oracle[2]
+    for field in ("eigenvalues", "right", "left"):
+        _assert_same(getattr(sy, field), getattr(ref, field))
+    for field in ("solver", "biorth_residual", "min_pair_gap", "condition", "ep_flag"):
+        assert getattr(sy, field) == getattr(ref, field), field
+    assert sy.biorth_residual == residual
+    return sy.solver, ours[0].any()
+
+
+def test_bond_list_matches_dense_oracles_on_random_sparse_matrices(monkeypatch):
+    seen = []
+    for seed in range(420):
+        seen.append(_assert_matches_dense_oracles(monkeypatch, _random_sparse(seed)))
+    solvers = [solver for solver, _ in seen]
+    # both solver paths, and gauged and ungauged matrices, are well covered
+    assert min(solvers.count("eigh"), solvers.count("eig")) > 100
+    assert 100 < sum(gauged for _, gauged in seen) < 320
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        build(builtin_hatano_nelson(0.3, 1.0), [423], OBC),
+        build(builtin_hatano_nelson(0.0, 1.0), [10], OBC),
+        build(builtin_nh_ssh(0.6, 1.0, 0.2), [195], OBC),
+        build(builtin_nh_ssh(0.3, 1.0, 0.1), [100], OBC),
+        build(builtin_2d(0.5, 1.0, 0.2), [12, 12], OBC),
+        build(builtin_hatano_nelson(0.5, 1.0), [40], PBC),
+        build(builtin_hatano_nelson(0.5, 1.0), [40], Coupled(1e-3)),
+    ],
+    ids=["hn423", "jordan-block", "nh-ssh195", "nh-ssh-zero-pair", "asym2d-12x12", "hn-ring",
+         "coupled-ring"],
+)
+def test_bond_list_matches_dense_oracles_on_models(monkeypatch, op):
+    _assert_matches_dense_oracles(monkeypatch, op.matrix)
+
+
+def test_one_sided_entry_below_tolerance_is_mirrored_exactly():
+    # a Hermitian chain with complex hoppings and one corner entry without a
+    # partner, far below 4 eps max|H|: it is taken as Hermitian, and the
+    # matrix handed to eigh is (H + H^H)/2 to the bit
+    H = np.zeros((6, 6), dtype=complex)
+    for v in range(1, 6):
+        H[v - 1, v], H[v, v - 1] = 1j, -1j
+    H[0, 5] = 1e-18 + 2e-18j
+    M, d, hermitian = nhskin.spectral._gauged(H)
+    assert hermitian and d is None
+    _assert_same(M, 0.5 * (H + H.conj().T))
+    assert M[0, 5] == np.conj(M[5, 0]) == 0.5 * H[0, 5]
+    assert eig_biorthogonal(from_matrix(H)).solver == "eigh"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+@pytest.mark.parametrize("where", [(2, 2), (1, 3)], ids=["diagonal", "one-sided"])
+def test_non_finite_entries_raise(value, where):
+    H = build(builtin_hatano_nelson(0.5, 1.0), [6], OBC).matrix.copy()
+    H[where] = value
+    for solve in (dense_spectrum, eig_biorthogonal, ep_diagnostic):
+        with pytest.raises(EigensolverError, match="non-finite"):
+            solve(H)
+
+
+def test_min_pair_gap_of_an_exactly_repeated_zero_pair():
+    # this nh-ssh chain's zero modes come out of eigh as one value twice
+    sy = eig_biorthogonal(build(builtin_nh_ssh(0.3, 1.0, 0.1), [100], OBC))
+    assert sy.solver == "eigh"
+    assert np.unique(sy.eigenvalues).size == sy.n - 1
+    assert sy.min_pair_gap == _dense_min_pair_gap(sy.eigenvalues) == 0.0
