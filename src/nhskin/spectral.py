@@ -9,9 +9,10 @@ gauge* similarity does: rescaling site n by exp(l_n) with
 l_j - l_i = log(|H_ji|/|H_ij|) / 2 across each two-sided bond makes |H_ij|
 symmetric exactly whenever that bond field is curl-free, which covers every
 open chain.  Eigenvalues are preserved exactly; eigenvectors transform by the
-known diagonal, so nothing is lost undoing the gauge afterwards.  After one
-`H != 0` pass, the gauge, the Hermitian test below and the finiteness check
-cost O(nnz) on the bond list (each nonzero and its transposed entry).
+known diagonal, so nothing is lost undoing the gauge afterwards.  The gauge
+and the solve each read the nonzeros in one `H != 0` pass; past that, the
+gauge, the Hermitian test below and the finiteness check cost O(nnz) on the
+bond list (each nonzero and its transposed entry).
 
 After the gauge an open chain with real (or conjugate-paired) hoppings is
 Hermitian, usually real symmetric, with the same eigenvalues (Yao & Wang,
@@ -69,7 +70,7 @@ def _entries(H):
     return i, j, np.searchsorted(key, j * n + i)
 
 
-def gauge_log_scales(H, entries=None) -> np.ndarray:
+def gauge_log_scales(H) -> np.ndarray:
     """Per-site log scales that symmetrize |H|, or zeros when impossible.
 
     A spanning forest of the hopping graph fixes l up to a constant per
@@ -78,13 +79,12 @@ def gauge_log_scales(H, entries=None) -> np.ndarray:
     case no exact gauge exists and the identity is returned).  A blow-up
     guard also bails out if scaling would inflate the largest amplitude by
     more than BLOWUP, so one-sided numerics can't get worse than untouched.
-    Works on the bond list in O(nnz); `entries` is `(*_entries(H), values)`
-    when the caller has read them already.
+    Works on the bond list, in O(nnz) after one `H != 0` pass.
     """
     H = np.asarray(H)
     n = H.shape[0]
-    i, j, k, h = entries if entries is not None else (*_entries(H), None)
-    a = np.abs(H[i, j] if h is None else h).astype(float)
+    i, j, k = _entries(H)
+    a = np.abs(H[i, j]).astype(float)
     a[i == j] = 0.0
     on = a > 0
     if not on.any():
@@ -132,7 +132,7 @@ def _gauged(H):
     h = H[i, j]
     if not np.all(np.isfinite(h)):
         raise EigensolverError("matrix has non-finite entries")
-    l = gauge_log_scales(H, (i, j, k, h))
+    l = gauge_log_scales(H)
     d = np.exp(l) if l.any() else None
     hb = h if d is None else h * (d[j] / d[i])
     tol = 4 * _EPS * (1 + np.abs(l).max(initial=0.0)) * np.abs(hb).max(initial=0.0)
