@@ -92,6 +92,13 @@ def _run(args) -> int:
         args.eps_count >= 1 and 0 < args.eps_min <= args.eps_max < math.inf
     ):
         args.parser.error("crossover needs --eps-count >= 1 and 0 < --eps-min <= --eps-max < inf")
+    if args.command == "funnel" and not (
+        0 < args.dt < math.inf
+        and 0 <= args.tmax < math.inf
+        and math.isfinite(args.jl)
+        and math.isfinite(args.jr)
+    ):
+        args.parser.error("funnel needs finite --jl and --jr, 0 < --dt < inf and 0 <= --tmax < inf")
     # complex literals stay strings in args, so the manifest echoes them as typed
     literals = [getattr(args, k) for k in ("base", "energy", "target") if hasattr(args, k)]
     try:

@@ -106,13 +106,15 @@ def time_evolve(
     """Propagate psi under exp(-i H dt) steps with per-step renormalization.
 
     Non-Hermitian norms can grow by e^{||H|| t}; renormalizing each step and
-    logging the factor keeps every intermediate finite.  A single matrix
-    exponential is reused for all steps, valid because dt is constant;
-    dt ||H|| < 0.5 is enforced so one step never crosses an appreciable
-    fraction of the spectrum.
+    logging the factor keeps every intermediate finite.  One propagator U
+    serves every step, since dt is constant: the Taylor series of
+    exp(-i H dt) through the 16th power, summed by Horner.  The guard
+    dt ||H||_2 < 0.5 keeps one step from crossing an appreciable fraction
+    of the spectrum, and it also bounds the dropped remainder by
+    0.5^17 / 17! ~ 2e-20 relative, far below double precision.
     """
-    from scipy.linalg import expm
-
+    if not (0 < dt < np.inf and 0 <= t_max < np.inf):
+        raise ValueError(f"need finite dt > 0 and t_max >= 0, got dt={dt}, t_max={t_max}")
     H = op.matrix
     hnorm = np.linalg.norm(H, 2)
     if dt * hnorm >= 0.5:
@@ -128,7 +130,11 @@ def time_evolve(
     psi /= nrm
 
     n_steps = int(round(t_max / dt))
-    U = expm(-1j * H * dt)
+    A = -1j * dt * H
+    eye = np.eye(op.n)
+    U = eye
+    for m in range(16, 0, -1):
+        U = eye + (A @ U) / m
     states = np.zeros((n_steps + 1, op.n), dtype=complex)
     logg = np.zeros(n_steps + 1)
     states[0] = psi

@@ -243,6 +243,16 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         ["winding", *HN, "--base", "1+"],
         ["amoeba", *ASYM2D, *SMALL_AMOEBA, "--energy", "x"],
         ["reciprocity", *HN, "-N", "8", "--omegas", "3", "zz"],
+        ["funnel", "--half", "6", "--dt", "0"],
+        ["funnel", "--half", "6", "--dt", "-0.05"],
+        ["funnel", "--half", "6", "--dt", "nan"],
+        ["funnel", "--half", "6", "--dt", "inf"],
+        ["funnel", "--half", "6", "--tmax", "-1"],
+        ["funnel", "--half", "6", "--tmax", "nan"],
+        ["funnel", "--half", "6", "--tmax", "inf"],
+        ["funnel", "--half", "6", "--jl", "nan"],
+        ["funnel", "--half", "6", "--jl", "-inf"],
+        ["funnel", "--half", "6", "--jr", "inf"],
     ],
     ids=[
         "funnel-N",
@@ -279,6 +289,16 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         "winding-base-malformed",
         "amoeba-energy-malformed",
         "reciprocity-omegas-malformed",
+        "funnel-dt0",
+        "funnel-dt-negative",
+        "funnel-dt-nan",
+        "funnel-dt-inf",
+        "funnel-tmax-negative",
+        "funnel-tmax-nan",
+        "funnel-tmax-inf",
+        "funnel-jl-nan",
+        "funnel-jl-inf",
+        "funnel-jr-inf",
     ],
 )
 def test_undeclared_options_are_usage_errors(tmp_path, args):
@@ -383,3 +403,25 @@ def test_gauge_hermitian_chains_leave_scipy_linalg_sparse_and_numpy_ma_unloaded(
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "[False, False, False]"
+
+
+def test_boundary_response_commands_leave_scipy_linalg_unloaded(tmp_path):
+    # funnel's propagator is a numpy Taylor polynomial, crossover and sensor
+    # need eigenvalues only and reciprocity inverts in numpy: importing
+    # scipy.linalg would cost more than any of these jobs
+    runs = [
+        ["funnel", "--half", "6", "--tmax", "2", "--out", str(tmp_path / "funnel")],
+        ["crossover", *HN, "-N", "12", "--eps-count", "3", "--out", str(tmp_path / "crossover")],
+        ["sensor", *SSH, "-N", "10", "12", "--out", str(tmp_path / "sensor")],
+        ["reciprocity", *HN, "-N", "8", "--out", str(tmp_path / "reciprocity")],
+    ]
+    script = (
+        "import sys\n"
+        "from nhskin.cli import main\n"
+        f"for args in {runs!r}:\n"
+        "    assert main(args) == 0\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"

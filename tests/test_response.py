@@ -3,7 +3,7 @@ import pytest
 
 from nhskin.errors import AmbiguousTargetError, SingularProbeError, StepSizeError
 from nhskin.model import HoppingTerm, LatticeModel, builtin_hatano_nelson, builtin_nh_ssh
-from nhskin.realspace import OBC, PBC, build, from_matrix
+from nhskin.realspace import OBC, PBC, Coupled, build, from_matrix
 from nhskin.response import (
     amplification_log_ratio,
     boundary_crossover,
@@ -94,10 +94,61 @@ def test_hermitian_evolution_is_norm_preserving():
     np.testing.assert_allclose(np.linalg.norm(traj.states, axis=1), 1.0, atol=1e-12)
 
 
+def _expm_steps(H, psi0, t_max, dt):
+    """Reference for `time_evolve`: the same renormalized stepping, with the
+    propagator from scipy's scaling-and-squaring Pade `expm`."""
+    from scipy.linalg import expm
+
+    U = expm(-1j * H * dt)
+    psi = psi0 / np.linalg.norm(psi0)
+    states, logg = [psi], [0.0]
+    for _ in range(int(round(t_max / dt))):
+        psi = U @ psi
+        nrm = np.linalg.norm(psi)
+        psi = psi / nrm
+        states.append(psi)
+        logg.append(logg[-1] + np.log(nrm))
+    return np.array(states), np.array(logg)
+
+
+def _oracle_cases():
+    for jl in (0.3, 0.45, 0.5, 1.5):
+        for dt in (0.05, 0.1):
+            yield funnel_model(jl, 1.0, 30), 5, 40.0, dt
+    yield build(builtin_nh_ssh(0.6, 1.0, 0.3), [20], OBC), 0, 10.0, 0.1
+    yield build(builtin_hatano_nelson(0.5, 1.0), [40], Coupled(1e-3)), 3, 10.0, 0.1
+    rng = np.random.default_rng(14)
+    for _ in range(120):
+        n = int(rng.integers(1, 25))
+        H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        dt = rng.uniform(0.01, 0.499) / np.linalg.norm(H, 2)
+        yield from_matrix(H), int(rng.integers(n)), 20 * dt, dt
+
+
+def test_taylor_propagator_matches_expm_stepping():
+    for op, site, t_max, dt in _oracle_cases():
+        psi0 = np.zeros(op.n, complex)
+        psi0[site] = 1.0
+        traj = time_evolve(op, psi0, t_max, dt)
+        states, logg = _expm_steps(op.matrix, psi0, t_max, dt)
+        assert np.abs(traj.states - states).max() < 1e-12
+        assert np.abs(traj.log_growth - logg).max() < 1e-12
+
+
 def test_step_size_guard():
     op = build(builtin_hatano_nelson(1.0, 1.0), [10], OBC)
     with pytest.raises(StepSizeError):
         time_evolve(op, np.ones(10, complex), 1.0, 0.3)
+
+
+@pytest.mark.parametrize(
+    "t_max, dt",
+    [(1.0, 0.0), (1.0, -0.05), (1.0, np.nan), (1.0, np.inf), (-1.0, 0.05), (np.inf, 0.05), (np.nan, 0.05)],
+)
+def test_time_evolve_refuses_bad_steps(t_max, dt):
+    op = build(builtin_hatano_nelson(1.0, 1.0), [10], OBC)
+    with pytest.raises(ValueError):
+        time_evolve(op, np.ones(10, complex), t_max, dt)
 
 
 def test_funnel_model_shape_and_interface():
