@@ -131,8 +131,7 @@ def time_evolve(
 
     n_steps = int(round(t_max / dt))
     A = -1j * dt * H
-    eye = np.eye(op.n)
-    U = eye
+    U = eye = np.eye(op.n)
     for m in range(16, 0, -1):
         U = eye + (A @ U) / m
     states = np.zeros((n_steps + 1, op.n), dtype=complex)

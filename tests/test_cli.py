@@ -251,7 +251,7 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         ["funnel", "--half", "6", "--tmax", "nan"],
         ["funnel", "--half", "6", "--tmax", "inf"],
         ["funnel", "--half", "6", "--jl", "nan"],
-        ["funnel", "--half", "6", "--jl", "-inf"],
+        ["funnel", "--half", "6", "--jl=-inf"],
         ["funnel", "--half", "6", "--jr", "inf"],
     ],
     ids=[

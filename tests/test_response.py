@@ -143,7 +143,15 @@ def test_step_size_guard():
 
 @pytest.mark.parametrize(
     "t_max, dt",
-    [(1.0, 0.0), (1.0, -0.05), (1.0, np.nan), (1.0, np.inf), (-1.0, 0.05), (np.inf, 0.05), (np.nan, 0.05)],
+    [
+        (1.0, 0.0),
+        (1.0, -0.05),
+        (1.0, np.nan),
+        (1.0, np.inf),
+        (-1.0, 0.05),
+        (np.inf, 0.05),
+        (np.nan, 0.05),
+    ],
 )
 def test_time_evolve_refuses_bad_steps(t_max, dt):
     op = build(builtin_hatano_nelson(1.0, 1.0), [10], OBC)
