@@ -1,8 +1,7 @@
 """Non-Hermitian skin-effect toolkit.
 
-Submodules load lazily: the CLI reads NHSKIN_THREADS and sets the BLAS
-thread environment before anything imports numpy, so the package root must
-stay import-light.
+Submodules load lazily, so that each command of the CLI loads only the
+modules it runs and the package root stays import-light.
 """
 
 from importlib import import_module

@@ -12,8 +12,10 @@ creates --out, calls only the writers whose file extension is one of the
 --format entries (work a writer defers is skipped with it), writes the
 manifest and prints the summary.
 
-NHSKIN_THREADS caps BLAS worker threads; it must take effect before numpy
-loads, which is why all numeric imports live inside functions.
+`build_parser` alone knows what each option accepts and defaults to: its
+`type=` checkers refuse a value outside an option's domain as a usage
+error, before anything runs.  Numeric imports live inside functions so
+that each command loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -34,20 +36,41 @@ _BUILTINS = {
     "asym2d": ("builtin_2d", ("jl", "jr", "tp")),
 }
 _ONE_D = {"spectrum", "localize", "reciprocity"}  # commands that refuse 2D models
-_SIZED = {"spectrum", "gbz", "localize", "sensor", "crossover", "reciprocity"}  # read -N
 
 
-def _apply_thread_cap() -> None:
-    val = os.environ.get("NHSKIN_THREADS")
-    if not val:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, val)
+def _checked(parse, ok, what):
+    """An argparse `type=`: the value `parse` makes of the text, refused as a
+    usage error unless `ok`."""
+
+    def check(text):
+        try:
+            if ok(value := parse(text)):
+                return value
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+    return check
+
+
+def _finite_literal(text):
+    from .io import parse_complex
+
+    return cmath.isfinite(parse_complex(text))
+
+
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_POSITIVE = _checked(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+_NONNEGATIVE = _checked(float, lambda x: 0 <= x < math.inf, "a finite number >= 0")
+_COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_NATURAL = _checked(int, lambda n: n >= 0, "an integer >= 0")
+# kept as typed, so the manifest echoes the literal
+_LITERAL = _checked(str, _finite_literal, "a finite a+bi literal")
+_FORMATS = _checked(
+    lambda text: ",".join(f.strip() for f in text.split(",")),
+    lambda text: set(text.split(",")) <= {"csv", "svg", "pgm"},
+    "comma-separated entries from csv, svg and pgm",
+)
 
 
 def _add_model_args(sp: argparse.ArgumentParser) -> None:
@@ -83,43 +106,16 @@ def _resolve_model(args):
 def _run(args) -> int:
     """Usage errors found here go through `args.parser`, the subcommand's own
     parser, so stderr shows that command's usage line."""
-    from .io import parse_complex, write_manifest
+    from .io import write_manifest
 
-    formats = {f.strip() for f in args.format.split(",")}
-    if not formats <= {"csv", "svg", "pgm"}:
-        args.parser.error(f"--format entries must be csv, svg or pgm, got {args.format!r}")
-    if args.command == "crossover" and not (
-        args.eps_count >= 1 and 0 < args.eps_min <= args.eps_max < math.inf
-    ):
-        args.parser.error("crossover needs --eps-count >= 1 and 0 < --eps-min <= --eps-max < inf")
-    if args.command == "funnel" and not (
-        0 < args.dt < math.inf
-        and 0 <= args.tmax < math.inf
-        and math.isfinite(args.jl)
-        and math.isfinite(args.jr)
-    ):
-        args.parser.error("funnel needs finite --jl and --jr, 0 < --dt < inf and 0 <= --tmax < inf")
-    # complex literals stay strings in args, so the manifest echoes them as typed
-    literals = [getattr(args, k) for k in ("base", "energy", "target") if hasattr(args, k)]
-    try:
-        values = [parse_complex(z) for z in literals + getattr(args, "omegas", [])]
-    except ValueError as exc:
-        args.parser.error(str(exc))
-    values += getattr(args, "window", [])
-    if not all(map(cmath.isfinite, values)):
-        args.parser.error("complex options and --window entries must be finite")
-    if getattr(args, "grid", 0) < 0:
-        args.parser.error("winding needs --grid >= 0")
-    if getattr(args, "tol", None) is not None and not 0 < args.tol < math.inf:
-        args.parser.error("--tol must be finite and > 0")
-    if args.command == "amoeba" and min(args.resolution, args.phases) < 1:
-        args.parser.error("amoeba needs --resolution >= 1 and --phases >= 1")
+    if getattr(args, "eps_min", 0) > getattr(args, "eps_max", 0):
+        args.parser.error("crossover needs --eps-min <= --eps-max")
     # only funnel, which builds its own chain, declares no model options
     model = _resolve_model(args) if hasattr(args, "builtin") else None
     artifacts, summary = args.func(args, model)
     os.makedirs(args.out, exist_ok=True)
     for name, write in artifacts:
-        if name.rsplit(".", 1)[1] in formats:
+        if name.rsplit(".", 1)[1] in args.format.split(","):
             write(os.path.join(args.out, name))
     config = {
         k: v
@@ -150,10 +146,9 @@ def _cmd_spectrum(args, model):
     from .realspace import build
     from .spectral import eig_biorthogonal, export_spectrum_csv
 
-    N = (args.sizes or [100])[0]
     ks = np.linspace(0.0, 2 * np.pi, args.k_samples, endpoint=False)
     bands = np.sort(np.linalg.eigvals(bloch_samples(model, ks)), axis=1)
-    system = eig_biorthogonal(build(model, [N], "obc"))
+    system = eig_biorthogonal(build(model, [args.sizes], "obc"))
     ev = system.eigenvalues
     header = ["k"] + [f"{part}_e{b}" for b in range(bands.shape[1]) for part in ("re", "im")]
     columns = [ks] + [x for z in bands.T for x in (z.real, z.imag)]
@@ -178,8 +173,7 @@ def _cmd_winding(args, model):
     from .topology import predict_skin_side, winding_map, winding_number
 
     base = parse_complex(args.base)
-    gap_tol = args.tol or 1e-6
-    res = winding_number(model, base, gap_tol=gap_tol)
+    res = winding_number(model, base, gap_tol=args.tol)
     raw = res.raw_integral
     row = (base.real, base.imag, res.w, float(raw.real), float(raw.imag), res.root_margin)
     header = ["re_base", "im_base", "w", "re_raw", "im_raw", "root_margin"]
@@ -188,7 +182,7 @@ def _cmd_winding(args, model):
     summary = [f"w = {res.w}", f"skin side: {side if side else 'none'}"]
     if args.grid:
         w = args.window
-        rows = winding_map(model, (w[0], w[1]), (w[2], w[3]), resolution=args.grid, gap_tol=gap_tol)
+        rows = winding_map(model, w[:2], w[2:], resolution=args.grid, gap_tol=args.tol)
         artifacts.append(("winding_map.csv", _csv(["re_base", "im_base", "w"], list(zip(*rows)))))
         blank = sum(r[2] == "" for r in rows)
         summary.append(f"map: {len(rows)} points, {blank} blank (gap closed)")
@@ -201,8 +195,7 @@ def _cmd_gbz(args, model):
     from .io import write_svg_scatter
     from .nonbloch import export_gbz_csv, gbz_curve
 
-    tol = args.tol or 1e-6
-    samples = gbz_curve(model, N_seed=(args.sizes or [400])[0], gbz_tol=tol)
+    samples = gbz_curve(model, N_seed=args.sizes, gbz_tol=args.tol)
 
     def gbz_svg(path):
         groups = []
@@ -253,7 +246,7 @@ def _cmd_localize(args, model):
     from .realspace import build
     from .spectral import eig_biorthogonal
 
-    op = build(model, [(args.sizes or [40])[0]], "obc")
+    op = build(model, [args.sizes], "obc")
     system = eig_biorthogonal(op)
     classes = classify_spectrum(system, op)
     ev = system.eigenvalues
@@ -327,8 +320,7 @@ def _cmd_sensor(args, model):
     from .io import parse_complex
     from .response import sensor_sweep
 
-    sizes = args.sizes or [10, 14, 18, 22]
-    rows = sensor_sweep(model, args.epsilon, sizes, target=parse_complex(args.target))
+    rows = sensor_sweep(model, args.epsilon, args.sizes, target=parse_complex(args.target))
     summary = []
     ns = np.array([r["N"] for r in rows], dtype=float)
     des = np.array([max(r["delta_E"], 1e-300) for r in rows])
@@ -345,9 +337,8 @@ def _cmd_crossover(args, model):
 
     from .response import boundary_crossover
 
-    N = (args.sizes or [40])[0]
     epsilons = np.logspace(np.log10(args.eps_min), np.log10(args.eps_max), args.eps_count)
-    rows = boundary_crossover(model, N, epsilons)
+    rows = boundary_crossover(model, args.sizes, epsilons)
     columns = [[r[key] for r in rows] for key in ("epsilon", "distance", "max_imag")]
     final = rows[-1]["distance"]
     eps_star = next((r["epsilon"] for r in rows if r["distance"] >= 0.5 * final), None)
@@ -362,9 +353,9 @@ def _cmd_reciprocity(args, model):
     from .realspace import build
     from .response import reciprocity_test
 
-    op = build(model, [(args.sizes or [20])[0]], "obc")
+    op = build(model, [args.sizes], "obc")
     omegas = [parse_complex(w) for w in args.omegas]
-    rows = reciprocity_test(op, omegas, tol=args.tol or 1e-10)
+    rows = reciprocity_test(op, omegas, tol=args.tol)
     header = ["re_omega", "im_omega", "asymmetry", "reciprocal"]
     columns = [[r["omega"].real for r in rows], [r["omega"].imag for r in rows]]
     columns += [[r[key] for r in rows] for key in ("asymmetry", "reciprocal")]
@@ -386,91 +377,86 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True, metavar="command")
 
-    def command(name, func, help, model=True, tol=False):
-        # model=False: the command builds its own chain, so it takes no model options
+    def command(name, func, help, model=True, sizes=None, tol=None):
+        # model=False: funnel builds its own chain; sizes, tol: -N and --tol defaults
         sp = sub.add_parser(name, help=help, description=help)
         if model:
             _add_model_args(sp)
-        if name in _SIZED:
-            sp.add_argument(
-                "-N",
-                "--sizes",
-                type=int,
-                nargs="+",
-                help="lattice size(s); meaning is per-command (see each command's help)",
-            )
+        if sizes is not None:
+            nargs = "+" if isinstance(sizes, list) else None
+            about = "lattice size(s), meaning per command (default: %(default)s)"
+            sp.add_argument("-N", "--sizes", type=int, nargs=nargs, default=sizes, help=about)
         sp.add_argument("--out", default="nhskin_out", help="output directory")
         sp.add_argument(
             "--format",
+            type=_FORMATS,
             default="csv,svg,pgm",
             help="comma-separated artifact formats to write: csv, svg, pgm",
         )
-        if tol:
+        if tol is not None:
             sp.add_argument(
-                "--tol", type=float, default=None, help="override the command's tolerance"
+                "--tol", type=_POSITIVE, default=tol, help="tolerance (default: %(default)s)"
             )
         sp.set_defaults(func=func, parser=sp)
         return sp
 
-    sp = command("spectrum", _cmd_spectrum, "PBC bands vs OBC spectrum")
-    sp.add_argument("--k-samples", type=int, default=512, help="Bloch sampling resolution")
+    sp = command("spectrum", _cmd_spectrum, "PBC bands vs OBC spectrum", sizes=100)
+    sp.add_argument("--k-samples", type=_COUNT, default=512, help="Bloch sampling resolution")
 
-    sp = command("winding", _cmd_winding, "spectral winding number around a base energy", tol=True)
-    sp.add_argument("--base", default="0+0i", help="base energy, a+bi literal")
-    sp.add_argument("--grid", type=int, default=0, help="also map w on an n x n base grid")
+    sp = command("winding", _cmd_winding, "spectral winding number around a base energy", tol=1e-6)
+    sp.add_argument("--base", type=_LITERAL, default="0+0i", help="base energy, a+bi literal")
+    sp.add_argument("--grid", type=_NATURAL, default=0, help="also map w on an n x n base grid")
     sp.add_argument(
         "--window",
-        type=float,
+        type=_FINITE,
         nargs=4,
         default=[-2.0, 2.0, -2.0, 2.0],
         metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),
         help="base-energy window for --grid",
     )
 
-    command("gbz", _cmd_gbz, "GBZ curve, sampled as an N-cell chain (-N) samples it", tol=True)
+    about = "GBZ curve, sampled as an N-cell chain (-N) samples it"
+    command("gbz", _cmd_gbz, about, sizes=400, tol=1e-6)
 
     sp = command("amoeba", _cmd_amoeba, "amoeba raster and hole verdict at one energy")
-    sp.add_argument("--energy", required=True, help="test energy, a+bi literal")
-    sp.add_argument("--resolution", type=int, default=300, help="raster cells per axis")
-    sp.add_argument("--phases", type=int, default=600, help="phase samples per column")
+    sp.add_argument("--energy", type=_LITERAL, required=True, help="test energy, a+bi literal")
+    sp.add_argument("--resolution", type=_COUNT, default=300, help="raster cells per axis")
+    sp.add_argument("--phases", type=_COUNT, default=600, help="phase samples per column")
     sp.add_argument(
         "--window",
-        type=float,
+        type=_FINITE,
         nargs=4,
         default=[-3.0, 3.0, -3.0, 3.0],
         metavar=("X_MIN", "X_MAX", "Y_MIN", "Y_MAX"),
         help="log-modulus window",
     )
 
-    command("localize", _cmd_localize, "classify eigenstates: skin / topological / bulk")
+    command("localize", _cmd_localize, "classify eigenstates: skin / topological / bulk", sizes=40)
 
     sp = command(
         "funnel", _cmd_funnel, "wave-packet evolution on a two-half funnel chain", model=False
     )
-    sp.add_argument("--jl", type=float, default=0.5, help="left-half forward hopping")
-    sp.add_argument("--jr", type=float, default=1.0, help="left-half backward hopping")
+    sp.add_argument("--jl", type=_FINITE, default=0.5, help="left-half forward hopping")
+    sp.add_argument("--jr", type=_FINITE, default=1.0, help="left-half backward hopping")
     sp.add_argument("--half", type=int, default=30, help="sites per half")
     sp.add_argument("--site", type=int, default=5, help="initial delta-pulse site")
-    sp.add_argument("--tmax", type=float, default=40.0, help="total evolution time")
-    sp.add_argument("--dt", type=float, default=0.05, help="time step")
+    sp.add_argument("--tmax", type=_NONNEGATIVE, default=40.0, help="total evolution time")
+    sp.add_argument("--dt", type=_POSITIVE, default=0.05, help="time step")
 
-    sp = command("sensor", _cmd_sensor, "boundary-coupling eigenvalue shift vs size")
-    sp.add_argument("--epsilon", type=float, default=1e-4, help="boundary coupling")
-    sp.add_argument("--target", default="0+0i", help="tracked reference energy, a+bi literal")
+    about = "boundary-coupling eigenvalue shift vs size"
+    sp = command("sensor", _cmd_sensor, about, sizes=[10, 14, 18, 22])
+    sp.add_argument("--epsilon", type=_FINITE, default=1e-4, help="boundary coupling")
+    sp.add_argument("--target", type=_LITERAL, default="0+0i", help="tracked energy, a+bi literal")
 
-    sp = command("crossover", _cmd_crossover, "OBC-to-PBC spectral migration vs coupling")
-    sp.add_argument("--eps-min", type=float, default=1e-16, help="smallest coupling")
-    sp.add_argument("--eps-max", type=float, default=1.0, help="largest coupling")
-    sp.add_argument("--eps-count", type=int, default=25, help="number of log-spaced couplings")
+    sp = command("crossover", _cmd_crossover, "OBC-to-PBC spectral migration vs coupling", sizes=40)
+    sp.add_argument("--eps-min", type=_POSITIVE, default=1e-16, help="smallest coupling")
+    sp.add_argument("--eps-max", type=_POSITIVE, default=1.0, help="largest coupling")
+    sp.add_argument("--eps-count", type=_COUNT, default=25, help="number of log-spaced couplings")
 
-    sp = command(
-        "reciprocity", _cmd_reciprocity, "susceptibility symmetry test |chi| vs |chi|^T", tol=True
-    )
+    about = "susceptibility symmetry test |chi| vs |chi|^T"
+    sp = command("reciprocity", _cmd_reciprocity, about, sizes=20, tol=1e-10)
     sp.add_argument(
-        "--omegas",
-        nargs="+",
-        default=["3", "2+1i"],
-        help="probe frequencies, a+bi literals",
+        "--omegas", type=_LITERAL, nargs="+", default=["3", "2+1i"], help="probe frequencies, a+bi"
     )
 
     return p
@@ -487,7 +473,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _parser().parse_args(argv)
     try:
         return _run(args)

@@ -34,6 +34,8 @@ class HoppingTerm:
         amp = np.array(self.amplitude, dtype=complex)
         if amp.ndim != 2 or amp.shape[0] != amp.shape[1]:
             raise ModelFormatError(f"amplitude for offset {off} must be a square matrix")
+        if not np.isfinite(amp).all():
+            raise ModelFormatError(f"amplitude for offset {off} must be finite")
         amp.setflags(write=False)
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "amplitude", amp)

@@ -213,8 +213,9 @@ def amoeba_points(
     get filled.  (Marking isolated root samples instead leaves sampling
     pinholes that read as spurious holes.)  Samples with a root at infinity
     (a vanishing leading coefficient) are dropped, on up to MAX_BAD_FRACTION
-    of the samples; an empty sampling plan is refused.  The defaults are
-    sized so the built-in tentacle widths span several grid cells.
+    of the samples; an empty sampling plan, or a window without lo < hi on
+    each axis, is refused.  The defaults are sized so the built-in tentacle
+    widths span several grid cells.
     """
     if model.dimension != 2:
         raise ValueError("amoeba construction requires a 2D model")
@@ -228,6 +229,8 @@ def amoeba_points(
     nph = int(phase_samples)
     if min(nx, nph) < 1:
         raise SamplingError(f"empty sampling plan: {nx} raster columns x {nph} phases")
+    if not (xlo < xhi and ylo < yhi):
+        raise SamplingError(f"the window needs lo < hi on both axes, got {window}")
     rx = np.linspace(xlo, xhi, nx)
     ph = np.linspace(0.0, 2 * np.pi, nph, endpoint=False)
     bx = np.exp(rx[:, None] + 1j * ph[None, :])  # (nx, nph)

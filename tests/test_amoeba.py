@@ -151,14 +151,25 @@ def test_amoeba_requires_2d():
         amoeba_points(builtin_hatano_nelson(0.5, 1.0), 0.0)
 
 
-@pytest.mark.parametrize("sizes", [(0, 40), (40, 0)], ids=["no-columns", "no-phases"])
-def test_empty_sampling_plan_is_refused(sizes):
+@pytest.mark.parametrize(
+    "plan",
+    [
+        {"r_x_samples": 0, "phase_samples": 40},
+        {"r_x_samples": 40, "phase_samples": 0},
+        {"window": ((3.0, -3.0), (-3.0, 3.0))},
+        {"window": ((-3.0, 3.0), (3.0, -3.0))},
+        {"window": ((1.0, 1.0), (-3.0, 3.0))},
+    ],
+    ids=["no-columns", "no-phases", "window-x-reversed", "window-y-reversed", "window-x-empty"],
+)
+def test_empty_sampling_plan_is_refused(plan):
     # an empty raster would make the bad-sample fraction nan, which passes
-    # the MAX_BAD_FRACTION guard unnoticed
+    # the MAX_BAD_FRACTION guard unnoticed; a reversed y axis fills no cell
+    # and would read as "no hole"
     from nhskin.errors import SamplingError
 
     with pytest.raises(SamplingError):
-        amoeba_points(builtin_2d(0.5, 1.0, 0.2), 4.0, r_x_samples=sizes[0], phase_samples=sizes[1])
+        amoeba_points(builtin_2d(0.5, 1.0, 0.2), 4.0, **plan)
 
 
 def test_pgm_export(tmp_path):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from nhskin.cli import main
+from nhskin.model import builtin_hatano_nelson, model_to_dict
 
 CLI = [sys.executable, "-m", "nhskin.cli"]
 HN = ["--builtin", "hatano-nelson", "--jl", "0.5", "--jr", "1.0"]
@@ -92,6 +93,39 @@ def test_bad_model_file_exits_one(tmp_path):
     r = run("spectrum", "--model", str(path), "--out", str(tmp_path / "out"))
     assert r.returncode == 1
     assert "term" in r.stderr.lower() or "model" in r.stderr.lower()
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["winding", "--builtin", "hatano-nelson", "--jl", "inf", "--jr", "1"], "ModelFormatError"),
+        (
+            ["amoeba", "--builtin", "asym2d", "--jl", "nan", "--jr", "1", "--tp", "0.2", *SMALL_AMOEBA],
+            "ModelFormatError",
+        ),
+        (["gbz", "--builtin", "hatano-nelson", "--jl", "nan", "--jr", "1"], "ModelFormatError"),
+        (["spectrum", "--model", "nan.json", "-N", "10"], "ModelFormatError"),
+        (["amoeba", *ASYM2D, *SMALL_AMOEBA, "--window", "-3", "3", "3", "-3"], "SamplingError"),
+    ],
+    ids=["winding-jl-inf", "amoeba-jl-nan", "gbz-jl-nan", "model-file-nan", "amoeba-window-reversed"],
+)
+def test_refused_inputs_exit_one_and_write_nothing(tmp_path, monkeypatch, capsys, args, error):
+    # refused where they enter, not blamed on a closed gap, degenerate
+    # coefficients or a failed eigensolve, and a reversed window axis would
+    # rasterize nothing and read as "hole: false"
+    doc = model_to_dict(builtin_hatano_nelson(0.5, 1.0))
+    doc["terms"][0]["amplitude"][0][0]["re"] = float("nan")
+    (tmp_path / "nan.json").write_text(json.dumps(doc))  # json writes, and reads back, a bare NaN
+    monkeypatch.chdir(tmp_path)
+    assert main([*args, "--out", "out"]) == 1
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_records_the_defaults_used(tmp_path):
+    assert main(["gbz", *HN, "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert config["sizes"] == 400 and config["tol"] == 1e-06
 
 
 def test_gbz_hermitian_reports_unit_circle(tmp_path):
@@ -253,6 +287,11 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         ["funnel", "--half", "6", "--jl", "nan"],
         ["funnel", "--half", "6", "--jl=-inf"],
         ["funnel", "--half", "6", "--jr", "inf"],
+        ["spectrum", *HN, "-N", "10", "20"],
+        ["localize", *SSH, "-N", "30", "40"],
+        ["spectrum", *HN, "-N", "8", "--k-samples", "0"],
+        ["spectrum", *HN, "-N", "8", "--k-samples", "-1"],
+        ["sensor", *HN, "-N", "8", "10", "--epsilon", "nan"],
     ],
     ids=[
         "funnel-N",
@@ -299,6 +338,11 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         "funnel-jl-nan",
         "funnel-jl-inf",
         "funnel-jr-inf",
+        "spectrum-two-sizes",
+        "localize-two-sizes",
+        "spectrum-k-samples0",
+        "spectrum-k-samples-negative",
+        "sensor-epsilon-nan",
     ],
 )
 def test_undeclared_options_are_usage_errors(tmp_path, args):
@@ -345,23 +389,6 @@ def test_usage_errors_after_parsing_show_the_command_usage(tmp_path, capsys, arg
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith(f"usage: nhskin {args[0]} ")
     assert not any(tmp_path.iterdir())
-
-
-def test_thread_cap_env_respected(tmp_path):
-    # the cap must be exported before numpy loads; a crash here means the
-    # import ordering regressed
-    import os
-
-    env = dict(os.environ, NHSKIN_THREADS="1")
-    r = subprocess.run(
-        CLI + ["winding", "--builtin", "hatano-nelson", "--jl", "0.5", "--jr", "1.0",
-               "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert r.returncode == 0
-    assert "w = -1" in r.stdout
 
 
 def test_spectral_commands_leave_scipy_spatial_unloaded(tmp_path):

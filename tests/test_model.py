@@ -278,3 +278,11 @@ def test_loader_rejects_ragged_amplitude():
     doc["terms"][0]["amplitude"][0] = doc["terms"][0]["amplitude"][0][:1]
     with pytest.raises(ModelFormatError, match=r"terms\[0\]"):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+def test_loader_rejects_non_finite_amplitude(value):
+    doc = model_to_dict(builtin_hatano_nelson(0.5, 1.0))
+    doc["terms"][1]["amplitude"][0][0]["im"] = value
+    with pytest.raises(ModelFormatError, match="finite"):
+        model_from_dict(doc)
