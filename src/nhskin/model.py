@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -228,11 +228,11 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def _vanishing(coeffs: np.ndarray) -> np.ndarray:
-    """Mask of the coefficients within _REL_COEFF_TOL of their row's largest."""
-    mag = np.abs(coeffs)
-    largest = functools.reduce(np.maximum, np.moveaxis(mag, -1, 0))  # fast for short rows
-    return mag <= _REL_COEFF_TOL * largest[..., None]
+def _vanishing(*mags: np.ndarray) -> List[np.ndarray]:
+    """Masks of the coefficient magnitudes mags[j] within _REL_COEFF_TOL of
+    the largest mags[j] of their row, one mask per j."""
+    tol = _REL_COEFF_TOL * functools.reduce(np.maximum, mags)  # fast for short rows
+    return [m <= tol for m in mags]
 
 
 def _char_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -244,7 +244,7 @@ def _char_roots(coeffs: np.ndarray) -> np.ndarray:
     is one root at inf, or nan.  Only rows with a vanishing end are trimmed and
     grouped.  Private, so traces charge the companion solve to the caller.
     """
-    small = _vanishing(coeffs)
+    small = np.stack(_vanishing(*np.moveaxis(np.abs(coeffs), -1, 0)), axis=-1)
     n = coeffs.shape[-1] - 1
     if n == 0:
         return np.where(small, np.nan, np.inf).astype(complex)
@@ -264,27 +264,29 @@ def _char_roots(coeffs: np.ndarray) -> np.ndarray:
     return roots.reshape(coeffs.shape[:-1] + (n,))
 
 
-def _quadratic_roots(coeffs: np.ndarray) -> np.ndarray:
-    """`_char_roots` of quadratics (coeffs.shape[-1] == 3) in closed form.
+def _quadratic_moduli(c: np.ndarray, b: np.ndarray, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The smaller and the larger root modulus of c + b x + a x^2, per entry.
 
-    With c + b x + a x^2, q = -(b + s) / 2 where s = +-sqrt(b^2 - 4ac) takes
-    the sign with Re(conj(b) s) >= 0, so b and s never cancel; the roots are
-    q / a and c / q.  Rows with a vanishing end coefficient go to `_char_roots`,
-    which keeps their inf / 0 / nan encoding.  Only the amoeba calls this: its
-    ~10^5 rows per energy are where a companion solve is slow, while the 1D
-    callers (`beta_roots`, `topology._windings`, `gbz_curve`'s resultant)
-    solve a few thousand rows per call, well under 10 ms, and keep the
-    companion solve; the benchmark's `nonbloch.companion_solves` reads theirs.
+    q = -(b + s) / 2 where s = +-sqrt(b^2 - 4ac) takes the sign with
+    Re(conj(b) s) >= 0, so b and s never cancel; the moduli are |q| / |a| and
+    |c| / |q|.  Rows with a vanishing end coefficient take the moduli of their
+    `_char_roots`, so a root at inf is inf, one at 0 is 0 and a row that
+    vanishes entirely is nan in both.  Only the amoeba calls this: its ~10^5
+    rows per energy are where a companion solve is slow, while the 1D callers
+    (`beta_roots`, `topology._windings`, `gbz_curve`'s resultant) solve a few
+    thousand rows per call, well under 10 ms, and keep the companion solve;
+    the benchmark's `nonbloch.companion_solves` reads theirs.
     """
-    ends = _vanishing(coeffs)[..., [0, -1]].any(axis=-1)
-    c, b, a = np.moveaxis(coeffs, -1, 0)
+    mc, ma = np.abs(c), np.abs(a)
+    small_c, _, small_a = _vanishing(mc, np.abs(b), ma)
+    ends = small_c | small_a
     s = np.sqrt(b * b - 4 * a * c)
-    q = -0.5 * (b + np.where((b.conj() * s).real < 0, -s, s))
+    mq = np.abs(b + np.where((b.conj() * s).real < 0, -s, s)) * 0.5
     with np.errstate(divide="ignore", invalid="ignore"):  # only in rows with a vanishing end
-        roots = np.stack([q / a, c / q], axis=-1)
+        m1, m2 = mq / ma, mc / mq
     if ends.any():
-        roots[ends] = _char_roots(coeffs[ends])
-    return roots
+        m1[ends], m2[ends] = np.abs(_char_roots(np.stack((c[ends], b[ends], a[ends]), axis=-1))).T
+    return np.minimum(m1, m2), np.maximum(m1, m2)
 
 
 def _poly_mul(a: Dict[Offset, complex], b: Dict[Offset, complex]) -> Dict[Offset, complex]:

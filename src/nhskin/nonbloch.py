@@ -13,12 +13,13 @@ Both tests read the model's one characteristic polynomial, `char_poly`, whose
 exact exponent span fixes q; `gbz_membership` expands it once, `gbz_curve`
 twice, the second time for its one `beta_roots` check.  The 1D roots come from
 `model._char_roots` in one batched companion solve, so `beta_roots`
-takes one energy or a 1-D array of energies; the amoeba's quadratics in
-beta_y are solved in closed form by `model._quadratic_roots`.  Either way a
-vanishing end coefficient comes back as a root at inf or 0, which
-`beta_roots` refuses and the amoeba drops.  The hole test fills the
-complement from the window's edge in numpy row and column passes.  The
-numerical settings no caller varies are the module constants.
+takes one energy or a 1-D array of energies.  The amoeba reads only root
+moduli; those of its quadratics in beta_y come in closed form from
+`model._quadratic_moduli`.  Either way a vanishing end coefficient comes back
+as a root at inf or 0; `beta_roots` refuses both, and the amoeba drops the
+samples with a root at inf.  The hole test fills the complement from the
+window's edge in numpy row and column passes.  The numerical settings no
+caller varies are the module constants.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DegenerateCharPolyError, SamplingError
-from .model import LatticeModel, _char_roots, _quadratic_roots, char_poly
+from .model import LatticeModel, _char_roots, _quadratic_moduli, char_poly
 
 COPY_TOL = 1e-6  # relative distance within which resultant roots are one multiple root
 MAX_BAD_FRACTION = 0.01  # of amoeba samples with a vanishing leading coefficient
 MIN_HOLE_CELLS = 4  # smallest unreached complement component that is a hole
+BLOCK_SAMPLES = 32768  # amoeba samples per column block: its temporaries fit a 4 MiB L2 cache
 
 
 def _pair_residual(roots: np.ndarray, q: int) -> np.ndarray:
@@ -205,17 +207,22 @@ def amoeba_points(
 
     For each log-modulus r_x and phase phi the substitution
     beta_x = exp(r_x + i phi) leaves a univariate characteristic polynomial
-    in beta_y, solved for all branches of all samples at once: in closed
-    form when it is quadratic (its beta_y exponents span two, as in asym2d),
-    else by batched companion matrices.  Along each raster column the sorted
-    root moduli are continuous functions of the phase, so every modulus rank
+    in beta_y.  Its coefficients are separable sums
+    sum_k e^{k r_x} coef[k, j] e^{i k phi}, one small matrix product per
+    block of raster columns; a block holds about BLOCK_SAMPLES samples, so
+    its temporaries stay in cache.  Only the root moduli of each block are
+    computed, for all branches at once: in closed form when the polynomial
+    is quadratic (its beta_y exponents span two, as in asym2d), else by
+    batched companion matrices.  Along each raster column the sorted root
+    moduli are continuous functions of the phase, so every modulus rank
     sweeps a full interval over the phase circle; those intervals are what
-    get filled.  (Marking isolated root samples instead leaves sampling
-    pinholes that read as spurious holes.)  Samples with a root at infinity
-    (a vanishing leading coefficient) are dropped, on up to MAX_BAD_FRACTION
-    of the samples; an empty sampling plan, or a window without lo < hi on
-    each axis, is refused.  The defaults are sized so the built-in tentacle
-    widths span several grid cells.
+    get filled, from the log of each column's extreme moduli.  (Marking
+    isolated root samples instead leaves sampling pinholes that read as
+    spurious holes.)  Samples with a root at infinity (a vanishing leading
+    coefficient) are dropped, on up to MAX_BAD_FRACTION of the samples; an
+    empty sampling plan, or a window without lo < hi on each axis, is
+    refused.  The defaults are sized so the built-in tentacle widths span
+    several grid cells.
     """
     if model.dimension != 2:
         raise ValueError("amoeba construction requires a 2D model")
@@ -233,41 +240,35 @@ def amoeba_points(
         raise SamplingError(f"the window needs lo < hi on both axes, got {window}")
     rx = np.linspace(xlo, xhi, nx)
     ph = np.linspace(0.0, 2 * np.pi, nph, endpoint=False)
-    bx = np.exp(rx[:, None] + 1j * ph[None, :])  # (nx, nph)
-
-    # A[..., j] multiplies beta_y^(j + ylo_s); each power of beta_x is taken once
-    A = np.zeros((nx, nph, deg + 1), dtype=complex)
-    for jx, row in enumerate(cp.at(E)):
-        bx_pow = bx ** (jx + cp.lo[0])
-        for jy in np.flatnonzero(row):
-            A[..., jy] += row[jy] * bx_pow
-
-    roots = _quadratic_roots(A) if deg == 2 else _char_roots(A)
-    good = np.isfinite(roots).all(axis=-1)
-    bad_fraction = 1.0 - good.mean()
+    kx = np.arange(cp.coeffs.shape[1]) + cp.lo[0]
+    # beta_x^k = e^{k r_x} e^{i k phi}, so the coefficient of beta_y^(j + ylo_s),
+    # A[j] = sum_k e^{k r_x} coef[k, j] e^{i k phi}, is one small product per block
+    waves = cp.at(E).T[:, :, None] * np.exp(1j * kx[:, None] * ph)  # (deg + 1, k, phase)
+    ext = np.empty((deg, 2, nx))  # per rank and column: lowest, highest modulus
+    n_good, step = 0, max(1, BLOCK_SAMPLES // nph)
+    for i in range(0, nx, step):
+        A = np.exp(np.multiply.outer(rx[i : i + step], kx)) @ waves  # (deg + 1, column, phase)
+        if deg == 2:
+            ranks = _quadratic_moduli(*A)
+        else:
+            ranks = np.moveaxis(np.sort(np.abs(_char_roots(np.moveaxis(A, 0, -1))), axis=-1), -1, 0)
+        good = np.isfinite(ranks[-1])  # sorted last, a root at inf or a nan row shows there
+        n_good += np.count_nonzero(good)
+        for rank, out in zip(ranks, ext[..., i : i + step]):
+            rank[~good] = np.nan
+            out[:] = np.nanmin(rank, axis=1), np.nanmax(rank, axis=1)
+    bad_fraction = 1.0 - n_good / (nx * nph)
     if bad_fraction > MAX_BAD_FRACTION:
         raise SamplingError(
             f"{bad_fraction:.1%} of amoeba samples have degenerate leading "
             f"coefficients (limit {MAX_BAD_FRACTION:.1%})"
         )
     with np.errstate(divide="ignore"):
-        ry = np.log(np.abs(roots))
-    # log-moduli by rank, (nx, nph) each: sorted, they are continuous in the phase
-    if deg == 2:
-        ranks = [np.minimum(ry[..., 0], ry[..., 1]), np.maximum(ry[..., 0], ry[..., 1])]
-    else:
-        ranks = np.moveaxis(np.sort(ry, axis=-1), -1, 0)
+        ext = np.log(ext)  # log is monotone: the log-modulus interval each rank sweeps
 
     occ = np.zeros((nx, ny), dtype=bool)
     yscale = (ny - 1) / (yhi - ylo)
-    all_good = good.all()
-    for rank in ranks:
-        if all_good:
-            a, b = rank.min(axis=1), rank.max(axis=1)  # the interval it sweeps per column
-        else:
-            rank[~good] = np.nan
-            with np.errstate(invalid="ignore"):
-                a, b = np.nanmin(rank, axis=1), np.nanmax(rank, axis=1)
+    for a, b in ext:
         visible = ~np.isnan(a) & (b >= ylo) & (a <= yhi)
         ia = np.clip(np.floor((a - ylo) * yscale), 0, ny - 1).astype(int)
         ib = np.clip(np.ceil((b - ylo) * yscale), 0, ny - 1).astype(int)

@@ -89,12 +89,6 @@ class IndexMap:
         lin = int(np.ravel_multi_index(cell, self.sizes))
         return lin * self.bands + int(orbital)
 
-    def cell_of_row(self, row: int) -> Tuple[int, ...]:
-        return tuple(int(x) for x in np.unravel_index(row // self.bands, self.sizes))
-
-    def orbital_of_row(self, row: int) -> int:
-        return row % self.bands
-
     def cell_index_of_rows(self) -> np.ndarray:
         """Linear cell index for every matrix row (length n_sites)."""
         return np.repeat(np.arange(self.n_cells), self.bands)

@@ -1,11 +1,14 @@
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from nhskin import nonbloch
-from nhskin.model import LatticeModel, HoppingTerm, _char_roots, builtin_2d
+from nhskin.errors import SamplingError
+from nhskin.model import LatticeModel, HoppingTerm, _char_roots, builtin_2d, char_poly
 from nhskin.nonbloch import (
     AmoebaRaster,
     amoeba_points,
@@ -86,13 +89,93 @@ def criterion_07_energies():
     return m, [complex(E) for E in (*inside, *outside)]
 
 
+def companion_moduli(c, b, a):
+    moduli = np.sort(np.abs(_char_roots(np.stack((c, b, a), axis=-1))), axis=-1)
+    return moduli[..., 0], moduli[..., 1]
+
+
 def test_closed_form_amoeba_matches_companion_solve(monkeypatch):
     m, energies = criterion_07_energies()
     plan = dict(r_x_samples=60, phase_samples=120)
     fast = [amoeba_points(m, E, **plan).occupancy for E in energies]
-    monkeypatch.setattr(nonbloch, "_quadratic_roots", _char_roots)
+    monkeypatch.setattr(nonbloch, "_quadratic_moduli", companion_moduli)
     for E, occ in zip(energies, fast):
         np.testing.assert_array_equal(occ, amoeba_points(m, E, **plan).occupancy)
+
+
+def companion_raster(model, E, nx, nph, window=((-3.0, 3.0), (-3.0, 3.0))):
+    """The raster from one companion solve over the whole (column, phase) grid,
+    with beta_x^k taken as powers of exp(r_x + i phi): (occupancy, dropped samples)."""
+    cp = char_poly(model)
+    (xlo, xhi), (ylo, yhi) = window
+    rx = np.linspace(xlo, xhi, nx)
+    bx = np.exp(rx[:, None] + 1j * np.linspace(0.0, 2 * np.pi, nph, endpoint=False))
+    A = sum(np.multiply.outer(bx ** (k + cp.lo[0]), row) for k, row in enumerate(cp.at(E)))
+    roots = _char_roots(A)
+    good = np.isfinite(roots).all(axis=-1)
+    with np.errstate(divide="ignore"):
+        ry = np.sort(np.log(np.abs(roots)), axis=-1)
+    ry[~good] = np.nan
+    occ = np.zeros((nx, nx), dtype=bool)
+    scale = (nx - 1) / (yhi - ylo)
+    for rank in np.moveaxis(ry, -1, 0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a column with no good sample
+            lo, hi = np.nanmin(rank, axis=1), np.nanmax(rank, axis=1)
+        for i in range(nx):
+            if hi[i] >= ylo and lo[i] <= yhi:  # False on nan
+                first = int(np.clip(np.floor((lo[i] - ylo) * scale), 0, nx - 1))
+                last = int(np.clip(np.ceil((hi[i] - ylo) * scale), 0, nx - 1))
+                occ[i, first : last + 1] = True
+    return occ, int(np.count_nonzero(~good))
+
+
+def asym2d_second_neighbour_y():
+    """asym2d with y hops at +-2: quartic in beta_y, so the companion path."""
+    extra = (HoppingTerm((0, 2), [[0.3]]), HoppingTerm((0, -2), [[0.15]]))
+    return LatticeModel(dimension=2, bands=1, terms=builtin_2d(0.5, 1.0, 0.2).terms + extra)
+
+
+@pytest.mark.parametrize("columns", [1, 63, 65, 129])
+def test_column_blocks_match_whole_grid_solve(columns, monkeypatch):
+    # 64 columns per block: one short block, one full block and a one-column
+    # tail, two full blocks and a tail
+    nph = 120
+    monkeypatch.setattr(nonbloch, "BLOCK_SAMPLES", 64 * nph)
+    asym2d, custom = builtin_2d(0.5, 1.0, 0.2), ((-1.0, 2.0), (-2.5, 1.5))
+    for m, E, window in [(asym2d, 0.7, ((-3.0, 3.0), (-3.0, 3.0))), (asym2d, 4.5, custom),
+                         (asym2d_second_neighbour_y(), 1.0 + 0.5j, custom)]:
+        got = amoeba_points(m, E, r_x_samples=columns, phase_samples=nph, window=window)
+        ref, dropped = companion_raster(m, E, columns, nph, window)
+        assert dropped == 0
+        np.testing.assert_array_equal(got.occupancy, ref)
+
+
+def test_vanishing_leading_coefficient_drops_samples():
+    # asym2d's beta_y coefficient -(J_R + 2 tp cosh(r_x)) vanishes at phi = pi,
+    # r_x = arccosh(J_R / (2 tp)); the middle column of a window centred there hits it
+    m = builtin_2d(0.5, 1.0, 0.2)
+    r = np.arccosh(2.5)
+    window = ((r - 1.0, r + 1.0), (-3.0, 3.0))
+    ref, dropped = companion_raster(m, 0.7, 11, 120, window)
+    assert dropped == 1  # 1 of 1320 samples, under MAX_BAD_FRACTION
+    got = amoeba_points(m, 0.7, r_x_samples=11, phase_samples=120, window=window)
+    np.testing.assert_array_equal(got.occupancy, ref)
+    # 1 of 40 samples is over it
+    with pytest.raises(SamplingError, match="2.5% of amoeba samples"):
+        amoeba_points(m, 0.7, r_x_samples=5, phase_samples=8, window=window)
+
+
+def test_amoeba_peak_memory():
+    m = builtin_2d(0.5, 1.0, 0.2)
+    amoeba_points(m, 0.7)  # first-call imports and caches are not the raster's
+    tracemalloc.start()
+    try:
+        amoeba_points(m, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6  # bytes, at the default 300 columns x 600 phases
 
 
 def test_amoeba_command_leaves_scipy_ndimage_unloaded(tmp_path):

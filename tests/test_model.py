@@ -9,7 +9,7 @@ from nhskin.model import (
     HoppingTerm,
     LatticeModel,
     _char_roots,
-    _quadratic_roots,
+    _quadratic_moduli,
     bloch,
     bloch_samples,
     builtin_2d,
@@ -193,34 +193,34 @@ def test_char_roots_encode_vanishing_end_coefficients():
     assert const.shape == (2, 1) and const[0, 0] == np.inf and np.isnan(const[1, 0])
 
 
-def test_quadratic_roots_match_char_roots():
+def test_quadratic_moduli_match_char_roots():
     rng = np.random.default_rng(7)
     c = rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3))
     c *= 10.0 ** rng.uniform(-3, 3, size=(500, 1))
-    got = np.sort_complex(_quadratic_roots(c))
-    ref = np.sort_complex(_char_roots(c))
-    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
-    # the batch shape is kept, so an amoeba's (columns, phases) grid passes as is
-    assert _quadratic_roots(c.reshape(20, 25, 3)).shape == (20, 25, 2)
+    got = np.stack(_quadratic_moduli(*c.T), axis=-1)
+    ref = np.sort(np.abs(_char_roots(c)), axis=-1)
+    assert np.max(np.abs(got - ref) / ref) < 1e-13
+    # the batch shape is kept, so an amoeba's (columns, phases) block passes as is
+    small, large = _quadratic_moduli(*np.moveaxis(c.reshape(20, 25, 3), -1, 0))
+    assert small.shape == large.shape == (20, 25)
 
 
-def test_quadratic_roots_keep_the_small_root_under_cancellation():
+def test_quadratic_moduli_keep_the_small_root_under_cancellation():
     # 1 + 1e8 x + x^2: the naive (-b + sqrt(b^2 - 4ac)) / 2a gives 0 or a few
     # digits of the small root -1e-8 - 1e-24
-    roots = np.sort_complex(_quadratic_roots(np.array([1.0, 1e8, 1.0], dtype=complex)))
-    small = -1e-8 - 1e-24
-    assert abs(roots[1] - small) <= 1e-15 * abs(small)
-    assert abs(roots[0] + 1e8) <= 1e-15 * 1e8
+    small, large = _quadratic_moduli(*np.array([1.0, 1e8, 1.0], dtype=complex))
+    assert abs(small - (1e-8 + 1e-24)) <= 1e-15 * (1e-8 + 1e-24)
+    assert abs(large - 1e8) <= 1e-15 * 1e8
 
 
-def test_quadratic_roots_double_root():
+def test_quadratic_moduli_double_root():
     # (x - 1.5 - 0.5i)^2: the discriminant is exactly zero
     r = 1.5 + 0.5j
-    roots = _quadratic_roots(np.array([r * r, -2 * r, 1.0]))
-    np.testing.assert_allclose(roots, [r, r], rtol=1e-15)
+    moduli = _quadratic_moduli(*np.array([r * r, -2 * r, 1.0]))
+    np.testing.assert_allclose(moduli, [abs(r), abs(r)], rtol=1e-15)
 
 
-def test_quadratic_roots_encode_vanishing_end_coefficients():
+def test_quadratic_moduli_encode_vanishing_end_coefficients():
     # the same rows as test_char_roots_encode_vanishing_end_coefficients,
     # mixed with ordinary rows so only some rows take the general solver
     c = np.array([
@@ -231,10 +231,12 @@ def test_quadratic_roots_encode_vanishing_end_coefficients():
         [0.0, 0.0, 0.0],       # every coefficient: nan
         [1.0, 0.0, -4.0],
     ], dtype=complex)
-    got, ref = _quadratic_roots(c), _char_roots(c)
+    got = np.stack(_quadratic_moduli(*c.T), axis=-1)
+    ref = np.sort(np.abs(_char_roots(c)), axis=-1)
     np.testing.assert_array_equal(got[1:5], ref[1:5])
-    np.testing.assert_allclose(np.sort_complex(got[[0, 5]]), np.sort_complex(ref[[0, 5]]), rtol=1e-15)
-    assert got[1, 1] == np.inf and got[2, 1] == 0 and np.isnan(got[4]).all()
+    np.testing.assert_allclose(got[[0, 5]], ref[[0, 5]], rtol=1e-15)
+    assert got[1, 1] == np.inf and got[2, 0] == 0 and got[3].tolist() == [0, np.inf]
+    assert np.isnan(got[4]).all()
 
 
 def test_json_round_trip(tmp_path):

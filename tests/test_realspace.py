@@ -100,15 +100,6 @@ def test_build_rejects_tiny_or_overreaching_lattices():
         build(builtin_2d(0.5, 1.0, 0.2), [2, 1], OBC)
 
 
-def test_index_map_round_trip():
-    op = build(builtin_2d(0.5, 1.0, 0.2), [5, 4], OBC)
-    im = op.index_map
-    for cell in ((0, 0), (4, 3), (2, 1)):
-        row = im.row(cell, 0)
-        assert im.cell_of_row(row) == cell
-        assert im.orbital_of_row(row) == 0
-
-
 def test_disorder_is_seeded_and_diagonal():
     op = build(builtin_hatano_nelson(0.5, 1.0), [20], OBC)
     d1 = add_onsite_disorder(op, 0.1, seed=11)
