@@ -138,8 +138,8 @@ def asym2d_second_neighbour_y():
 
 @pytest.mark.parametrize("columns", [1, 63, 65, 129])
 def test_column_blocks_match_whole_grid_solve(columns, monkeypatch):
-    # 64 columns per block: one short block, one full block and a one-column
-    # tail, two full blocks and a tail
+    # 64 columns per block: a one-column block, one short block, one full
+    # block and a one-column tail, two full blocks and a tail
     nph = 120
     monkeypatch.setattr(nonbloch, "BLOCK_SAMPLES", 64 * nph)
     asym2d, custom = builtin_2d(0.5, 1.0, 0.2), ((-1.0, 2.0), (-2.5, 1.5))
@@ -152,8 +152,9 @@ def test_column_blocks_match_whole_grid_solve(columns, monkeypatch):
 
 
 def test_vanishing_leading_coefficient_drops_samples():
-    # asym2d's beta_y coefficient -(J_R + 2 tp cosh(r_x)) vanishes at phi = pi,
-    # r_x = arccosh(J_R / (2 tp)); the middle column of a window centred there hits it
+    # asym2d's leading beta_y coefficient -(J_R + tp (beta_x + 1 / beta_x)) vanishes
+    # at beta_x = -e^r, cosh r = J_R / (2 tp): phi = pi in the middle column of a
+    # window centred on r
     m = builtin_2d(0.5, 1.0, 0.2)
     r = np.arccosh(2.5)
     window = ((r - 1.0, r + 1.0), (-3.0, 3.0))
