@@ -298,14 +298,10 @@ def _cmd_funnel(args, model):
     psi0 = np.zeros(op.n, dtype=complex)
     psi0[args.site] = 1.0
     traj = time_evolve(op, psi0, args.tmax, args.dt)
-    columns = (
-        np.repeat(traj.times, op.n),
-        np.tile(np.arange(op.n), len(traj.times)),
-        traj.densities.ravel(),
-    )
+    header = ["t", *(f"site_{j}" for j in range(op.n))]
     title = f"funnel |psi|^2 (t down, site across), J_L={args.jl}, J_R={args.jr}"
     artifacts = [
-        ("trajectory.csv", _csv(["t", "site", "density"], columns)),
+        ("trajectory.csv", _csv(header, [traj.times, *traj.densities.T])),
         ("funnel.svg", lambda path: write_svg_heatmap(path, traj.densities, title=title)),
     ]
     center = args.half - 0.5  # interface sits between sites half-1 and half

@@ -47,25 +47,29 @@ def parse_complex(text: str) -> complex:
 
 # cell format by dtype kind; anything else (ints, strings) goes through str
 _FORMATS = {"b": lambda v: "1" if v else "0", "f": repr, "c": fmt_complex}
-_CHUNK_ROWS = 8192
+# cells held per write, not rows, so a wide table or grid holds no more in
+# memory than a narrow one
+_CSV_CELLS = 3 * 8192
+_SVG_CELLS = 8192
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     """One column per header entry, each formatted once by its dtype: floats
     as `fmt_float`, ints with str, bools as 1/0, complex as `fmt_complex`,
-    strings unchanged.  Rows are written in chunks, so no whole-file string
-    is built."""
+    strings unchanged.  Rows are written in chunks of about `_CSV_CELLS`
+    cells, so no whole-file string is built."""
     import numpy as np
 
     n = len(columns[0]) if len(columns) else 0
     if len(columns) != len(header) or any(len(c) != n for c in columns):
         raise ValueError("write_csv needs one column per header entry, all of one length")
+    rows = max(1, _CSV_CELLS // max(1, len(columns)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, n, _CHUNK_ROWS):
+        for lo in range(0, n, rows):
             cells = []
             for col in columns:
-                a = np.asarray(col[lo : lo + _CHUNK_ROWS])
+                a = np.asarray(col[lo : lo + rows])
                 cells.append(map(_FORMATS.get(a.dtype.kind, str), a.tolist()))
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
@@ -169,7 +173,9 @@ def write_svg_heatmap(path, grid, title="", max_cols=240) -> None:
     """Grayscale heatmap of a 2D array (rows drawn top-down).
 
     Wide arrays are column-subsampled so the file stays small; data fidelity
-    lives in the CSVs, the SVG is a quick look.
+    lives in the CSVs, the SVG is a quick look.  Cells <= 0 are not drawn,
+    and each row's run of k adjacent cells of one shade is one rect of
+    width k * cw + 0.5.
     """
     import numpy as np
 
@@ -183,18 +189,28 @@ def write_svg_heatmap(path, grid, title="", max_cols=240) -> None:
     nr, nc = g.shape
     cw = (_SVG_W - 2 * _MARG) / nc
     ch = (_SVG_H - 2 * _MARG) / nr
-    # each drawn cell is an x prefix, a y and a shade suffix, all built once
+    # a run is an x prefix, a y, a width by run length and a shade, all built once
     xs = [f'<rect x="{_MARG + j * cw:.1f}" y="' for j in range(nc)]
-    tail = f'" width="{cw + 0.5:.1f}" height="{ch + 0.5:.1f}" fill="rgb('
-    fills = [f'{tail}{s},{s},{s})"/>\n' for s in range(256)]
+    tail = f'" height="{ch + 0.5:.1f}" fill="rgb('
+    widths = [f'" width="{k * cw + 0.5:.1f}{tail}' for k in range(nc + 1)]
+    fills = [f'{s},{s},{s})"/>\n' for s in range(256)]
+    block = max(1, _SVG_CELLS // nc)
     with open(path, "w") as fh:
         fh.write("\n".join(_svg_open(title)) + "\n")
-        for i in range(nr):
-            y = f"{_MARG + i * ch:.1f}"
-            v = g[i] / vmax
-            cols = np.flatnonzero(v > 0)
-            shades = (255 * (1 - v[cols])).astype(int)  # truncates like int() on 0 < v <= 1
-            fh.write("".join(xs[j] + y + fills[s] for j, s in zip(cols.tolist(), shades.tolist())))
+        for lo in range(0, nr, block):
+            v = g[lo : lo + block] / vmax
+            # -1 marks undrawn cells; 255 * (1 - v) truncates like int() on 0 < v <= 1
+            shade = np.where(v > 0, 255 * (1 - v), -1).astype(int)
+            # -2 at both ends of each row differs from every shade, so no run crosses rows
+            edge = np.full((len(v), 1), -2)
+            new = np.diff(np.hstack([edge, shade, edge]), axis=1) != 0
+            drawn = shade >= 0
+            starts = np.flatnonzero(new[:, :-1] & drawn)
+            lengths = np.flatnonzero(new[:, 1:] & drawn) - starts + 1
+            rows, cols = np.divmod(starts, nc)
+            ys = [f"{_MARG + i * ch:.1f}" for i in range(lo, lo + len(v))]
+            runs = zip(rows.tolist(), cols.tolist(), lengths.tolist(), shade.ravel()[starts].tolist())
+            fh.write("".join(xs[j] + ys[i] + widths[k] + fills[s] for i, j, k, s in runs))
         fh.write("</svg>\n")
 
 

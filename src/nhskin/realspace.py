@@ -188,11 +188,3 @@ def add_onsite_disorder(op: RealSpaceOperator, strength: float, seed: int) -> Re
         matrix=M, index_map=op.index_map, boundary=op.boundary, name=op.name
     )
 
-
-def export_matrix_csv(op: RealSpaceOperator, path) -> None:
-    """Nonzero entries as (row, col, re, im) rows."""
-    from .io import write_csv
-
-    rows, cols = np.nonzero(op.matrix)
-    vals = op.matrix[rows, cols]
-    write_csv(path, ["row", "col", "re", "im"], [rows, cols, vals.real, vals.imag])

@@ -37,9 +37,14 @@ class Susceptibility:
 
 def susceptibility(op: ArrayLike, omega) -> Susceptibility:
     H = _matrix(op)
+    return _susceptibility(H, omega, np.linalg.norm(H, 2))
+
+
+def _susceptibility(H: np.ndarray, omega, scale: float) -> Susceptibility:
+    """`susceptibility` with ||H||_2 (a full SVD) passed in, so a sweep over
+    frequencies computes it once."""
     A = complex(omega) * np.eye(H.shape[0]) - H
     smin = np.linalg.svd(A, compute_uv=False)[-1]
-    scale = np.linalg.norm(H, 2)
     if smin <= 1e-10 * max(scale, 1.0):
         raise SingularProbeError(
             f"probe frequency {omega} sits on (or too near) an eigenvalue; "
@@ -53,9 +58,11 @@ def susceptibility(op: ArrayLike, omega) -> Susceptibility:
 
 def reciprocity_test(op: ArrayLike, omegas: Iterable[complex], tol: float = 1e-10) -> List[dict]:
     """Probe |chi_ij| vs |chi_ji| at each frequency."""
+    H = _matrix(op)
+    scale = np.linalg.norm(H, 2)
     out = []
     for w in omegas:
-        s = susceptibility(op, w)
+        s = _susceptibility(H, w, scale)
         out.append(
             {
                 "omega": complex(w),

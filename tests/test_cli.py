@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from nhskin.cli import main
+from nhskin.cli import build_parser, main
 from nhskin.model import builtin_hatano_nelson, model_to_dict
+from nhskin.response import funnel_model, time_evolve
 
 CLI = [sys.executable, "-m", "nhskin.cli"]
 HN = ["--builtin", "hatano-nelson", "--jl", "0.5", "--jr", "1.0"]
@@ -169,7 +172,36 @@ def test_funnel_run(tmp_path):
     assert r.returncode == 0, r.stderr
     assert "final density" in r.stdout
     header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
-    assert header == "t,site,density"
+    assert header == "t," + ",".join(f"site_{j}" for j in range(16))
+
+
+def test_funnel_trajectory_parses_back_bit_for_bit(tmp_path):
+    assert main(["funnel", "--half", "8", "--site", "2", "--tmax", "4", "--out", str(tmp_path)]) == 0
+    op = funnel_model(0.5, 1.0, 8)
+    psi0 = np.zeros(op.n, dtype=complex)
+    psi0[2] = 1.0
+    traj = time_evolve(op, psi0, 4.0, 0.05)
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+    table = np.array([[float(x) for x in line.split(",")] for line in lines])
+    assert table.shape == (len(traj.times), 1 + op.n)
+    assert np.array_equal(table[:, 0], traj.times)
+    assert np.array_equal(table[:, 1:], traj.densities)
+
+
+def test_funnel_write_peak_memory(tmp_path):
+    # formatting the whole wide table or grid at once peaks near 3.7 MB
+    args = build_parser().parse_args(["funnel"])
+    artifacts, _ = args.func(args, None)
+    for name, write in artifacts:  # first-call imports and caches are not the writers'
+        write(tmp_path / name)
+    tracemalloc.start()
+    try:
+        for name, write in artifacts:
+            write(tmp_path / name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6  # bytes, at the default 60 sites x 801 steps
 
 
 def test_sensor_run(tmp_path):

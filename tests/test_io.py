@@ -4,6 +4,8 @@ Every artifact's bytes follow from these formats, so the reruns and the
 benchmark oracles rely on them staying fixed.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,62 @@ def test_heatmap_skips_cells_at_or_below_zero(tmp_path):
     )
 
 
+def test_heatmap_merges_runs_of_equal_shade(tmp_path):
+    # the zero breaks the row; its right-hand 0.5 has the shade of the first run
+    path = tmp_path / "m.svg"
+    write_svg_heatmap(path, [[0.5, 0.5, 1.0, 0.0, 0.5]], title="m")
+    assert path.read_text() == _SVG_HEAD.format("m") + (
+        '<rect x="50.0" y="50.0" width="216.5" height="380.5" fill="rgb(127,127,127)"/>\n'
+        '<rect x="266.0" y="50.0" width="108.5" height="380.5" fill="rgb(0,0,0)"/>\n'
+        '<rect x="482.0" y="50.0" width="108.5" height="380.5" fill="rgb(127,127,127)"/>\n'
+        "</svg>\n"
+    )
+
+
+def _cell_rects(grid, max_cols=240):
+    """Reference heatmap: the cell width and one (x, y, shade) per drawn cell."""
+    g = np.asarray(grid, dtype=float)
+    if g.shape[1] > max_cols:
+        g = g[:, :: int(np.ceil(g.shape[1] / max_cols))]
+    vmax = g.max() if g.max() > 0 else 1.0
+    nr, nc = g.shape
+    cw, ch = 540 / nc, 380 / nr
+    cells = [
+        (f"{50 + j * cw:.1f}", f"{50 + i * ch:.1f}", int(255 * (1 - g[i, j] / vmax)))
+        for i in range(nr)
+        for j in range(nc)
+        if g[i, j] / vmax > 0
+    ]
+    return cw, cells
+
+
+_RECT = re.compile(r'<rect x="([-0-9.]+)" y="([-0-9.]+)" width="([0-9.]+)" height="[0-9.]+" fill="rgb\((\d+),')
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_merged_heatmap_keeps_every_cell_shade(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    nr, nc = rng.integers(1, 40, size=2)
+    if seed == 5:  # wider than max_cols (every third column is drawn), and in three row blocks
+        nr, nc = 100, 500
+    # few levels, so that runs of equal shade are common; some cells <= 0
+    grid = rng.integers(-1, 4, size=(nr, nc)) * rng.choice([1.0, 0.37])
+    path = tmp_path / "p.svg"
+    write_svg_heatmap(path, grid, title="p")
+    cw, ref = _cell_rects(grid)
+    column = {x: j for j, x in enumerate(f"{50 + j * cw:.1f}" for j in range(round(540 / cw)))}
+    drawn = {}
+    for x, y, width, shade in _RECT.findall(path.read_text()):
+        j, k = column[x], round((float(width) - 0.5) / cw)
+        assert k >= 1
+        # the run's right edge is its last cell's, up to .1f rounding of x and width
+        assert abs(float(x) + float(width) - (50 + (j + k) * cw + 0.5)) <= 0.1 + 1e-9
+        for jj in range(j, j + k):
+            assert (jj, y) not in drawn
+            drawn[jj, y] = int(shade)
+    assert drawn == {(column[x], y): s for x, y, s in ref}
+
+
 def test_heatmap_subsamples_wide_grids(tmp_path):
     # 5 columns over max_cols = 2: every third column (0 and 3) is drawn
     path = tmp_path / "w.svg"
@@ -82,12 +140,22 @@ def test_heatmap_subsamples_wide_grids(tmp_path):
 
 
 def test_csv_rows_span_write_chunks(tmp_path):
-    n = 2 * nhskin.io._CHUNK_ROWS + 3
+    n = nhskin.io._CSV_CELLS + 3  # two columns: chunks of _CSV_CELLS // 2 rows
     ints, floats = np.arange(n), np.arange(n) / 7
     path = tmp_path / "c.csv"
     write_csv(path, ["i", "f"], [ints, floats])
     rows = [f"{i},{fmt_float(x)}\n" for i, x in zip(ints.tolist(), floats.tolist())]
     assert path.read_text() == "i,f\n" + "".join(rows)
+
+
+def test_csv_wider_than_a_chunk_writes_row_by_row(tmp_path):
+    n = nhskin.io._CSV_CELLS + 5
+    columns = [np.array([j, -j, 2 * j]) / 4 for j in range(n)]
+    path = tmp_path / "wide.csv"
+    write_csv(path, [f"c{j}" for j in range(n)], columns)
+    rows = [",".join(fmt_float(c[i]) for c in columns) for i in range(3)]
+    header = ",".join(f"c{j}" for j in range(n))
+    assert path.read_text() == "\n".join([header, *rows]) + "\n"
 
 
 def test_csv_refuses_ragged_columns(tmp_path):

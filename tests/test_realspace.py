@@ -9,7 +9,6 @@ from nhskin.realspace import (
     Coupled,
     add_onsite_disorder,
     build,
-    export_matrix_csv,
     from_matrix,
 )
 
@@ -117,12 +116,3 @@ def test_from_matrix_checks_shape():
         from_matrix(np.zeros((3, 4)))
     op = from_matrix(np.eye(6), bands=2)
     assert op.index_map.sizes == (3,)
-
-
-def test_matrix_csv_has_all_nonzeros(tmp_path):
-    op = build(builtin_hatano_nelson(0.5, 1.0), [5], OBC)
-    path = tmp_path / "h.csv"
-    export_matrix_csv(op, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) - 1 == np.count_nonzero(op.matrix)

@@ -50,6 +50,18 @@ def test_reciprocity_verdicts():
     assert not any(r["reciprocal"] for r in reciprocity_test(skin, omegas))
 
 
+def test_reciprocity_takes_the_operator_norm_once(monkeypatch):
+    op = build(builtin_hatano_nelson(0.5, 1.0), [12], OBC)
+    omegas = [3.0, 2.0 + 1.0j, -2.5 + 0.2j]
+    expected = [susceptibility(op, w).asymmetry for w in omegas]
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: calls.append(a[1:]) or norm(*a, **kw))
+    rows = reciprocity_test(op, omegas)
+    assert calls == [(2,)]
+    assert [r["asymmetry"] for r in rows] == expected
+
+
 def test_diagonal_gain_loss_is_reciprocal():
     # non-Hermitian but reciprocal: no direction is preferred
     op = from_matrix(np.diag([0.3 + 0.2j, -0.1j, 1.0, 0.5 - 0.7j]))
