@@ -64,6 +64,7 @@ _POSITIVE = _checked(float, lambda x: 0 < x < math.inf, "a finite number > 0")
 _NONNEGATIVE = _checked(float, lambda x: 0 <= x < math.inf, "a finite number >= 0")
 _COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _NATURAL = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_HALF = _checked(int, lambda n: n >= 2, "an integer >= 2")
 # kept as typed, so the manifest echoes the literal
 _LITERAL = _checked(str, _finite_literal, "a finite a+bi literal")
 _FORMATS = _checked(
@@ -292,9 +293,9 @@ def _cmd_funnel(args, model):
     from .io import write_svg_heatmap
     from .response import funnel_model, time_evolve
 
+    if args.site >= 2 * args.half:
+        args.parser.error(f"--site must lie in [0, {2 * args.half - 1}]")
     op = funnel_model(args.jl, args.jr, args.half)
-    if not (0 <= args.site < op.n):
-        raise ValueError(f"--site must lie in [0, {op.n - 1}]")
     psi0 = np.zeros(op.n, dtype=complex)
     psi0[args.site] = 1.0
     traj = time_evolve(op, psi0, args.tmax, args.dt)
@@ -434,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--jl", type=_FINITE, default=0.5, help="left-half forward hopping")
     sp.add_argument("--jr", type=_FINITE, default=1.0, help="left-half backward hopping")
-    sp.add_argument("--half", type=int, default=30, help="sites per half")
-    sp.add_argument("--site", type=int, default=5, help="initial delta-pulse site")
+    sp.add_argument("--half", type=_HALF, default=30, help="sites per half")
+    sp.add_argument("--site", type=_NATURAL, default=5, help="initial delta-pulse site")
     sp.add_argument("--tmax", type=_NONNEGATIVE, default=40.0, help="total evolution time")
     sp.add_argument("--dt", type=_POSITIVE, default=0.05, help="time step")
 

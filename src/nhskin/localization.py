@@ -10,8 +10,8 @@ participation ratio is taken on their absolute values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -29,27 +29,6 @@ def _index_map(obj) -> IndexMap:
     if isinstance(obj, RealSpaceOperator):
         return obj.index_map
     raise TypeError("expected an IndexMap or RealSpaceOperator")
-
-
-@dataclass
-class SiteProfile:
-    """Cell-resolved, orbital-summed weights of one state.
-
-    kind 'right'/'left': nonnegative reals summing to 1.
-    kind 'biorthogonal': complex weights summing to 1 (by <L|R> = 1).
-    """
-
-    weights: np.ndarray
-    kind: str
-    shape: Tuple[int, ...] = field(default=())
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.weights)
-
-    @property
-    def normalization(self) -> complex:
-        return complex(self.weights.sum())
 
 
 def _cell_sum(values: np.ndarray, imap: IndexMap) -> np.ndarray:
@@ -84,45 +63,19 @@ def _bio_weights(Lc: np.ndarray, Rt: np.ndarray, imap: IndexMap) -> np.ndarray:
     return _cell_sum(Lc * Rt, imap) / ip[:, None]
 
 
-def density_profile(state, index_map) -> SiteProfile:
+def density_profile(state, index_map) -> np.ndarray:
     """|psi_n|^2 per cell, orbitals summed, normalized to 1."""
-    imap = _index_map(index_map)
-    w = _right_weights(_rows(state), imap)[0]
-    return SiteProfile(weights=w, kind="right", shape=imap.sizes)
+    return _right_weights(_rows(state), _index_map(index_map))[0]
 
 
-def biorthogonal_density(L, R, index_map) -> SiteProfile:
-    """Complex weights conj(L)_n R_n / <L|R> per cell.
+def biorthogonal_density(L, R, index_map) -> np.ndarray:
+    """Complex weights conj(L)_n R_n / <L|R> per cell, summing to 1.
 
     Refuses when |<L|R>| < 1e-12: that is the fingerprint of an exceptional
     point, where matched left/right pairs stop spanning the space and the
     biorthogonal decomposition is meaningless.
     """
-    imap = _index_map(index_map)
-    w = _bio_weights(np.conj(_rows(L)), _rows(R), imap)[0]
-    return SiteProfile(weights=w, kind="biorthogonal", shape=imap.sizes)
-
-
-def decay_fit(profile: SiteProfile, window) -> dict:
-    """Least-squares slope of ln(weights) over a site window.
-
-    rate > 0 means growth toward the right; r_squared reports fit quality.
-    """
-    a, b = int(window[0]), int(window[1])
-    if not (0 <= a < b <= profile.n_cells):
-        raise ValueError(f"window {window} not inside [0, {profile.n_cells})")
-    if b - a < 5:
-        raise ValueError("window must span at least 5 sites")
-    w = np.abs(np.asarray(profile.weights))[a:b]
-    if np.any(w <= 0):
-        raise ValueError("nonpositive weights in window; cannot fit log-decay")
-    x = np.arange(a, b, dtype=float)
-    y = np.log(w)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - float((resid**2).sum()) / ss_tot if ss_tot > 0 else 1.0
-    return {"rate": float(slope), "r_squared": r2}
+    return _bio_weights(np.conj(_rows(L)), _rows(R), _index_map(index_map))[0]
 
 
 def _participation(weights: np.ndarray) -> np.ndarray:
@@ -135,9 +88,9 @@ def _participation(weights: np.ndarray) -> np.ndarray:
     return 1.0 / np.sum(p**2, axis=-1)
 
 
-def participation_ratio(profile: SiteProfile) -> float:
+def participation_ratio(weights) -> float:
     """PR of |weights| (normalized); n_cells for uniform, 1 for a point."""
-    return float(_participation(np.asarray(profile.weights)))
+    return float(_participation(np.asarray(weights)))
 
 
 @dataclass(frozen=True)
@@ -200,8 +153,9 @@ def _classify(Lt: np.ndarray, Rt: np.ndarray, imap: IndexMap, th: Thresholds) ->
     return out
 
 
-def classify_state(L, R, index_map, thresholds: Thresholds | None = None) -> StateClass:
-    """Skin / topological-boundary / bulk verdict for one matched pair.
+def classify_spectrum(system, op, thresholds: Thresholds | None = None):
+    """Skin / topological-boundary / bulk verdict for every matched pair of a
+    BiorthogonalSystem, batched.
 
     Skin: right profile boundary-accumulated while the biorthogonal profile
     stays delocalized.  Topological boundary: both are boundary-localized
@@ -209,22 +163,17 @@ def classify_state(L, R, index_map, thresholds: Thresholds | None = None) -> Sta
     right-vector side when left and right states live on opposite ends).
     Bulk: everything else.  Exceptional-point refusals propagate.
     """
-    imap = _index_map(index_map)
-    return _classify(_rows(L), _rows(R), imap, thresholds or Thresholds())[0]
-
-
-def classify_spectrum(system, op, thresholds: Thresholds | None = None):
-    """classify_state over every matched pair of a BiorthogonalSystem, batched."""
     return _classify(system.left.T, system.right.T, _index_map(op), thresholds or Thresholds())
 
 
-def export_profiles_csv(path, profiles, labels=None) -> None:
-    """site index, Re(weight), Im(weight), kind tag — one block per profile."""
+def export_profiles_csv(path, profiles, labels) -> None:
+    """site index, Re(weight), Im(weight), kind — one block per weight array
+    in profiles, its kind column holding the matching entry of labels."""
     from .io import write_csv
 
-    weights = [np.asarray(prof.weights, dtype=complex) for prof in profiles]
+    weights = [np.asarray(prof, dtype=complex) for prof in profiles]
     sizes = [len(w) for w in weights]
-    tags = np.asarray([labels[j] if labels else prof.kind for j, prof in enumerate(profiles)], str)
+    tags = np.asarray(labels, str)
     w = np.concatenate(weights or [np.zeros(0, complex)])
     site = np.concatenate([np.arange(k) for k in sizes] or [np.zeros(0, int)])
     columns = [site, w.real, w.imag, np.repeat(tags, sizes)]

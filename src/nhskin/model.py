@@ -416,9 +416,3 @@ def load_model(path) -> LatticeModel:
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"invalid JSON in {path}: {exc}") from exc
     return model_from_dict(doc)
-
-
-def save_model(model: LatticeModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")

@@ -10,7 +10,7 @@ periodic one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -100,20 +100,10 @@ class RealSpaceOperator:
 
     matrix: np.ndarray
     index_map: IndexMap
-    boundary: Tuple[BoundaryKind, ...]
-    name: Optional[str] = None
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def sizes(self) -> Tuple[int, ...]:
-        return self.index_map.sizes
-
-    @property
-    def bands(self) -> int:
-        return self.index_map.bands
 
 
 def build(model: LatticeModel, sizes, boundary=OBC) -> RealSpaceOperator:
@@ -160,31 +150,13 @@ def build(model: LatticeModel, sizes, boundary=OBC) -> RealSpaceOperator:
                 amp = t.amplitude[a, b]
                 if amp != 0:
                     H[rows + a, cols + b] += amp * factor[keep]
-    return RealSpaceOperator(matrix=H, index_map=imap, boundary=bnd, name=model.name)
+    return RealSpaceOperator(matrix=H, index_map=imap)
 
 
-def from_matrix(matrix, bands: int = 1, boundary=OBC, name=None) -> RealSpaceOperator:
-    """Wrap an explicit matrix (e.g. position-dependent chains) as an operator."""
+def from_matrix(matrix) -> RealSpaceOperator:
+    """Wrap an explicit square matrix (e.g. a position-dependent chain) as an
+    operator on a one-band chain, one cell per row."""
     M = np.asarray(matrix, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise BuildError("matrix must be square")
-    if M.shape[0] % bands:
-        raise BuildError("matrix size is not a multiple of the band count")
-    imap = IndexMap(sizes=(M.shape[0] // bands,), bands=bands)
-    return RealSpaceOperator(
-        matrix=M, index_map=imap, boundary=_normalize_boundary(boundary, 1), name=name
-    )
-
-
-def add_onsite_disorder(op: RealSpaceOperator, strength: float, seed: int) -> RealSpaceOperator:
-    """Fresh operator with independent uniform([-strength, strength]) real
-    on-site energies; deterministic for a given seed."""
-    if strength < 0:
-        raise BuildError("disorder strength must be >= 0")
-    rng = np.random.default_rng(seed)
-    M = op.matrix.copy()
-    M[np.diag_indices_from(M)] += rng.uniform(-strength, strength, size=op.n)
-    return RealSpaceOperator(
-        matrix=M, index_map=op.index_map, boundary=op.boundary, name=op.name
-    )
-
+    return RealSpaceOperator(matrix=M, index_map=IndexMap(sizes=(M.shape[0],), bands=1))

@@ -9,20 +9,14 @@ interface where the preferred direction flips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
 from .errors import AmbiguousTargetError, SingularProbeError, StepSizeError
 from .model import LatticeModel
 from .realspace import Coupled, RealSpaceOperator, build, from_matrix
-from .spectral import dense_spectrum, hausdorff_distance
-
-ArrayLike = Union[RealSpaceOperator, np.ndarray]
-
-
-def _matrix(op: ArrayLike) -> np.ndarray:
-    return op.matrix if isinstance(op, RealSpaceOperator) else np.asarray(op)
+from .spectral import _as_matrix, dense_spectrum, hausdorff_distance
 
 
 @dataclass(frozen=True)
@@ -35,8 +29,8 @@ class Susceptibility:
     asymmetry: float
 
 
-def susceptibility(op: ArrayLike, omega) -> Susceptibility:
-    H = _matrix(op)
+def susceptibility(op, omega) -> Susceptibility:
+    H = _as_matrix(op)
     return _susceptibility(H, omega, np.linalg.norm(H, 2))
 
 
@@ -56,9 +50,9 @@ def _susceptibility(H: np.ndarray, omega, scale: float) -> Susceptibility:
     return Susceptibility(omega=complex(omega), chi=chi, asymmetry=asymmetry)
 
 
-def reciprocity_test(op: ArrayLike, omegas: Iterable[complex], tol: float = 1e-10) -> List[dict]:
+def reciprocity_test(op, omegas: Iterable[complex], tol: float = 1e-10) -> List[dict]:
     """Probe |chi_ij| vs |chi_ji| at each frequency."""
-    H = _matrix(op)
+    H = _as_matrix(op)
     scale = np.linalg.norm(H, 2)
     out = []
     for w in omegas:
@@ -73,14 +67,14 @@ def reciprocity_test(op: ArrayLike, omegas: Iterable[complex], tol: float = 1e-1
     return out
 
 
-def amplification_log_ratio(op: ArrayLike, omega=0.0) -> float:
+def amplification_log_ratio(op, omega=0.0) -> float:
     """log |chi_{N1} / chi_{1N}|: end-to-end gain imbalance.
 
     Both cofactors share det(omega - H), so the ratio reduces to corner
     minors and stays finite even where the resolvent itself diverges; the
     log-determinants are taken directly to avoid overflow at large N.
     """
-    H = _matrix(op)
+    H = _as_matrix(op)
     A = complex(omega) * np.eye(H.shape[0]) - H
     s_top = np.linalg.slogdet(A[1:, :-1])
     s_bot = np.linalg.slogdet(A[:-1, 1:])
@@ -98,10 +92,6 @@ class Trajectory:
     states: np.ndarray  # (n_steps + 1, N)
     densities: np.ndarray  # (n_steps + 1, n_cells)
     log_growth: np.ndarray  # cumulative log ||psi_raw||
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def time_evolve(
@@ -179,7 +169,7 @@ def funnel_model(J_L: float, J_R: float, N_half: int) -> RealSpaceOperator:
             up, dn = J_R, J_L  # right half: mirrored
         H[n, n + 1] = up
         H[n + 1, n] = dn
-    return from_matrix(H, bands=1, boundary="obc", name="funnel")
+    return from_matrix(H)
 
 
 def sensor_sweep(

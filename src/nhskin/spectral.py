@@ -236,9 +236,6 @@ class BiorthogonalSystem:
     def n(self) -> int:
         return len(self.eigenvalues)
 
-    def pair(self, i: int):
-        return self.eigenvalues[i], self.right[:, i], self.left[:, i]
-
 
 def eig_biorthogonal(op) -> BiorthogonalSystem:
     """Full right+left eigensystem of a dense operator from one eigensolve.
@@ -305,16 +302,11 @@ def hausdorff_distance(a, b) -> float:
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
 
 
-def export_spectrum_csv(path, system: BiorthogonalSystem, profiles: bool = False) -> None:
-    """index, Re E, Im E, per-eigenvalue condition; optionally per-site |psi|."""
+def export_spectrum_csv(path, system: BiorthogonalSystem) -> None:
+    """index, Re E, Im E, per-eigenvalue condition."""
     from .io import write_csv
 
     kappa_i = np.linalg.norm(system.left, axis=0) * np.linalg.norm(system.right, axis=0)
-    header = ["index", "re_e", "im_e", "kappa_i"]
-    if profiles:
-        header += [f"abs_psi_{n}" for n in range(system.right.shape[0])]
     ev = system.eigenvalues
     columns = [np.arange(len(ev)), ev.real, ev.imag, kappa_i]
-    if profiles:
-        columns += list(np.abs(system.right))
-    write_csv(path, header, columns)
+    write_csv(path, ["index", "re_e", "im_e", "kappa_i"], columns)

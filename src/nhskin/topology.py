@@ -19,8 +19,6 @@ import numpy as np
 from .errors import GapClosedError
 from .model import LatticeModel, _char_roots, bloch_samples, char_poly
 
-K_GRID = 2048  # Bloch samples behind point_gap_open's band distance
-
 
 @dataclass(frozen=True)
 class WindingResult:
@@ -46,17 +44,6 @@ def _windings(model: LatticeModel, E_B: np.ndarray, gap_tol: float):
     margin = np.abs(mods - 1).min(axis=1)
     margin[np.isnan(margin)] = 0.0
     return np.where(margin > gap_tol, (mods < 1).sum(axis=1) + cp.lo[0], np.nan), margin
-
-
-def point_gap_open(model: LatticeModel, E_B, gap_tol: float = 1e-6) -> dict:
-    """Whether no characteristic root lies within gap_tol of |beta| = 1, and the
-    least distance from E_B to the bands sampled on K_GRID points."""
-    E_B = complex(E_B)
-    _, (margin,) = _windings(model, np.array([E_B]), gap_tol)
-    ks = np.linspace(-np.pi, np.pi, K_GRID, endpoint=False)
-    Hs = bloch_samples(model, ks[:, None])
-    bands = Hs[:, :, 0] if model.bands == 1 else np.linalg.eigvals(Hs)
-    return {"open": bool(margin > gap_tol), "min_dist": float(np.abs(bands - E_B).min())}
 
 
 def winding_number(model: LatticeModel, E_B, gap_tol: float = 1e-6) -> WindingResult:

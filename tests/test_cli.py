@@ -324,6 +324,11 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         ["spectrum", *HN, "-N", "8", "--k-samples", "0"],
         ["spectrum", *HN, "-N", "8", "--k-samples", "-1"],
         ["sensor", *HN, "-N", "8", "10", "--epsilon", "nan"],
+        ["funnel", "--half", "1"],
+        ["funnel", "--half", "0"],
+        ["funnel", "--half", "-3"],
+        ["funnel", "--half", "6", "--site", "-1"],
+        ["funnel", "--half", "6", "--site", "12"],
     ],
     ids=[
         "funnel-N",
@@ -375,6 +380,11 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         "spectrum-k-samples0",
         "spectrum-k-samples-negative",
         "sensor-epsilon-nan",
+        "funnel-half1",
+        "funnel-half0",
+        "funnel-half-negative",
+        "funnel-site-negative",
+        "funnel-site-past-chain",
     ],
 )
 def test_undeclared_options_are_usage_errors(tmp_path, args):
@@ -404,6 +414,7 @@ def test_winding_map_reports_its_health(tmp_path, capsys):
         ["winding", *HN, "--grid", "-3"],
         ["amoeba", *ASYM2D, "--energy", "4+0i", "--resolution", "0"],
         ["amoeba", *ASYM2D, "--energy", "4+0i", "--phases", "0"],
+        ["funnel", "--half", "6", "--site", "12"],
     ],
     ids=[
         "crossover-count0",
@@ -413,6 +424,7 @@ def test_winding_map_reports_its_health(tmp_path, capsys):
         "winding-grid-negative",
         "amoeba-resolution0",
         "amoeba-phases0",
+        "funnel-site-past-chain",
     ],
 )
 def test_usage_errors_after_parsing_show_the_command_usage(tmp_path, capsys, args):

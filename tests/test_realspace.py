@@ -7,7 +7,6 @@ from nhskin.realspace import (
     OBC,
     PBC,
     Coupled,
-    add_onsite_disorder,
     build,
     from_matrix,
 )
@@ -99,20 +98,6 @@ def test_build_rejects_tiny_or_overreaching_lattices():
         build(builtin_2d(0.5, 1.0, 0.2), [2, 1], OBC)
 
 
-def test_disorder_is_seeded_and_diagonal():
-    op = build(builtin_hatano_nelson(0.5, 1.0), [20], OBC)
-    d1 = add_onsite_disorder(op, 0.1, seed=11)
-    d2 = add_onsite_disorder(op, 0.1, seed=11)
-    d3 = add_onsite_disorder(op, 0.1, seed=12)
-    np.testing.assert_allclose(d1.matrix, d2.matrix, atol=0)
-    assert not np.allclose(d1.matrix, d3.matrix)
-    diff = d1.matrix - op.matrix
-    assert np.all(diff == np.diag(np.diag(diff)))
-    assert np.abs(np.diag(diff)).max() <= 0.1
-
-
 def test_from_matrix_checks_shape():
     with pytest.raises(BuildError):
         from_matrix(np.zeros((3, 4)))
-    op = from_matrix(np.eye(6), bands=2)
-    assert op.index_map.sizes == (3,)

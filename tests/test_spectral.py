@@ -67,7 +67,7 @@ def test_eigenpair_residuals(op):
     sy = eig_biorthogonal(op)
     H = op.matrix
     for i in range(sy.n):
-        e, R, L = sy.pair(i)
+        e, R, L = sy.eigenvalues[i], sy.right[:, i], sy.left[:, i]
         assert np.linalg.norm(H @ R - e * R) < 1e-9
         # left vectors are only biorthonormalized, not unit-norm
         assert np.linalg.norm(L.conj() @ H - e * L.conj()) < 1e-9 * max(1.0, np.linalg.norm(L))
@@ -166,9 +166,6 @@ def test_spectrum_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("index,re_e,im_e,kappa")
     assert len(lines) == 9
-    with_profiles = tmp_path / "spec_profiles.csv"
-    export_spectrum_csv(with_profiles, sy, profiles=True)
-    assert len(with_profiles.read_text().strip().splitlines()[0].split(",")) == 4 + 8
 
 
 def test_dense_spectrum_accepts_plain_arrays():

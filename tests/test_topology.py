@@ -7,7 +7,6 @@ from nhskin.model import HoppingTerm, LatticeModel, builtin_hatano_nelson, built
 from nhskin.realspace import OBC, build
 from nhskin.spectral import eig_biorthogonal
 from nhskin.topology import (
-    point_gap_open,
     predict_skin_side,
     winding_map,
     winding_number,
@@ -49,18 +48,7 @@ def test_flat_band_closes_the_gap():
     ))
     with pytest.raises(GapClosedError):
         winding_number(m, 0.2)
-    assert not point_gap_open(m, 0.2)["open"]
     assert winding_number(m, 0.0).w == -1
-
-
-def test_point_gap_distances():
-    m = builtin_hatano_nelson(0.5, 1.0)
-    g0 = point_gap_open(m, 0.0)
-    assert g0["open"]
-    assert g0["min_dist"] == pytest.approx(0.5, abs=1e-4)  # ellipse semiaxes 1.5, 0.5
-    g10 = point_gap_open(m, 10.0)
-    assert g10["min_dist"] == pytest.approx(8.5, abs=1e-4)
-    assert not point_gap_open(builtin_hatano_nelson(1.0, 1.0), 0.0)["open"]
 
 
 def test_winding_constant_inside_loop():
