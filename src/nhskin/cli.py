@@ -295,6 +295,8 @@ def _cmd_funnel(args, model):
 
     if args.site >= 2 * args.half:
         args.parser.error(f"--site must lie in [0, {2 * args.half - 1}]")
+    if abs(args.jl) == abs(args.jr):
+        args.parser.error("funnel needs asymmetric hopping, |--jl| != |--jr|")
     op = funnel_model(args.jl, args.jr, args.half)
     psi0 = np.zeros(op.n, dtype=complex)
     psi0[args.site] = 1.0

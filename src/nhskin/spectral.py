@@ -17,20 +17,33 @@ bond list (each nonzero and its transposed entry).
 After the gauge an open chain with real (or conjugate-paired) hoppings is
 Hermitian, usually real symmetric, with the same eigenvalues (Yao & Wang,
 PRL 121, 086803 (2018)).  Every solve here tests the gauged matrix for that
-once and then takes `eigh`/`eigvalsh` on its Hermitian part, in real
-arithmetic when its imaginary part is exactly zero; the left vectors are
-then the right ones in the gauged basis.  Rounding in exp(l) leaves an
-asymmetry of about 1.5 eps max|l| max|H_b|, so the test accepts up to
-4 eps (1 + max|l|) max|H_b|, which also bounds the eigenvalue shift of the
-symmetrisation to about that size.  Everything else (exceptional points and
-one-way chains, periodic and partially coupled rings, lattices with flux)
-keeps the general eigensolver, in real arithmetic when H_b is real: one
-LAPACK `geev` call returns the left and right vectors, paired by index.
+once and symmetrises it, in real arithmetic when its imaginary part is
+exactly zero; the left vectors are then the right ones in the gauged basis.
+Rounding in exp(l) leaves an asymmetry of about 1.5 eps max|l| max|H_b|, so
+the test accepts up to 4 eps (1 + max|l|) max|H_b|, which also bounds the
+eigenvalue shift of the symmetrisation to about that size.  There are three
+solver paths:
+
+- "chiral": a Hermitian H_b with no diagonal whose bond graph has two
+  colours (no odd cycle; the parity of breadth-first depth on the bond
+  list finds them) is [[0, B], [B^H, 0]] on its two sublattices, p x q.
+  Its eigenvalues are -S, |p - q| exact zeros and +S for the singular values
+  S of B, its eigenvectors (u, -/+ w)/sqrt 2 and the null vectors of the
+  longer side, all from one SVD of the half-size block.  This covers the
+  built-in open chains (Hatano-Nelson, nh-SSH) and any open square lattice
+  with nearest-neighbour hopping.  The spectrum comes out exactly +-
+  symmetric, so the two values of a zero pair are exact negatives.
+- "eigh": any other Hermitian H_b (on-site terms, odd cycles), by
+  `eigh`/`eigvalsh`.
+- "eig": everything else (exceptional points and one-way chains, periodic
+  and partially coupled rings, lattices with flux) keeps the general
+  eigensolver, in real arithmetic when H_b is real: one LAPACK `geev` call
+  returns the left and right vectors, paired by index.
 
 Conditioning comes from the singular values of the gauged right-vector
-matrix, which is unitary on the `eigh` path.  The physical basis would add
-the skin effect's exponential non-normality (Trefethen & Embree, 2005),
-which the gauge removes exactly and which is no exceptional point.
+matrix, which is unitary on the two Hermitian paths.  The physical basis
+would add the skin effect's exponential non-normality (Trefethen & Embree,
+2005), which the gauge removes exactly and which is no exceptional point.
 """
 
 from __future__ import annotations
@@ -70,6 +83,27 @@ def _entries(H):
     return i, j, np.searchsorted(key, j * n + i)
 
 
+def _tree_sums(n, i, j, step) -> np.ndarray:
+    """Per-site sums of step[e] along breadth-first spanning trees of the
+    row-major (CSR) bond list (i, j), each component rooted at its first
+    site with 0."""
+    start = np.searchsorted(i, np.arange(n + 1)).tolist()
+    nbr, step = j.tolist(), step.tolist()
+    l, seen = [0.0] * n, [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root], queue = True, deque([root])
+        while queue:
+            u = queue.popleft()
+            for e in range(start[u], start[u + 1]):
+                v = nbr[e]
+                if not seen[v]:
+                    l[v], seen[v] = l[u] + step[e], True
+                    queue.append(v)
+    return np.array(l)
+
+
 def gauge_log_scales(H) -> np.ndarray:
     """Per-site log scales that symmetrize |H|, or zeros when impossible.
 
@@ -93,22 +127,7 @@ def gauge_log_scales(H) -> np.ndarray:
     two_sided = on & on[k]
     # half-log ratio across each edge; a one-way bond carries no constraint
     half = np.where(two_sided, 0.5 * (log_a[k] - log_a), 0.0)
-    # breadth-first over the row-major (CSR) adjacency
-    start = np.searchsorted(i, np.arange(n + 1)).tolist()
-    nbr, step = j.tolist(), half.tolist()
-    l, seen = [0.0] * n, [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root], queue = True, deque([root])
-        while queue:
-            u = queue.popleft()
-            for e in range(start[u], start[u + 1]):
-                v = nbr[e]
-                if not seen[v]:
-                    l[v], seen[v] = l[u] + step[e], True
-                    queue.append(v)
-    l = np.array(l)
+    l = _tree_sums(n, i, j, half)
     dl = l[j] - l[i]
     if np.any(np.abs(dl[two_sided] - half[two_sided]) > FLUX_TOL):
         return np.zeros(n)
@@ -125,9 +144,11 @@ def _hermitian_part(hb, k, tol):
 
 
 def _gauged(H):
-    """(M, d, hermitian) for H_b = D^-1 H D, d the per-site scales or None:
-    M is H_b symmetrised if H_b is Hermitian within the rounding of the
-    gauge, else H_b, and real when its imaginary part is exactly zero."""
+    """(M, d, hermitian, odd) for H_b = D^-1 H D, d the per-site scales or
+    None: M is H_b symmetrised if H_b is Hermitian within the rounding of the
+    gauge, else H_b, and real when its imaginary part is exactly zero.  odd
+    marks one of two sublattices when M is Hermitian and couples only sites
+    of opposite sublattices (no diagonal, no odd cycle), else it is None."""
     i, j, k = _entries(H)
     h = H[i, j]
     if not np.all(np.isfinite(h)):
@@ -143,19 +164,57 @@ def _gauged(H):
     if s is not None or d is not None:  # the matrix to solve, from its entries
         H = np.zeros(H.shape, dtype=v.dtype)
         H[i, j] = v
-    return H, d, s is not None
+    odd = None
+    if s is not None and not np.any(i == j):  # colour by the parity of tree depth
+        odd = _tree_sums(len(H), i, j, np.ones(i.size)) % 2 == 1
+        if np.any(odd[i] == odd[j]):
+            odd = None
+    return H, d, s is not None, odd
+
+
+def _chiral_eig(M, odd, vectors: bool):
+    """(w, V) of a Hermitian M that couples only the sites in odd to the
+    others, from the SVD B = U S W^H of its p x q block B = M[~odd, odd]:
+    w is -S, |p - q| zeros and +S, ascending, and V holds (u_k, -w_k)/sqrt 2,
+    the null vectors of the longer side and (u_k, w_k)/sqrt 2 in that order,
+    in Fortran order (None when vectors is False)."""
+    a, b = np.flatnonzero(~odd), np.flatnonzero(odd)
+    B = M[np.ix_(a, b)]
+    p, q = B.shape
+    r, z = min(p, q), abs(p - q)
+    if vectors:
+        U, s, Wh = np.linalg.svd(B)
+        W = Wh.conj().T
+        U[:, :r] *= np.sqrt(0.5)
+        W[:, :r] *= np.sqrt(0.5)
+        V = np.zeros((p + q, p + q), dtype=B.dtype, order="F")
+        V[a, r + z :] = U[:, :r][:, ::-1]
+        V[b, r + z :] = W[:, :r][:, ::-1]
+        V[a, :r] = U[:, :r]
+        V[b, :r] = np.negative(W[:, :r], out=W[:, :r])
+        rows, X = (a, U) if p > q else (b, W)  # the null vectors of the longer side
+        V[rows, r : r + z] = X[:, r:]
+    else:
+        s, V = np.linalg.svd(B, compute_uv=False), None
+    return np.concatenate([0.0 - s, np.zeros(z), s[::-1]]), V  # 0.0 - s is never -0.0
 
 
 def _gauged_eig(H, vectors: bool = True):
-    """Eigenpairs of the gauged H: (w, Vb, Lb, d, hermitian), right and left
-    vectors in the gauged basis (None when vectors is False).  Hermitian H_b
-    goes to eigh (Lb is Vb), everything else to one general eig, each in real
-    arithmetic when H_b is real.  Left vectors are scaled to <L_i|R_i> = 1
-    where |<L_i|R_i>| > 1e-12 and keep unit norm elsewhere."""
-    M, d, hermitian = _gauged(H)
+    """Eigenpairs of the gauged H: (w, Vb, Lb, d, solver), right and left
+    vectors in the gauged basis (None when vectors is False).  A Hermitian
+    H_b on two sublattices goes to the SVD of its off-diagonal block
+    ("chiral"), any other Hermitian H_b to eigh ("eigh"); on both Lb is Vb
+    and w is ascending.  Everything else goes to one general eig ("eig").
+    Each runs in real arithmetic when H_b is real.  Left vectors are scaled
+    to <L_i|R_i> = 1 where |<L_i|R_i>| > 1e-12 and keep unit norm elsewhere."""
+    M, d, hermitian, odd = _gauged(H)
+    solver = "eig" if not hermitian else "eigh" if odd is None else "chiral"
     la = np.linalg
     try:
-        if hermitian:
+        if solver == "chiral":
+            w, Vb = _chiral_eig(M, odd, vectors)
+            Lb = Vb
+        elif solver == "eigh":
             w, Vb = la.eigh(M) if vectors else (la.eigvalsh(M), None)
             Lb = Vb
         elif vectors:
@@ -168,12 +227,21 @@ def _gauged_eig(H, vectors: bool = True):
             w, Vb, Lb = la.eigvals(M), None, None
     except la.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
-    return w, Vb, Lb, d, hermitian
+    return w, Vb, Lb, d, solver
+
+
+def _biorth_residual(Lb, Vb) -> float:
+    """max |L_b^H V_b - I|, taken in place; Vb^T Vb on real Hermitian paths
+    (Lb is Vb) goes to matmul's symmetric-product shortcut."""
+    G = Lb.conj().T @ Vb
+    G[np.diag_indices_from(G)] -= 1.0
+    return float(np.abs(G, out=G if G.dtype == float else None).max())
 
 
 def _conditioning(Vb, hermitian: bool):
     """(s_0/s_min, count of s <= sqrt(eps) s_0) from the singular values s of
-    the gauged right vectors (unit columns); unitary on eigh, so no SVD."""
+    the gauged right vectors (unit columns); unitary on the Hermitian paths,
+    so no SVD."""
     if hermitian:
         return 1.0, 0
     s = np.linalg.svd(Vb, compute_uv=False)
@@ -214,13 +282,16 @@ class BiorthogonalSystem:
     positive real axis; left[:, i] is scaled so <L_i|R_i> = 1 whenever the
     pairing is numerically meaningful.  `condition` is the condition number
     of the right-eigenvector matrix in the gauged basis (columns of unit
-    norm), 1 on the `eigh` path; it measures closeness to an exceptional
+    norm), 1 on the Hermitian paths; it measures closeness to an exceptional
     point, not the skin effect's non-normality, which the gauge removes.
     `biorth_residual` is max |L_b^H V_b - I| in the gauged basis, where the
     physical column-norm ratios cannot amplify rounding; ep_flag marks
     decompositions whose conditioning (or biorthogonality residual) is
     consistent with an exceptional point.  `solver` names the path taken:
-    "eigh" (Hermitian after the gauge) or "eig" (the general eigensolver).
+    "chiral" (Hermitian after the gauge and coupling only two sublattices:
+    the SVD of the off-diagonal block), "eigh" (any other Hermitian H_b) or
+    "eig" (the general eigensolver).  Both Hermitian paths return ascending
+    eigenvalues; right and left are complex and in Fortran order.
     """
 
     eigenvalues: np.ndarray
@@ -240,39 +311,48 @@ class BiorthogonalSystem:
 def eig_biorthogonal(op) -> BiorthogonalSystem:
     """Full right+left eigensystem of a dense operator from one eigensolve.
 
-    When the gauged matrix is Hermitian its unitary eigenvector matrix is its
-    own left partner; otherwise the general eigensolver returns the left
-    vectors with the right ones.  ep_flag is set when `condition` exceeds
-    COND_LIMIT or the biorthogonality residual exceeds TOL_BIORTH.
+    When the gauged matrix is Hermitian (the chiral and eigh paths) its
+    unitary eigenvector matrix is its own left partner and its eigenvalues
+    come out ascending; otherwise the general eigensolver returns the left
+    vectors with the right ones, sorted here by (Re, Im).  ep_flag is set
+    when `condition` exceeds COND_LIMIT or the biorthogonality residual
+    exceeds TOL_BIORTH.
     """
-    w, Vb, Lb, d, hermitian = _gauged_eig(_as_matrix(op))
-    order = np.lexsort((w.imag, w.real))
-    w, Vb = w[order], Vb[:, order]
-    # np.conj copies, so the product never takes matmul's Vb^T Vb shortcut
-    Lb = Vb if hermitian else Lb[:, order]
-    residual = float(np.max(np.abs(np.conj(Lb).T @ Vb - np.eye(len(w)))))
+    w, Vb, Lb, d, solver = _gauged_eig(_as_matrix(op))
+    hermitian = solver != "eig"
+    if not hermitian:  # eigh and the SVD return ascending real eigenvalues
+        order = np.lexsort((w.imag, w.real))
+        w, Vb, Lb = w[order], Vb[:, order], Lb[:, order]
+    residual = _biorth_residual(Lb, Vb)
     condition = _conditioning(Vb, hermitian)[0]
+    # the complex results are built once; real vectors are processed in
+    # their real parts, with the same arithmetic as real arrays
+    R = np.zeros(Vb.shape, dtype=complex, order="F")
+    L = np.zeros_like(R)
+    r, l = (R, L) if np.iscomplexobj(Vb) else (R.real, L.real)
     scale = d[:, None] if d is not None else 1.0
-    R, L = Vb * scale, Lb / scale
+    np.multiply(Vb, scale, out=r)
+    np.divide(Lb, scale, out=l)
+    del Vb, Lb  # freed before the temporaries below, which lowers the peak
 
-    norms = np.linalg.norm(R, axis=0)
-    R /= norms
-    L *= norms
+    norms = np.linalg.norm(r, axis=0)
+    r /= norms
+    l *= norms
     # phase convention: largest-magnitude component of each right vector real-positive
-    lead = R[np.argmax(np.abs(R), axis=0), np.arange(R.shape[1])]
+    lead = r[np.argmax(np.abs(r), axis=0), np.arange(r.shape[1])]
     phase = lead / np.abs(lead)
-    R /= phase[None, :]
-    L *= np.conj(phase)[None, :]
+    r /= phase[None, :]
+    l *= np.conj(phase)[None, :]
 
     return BiorthogonalSystem(
         eigenvalues=np.asarray(w, dtype=complex),
-        right=np.asarray(R, dtype=complex),
-        left=np.asarray(L, dtype=complex),
+        right=R,
+        left=L,
         condition=condition,
         min_pair_gap=_min_pair_gap(w),
         ep_flag=bool(condition > COND_LIMIT or residual > TOL_BIORTH),
         biorth_residual=residual,
-        solver="eigh" if hermitian else "eig",
+        solver=solver,
     )
 
 
@@ -291,8 +371,8 @@ def ep_diagnostic(op) -> dict:
     counts missing eigenvector directions: matrix dimension minus its
     numerical rank at tolerance sqrt(machine eps) * largest singular value.
     """
-    w, Vb, _, _, hermitian = _gauged_eig(_as_matrix(op))
-    kappa, defect = _conditioning(Vb, hermitian)
+    w, Vb, _, _, solver = _gauged_eig(_as_matrix(op))
+    kappa, defect = _conditioning(Vb, solver != "eig")
     return {"kappa_V": kappa, "min_pair_gap": _min_pair_gap(w), "defect_estimate": defect}
 
 

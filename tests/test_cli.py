@@ -329,6 +329,8 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         ["funnel", "--half", "-3"],
         ["funnel", "--half", "6", "--site", "-1"],
         ["funnel", "--half", "6", "--site", "12"],
+        ["funnel", "--half", "6", "--jl", "1", "--jr", "-1"],
+        ["funnel", "--half", "6", "--jl", "0.7", "--jr", "0.7"],
     ],
     ids=[
         "funnel-N",
@@ -385,6 +387,8 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch, capsys, args):
         "funnel-half-negative",
         "funnel-site-negative",
         "funnel-site-past-chain",
+        "funnel-jl-minus-jr",
+        "funnel-jl-equals-jr",
     ],
 )
 def test_undeclared_options_are_usage_errors(tmp_path, args):
@@ -415,6 +419,7 @@ def test_winding_map_reports_its_health(tmp_path, capsys):
         ["amoeba", *ASYM2D, "--energy", "4+0i", "--resolution", "0"],
         ["amoeba", *ASYM2D, "--energy", "4+0i", "--phases", "0"],
         ["funnel", "--half", "6", "--site", "12"],
+        ["funnel", "--half", "6", "--jl", "1", "--jr", "-1"],
     ],
     ids=[
         "crossover-count0",
@@ -425,6 +430,7 @@ def test_winding_map_reports_its_health(tmp_path, capsys):
         "amoeba-resolution0",
         "amoeba-phases0",
         "funnel-site-past-chain",
+        "funnel-jl-minus-jr",
     ],
 )
 def test_usage_errors_after_parsing_show_the_command_usage(tmp_path, capsys, args):

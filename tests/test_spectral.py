@@ -173,19 +173,38 @@ def test_dense_spectrum_accepts_plain_arrays():
     np.testing.assert_allclose(ev, [1.0, 2.0, 3.0], atol=0)
 
 
+ONSITE = 0.25  # a uniform on-site energy: a diagonal keeps a chain off the chiral path
+
+
 @pytest.mark.parametrize("jl, n", [(0.3, 460), (0.5, 1000)])
 def test_gauged_open_chain_takes_eigh(jl, n):
     # max|l| reaches 138 and 173 here: the Hermiticity tolerance must grow
     # with the gauge range or these fall back to the general solver
-    sy = eig_biorthogonal(build(builtin_hatano_nelson(jl, 1.0), [n], OBC))
+    H = build(builtin_hatano_nelson(jl, 1.0), [n], OBC).matrix + ONSITE * np.eye(n)
+    sy = eig_biorthogonal(H)
     assert sy.solver == "eigh"
+    assert np.all(sy.eigenvalues.imag == 0)
+    np.testing.assert_allclose(sy.eigenvalues.real, hn_closed_form(jl, 1.0, n) + ONSITE, atol=1e-10)
+
+
+@pytest.mark.parametrize("jl, n", [(0.3, 460), (0.5, 1000)])
+def test_gauged_open_chain_takes_chiral(jl, n):
+    sy = eig_biorthogonal(build(builtin_hatano_nelson(jl, 1.0), [n], OBC))
+    assert sy.solver == "chiral"
     assert np.all(sy.eigenvalues.imag == 0)
     np.testing.assert_allclose(sy.eigenvalues.real, hn_closed_form(jl, 1.0, n), atol=1e-10)
 
 
 def test_nh_ssh_takes_eigh_and_keeps_its_zero_pair():
-    sy = eig_biorthogonal(build(builtin_nh_ssh(0.5, 1.0, 0.3), [225], OBC))
+    H = build(builtin_nh_ssh(0.5, 1.0, 0.3), [225], OBC).matrix + ONSITE * np.eye(450)
+    sy = eig_biorthogonal(H)
     assert sy.solver == "eigh"
+    assert np.sort(np.abs(sy.eigenvalues - ONSITE))[1] < 1e-8
+
+
+def test_nh_ssh_takes_chiral_and_keeps_its_zero_pair():
+    sy = eig_biorthogonal(build(builtin_nh_ssh(0.5, 1.0, 0.3), [225], OBC))
+    assert sy.solver == "chiral"
     assert np.sort(np.abs(sy.eigenvalues))[1] < 1e-8
 
 
@@ -219,19 +238,22 @@ def test_non_hermitian_after_gauge_takes_eig(op):
 @pytest.mark.parametrize(
     "op",
     [
-        build(builtin_hatano_nelson(0.5, 1.0), [30], OBC),
+        build(builtin_hatano_nelson(0.5, 1.0), [30], OBC).matrix + ONSITE * np.eye(30),
         build(builtin_hatano_nelson(0.5, 1.0), [30], PBC),
         # real H_b with an all-real spectrum: the real eig returns real
         # vectors, and the results must still be complex
         build(builtin_hatano_nelson(0.0, 1.0), [10], OBC),
+        build(builtin_hatano_nelson(0.5, 1.0), [30], OBC),
     ],
-    ids=["eigh", "eig", "jordan-block"],
+    ids=["eigh", "eig", "jordan-block", "chiral"],
 )
 @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
 def test_results_stay_complex_on_both_paths(op):
     assert dense_spectrum(op).dtype == complex
     sy = eig_biorthogonal(op)
     assert {sy.eigenvalues.dtype, sy.right.dtype, sy.left.dtype} == {np.dtype(complex)}
+    # columns are contiguous, so each state is one contiguous row of .T
+    assert sy.right.flags.f_contiguous and sy.left.flags.f_contiguous
 
 
 @pytest.mark.parametrize("jl, n", [(0.5, 40), (0.3, 90)])
@@ -252,13 +274,14 @@ def test_hn_ring_matches_closed_form_in_conjugate_pairs(jl, n):
 )
 def test_biorth_residual_is_small_on_both_paths(monkeypatch, model, cells):
     # sizes of the benchmark's open-chain spectra; in the physical basis the
-    # residual of the nh-ssh chain reads about 0.1 on eig and 1e12 on eigh
+    # residual of the nh-ssh chain reads about 0.1 on eig and 1e12 on the
+    # Hermitian paths
     op = build(model, [cells], OBC)
     fast = eig_biorthogonal(op)
     # the same solve with no matrix taken as Hermitian
     monkeypatch.setattr(nhskin.spectral, "_hermitian_part", lambda *args: None)
     general = eig_biorthogonal(op)
-    assert (fast.solver, general.solver) == ("eigh", "eig")
+    assert (fast.solver, general.solver) == ("chiral", "eig")
     assert fast.biorth_residual < 1e-10
     assert general.biorth_residual < 1e-10
     assert fast.ep_flag == general.ep_flag
@@ -312,7 +335,7 @@ def _dense_gauge(H):
 
 
 def _dense_gauged(H):
-    """(M, d, hermitian) as `spectral._gauged` returns it, from dense passes."""
+    """(M, d, hermitian, odd) as `spectral._gauged` returns it, from dense passes."""
     if not np.all(np.isfinite(H)):
         raise EigensolverError("matrix has non-finite entries")
     l = _dense_gauge(H)
@@ -324,9 +347,33 @@ def _dense_gauged(H):
     tol = 4 * np.finfo(float).eps * (1 + np.abs(l).max(initial=0.0)) * np.abs(Hb).max(initial=0.0)
     Hh = Hb.conj().T
     if np.abs(Hb - Hh).max(initial=0.0) > tol:
-        return (Hb if Hb.imag.any() else Hb.real), d, False
+        return (Hb if Hb.imag.any() else Hb.real), d, False, None
     Hh = 0.5 * (Hb + Hh)
-    return (Hh if Hh.imag.any() else Hh.real), d, True
+    return (Hh if Hh.imag.any() else Hh.real), d, True, _dense_sublattice(H)
+
+
+def _dense_sublattice(H):
+    """The odd sublattice of a two-colouring of H's bond graph, each
+    component's first site even, or None for a diagonal entry or an odd
+    cycle: breadth-first over dense rows."""
+    A = (H != 0) | (H.T != 0)
+    if A.diagonal().any():
+        return None
+    colour = np.full(len(A), -1)
+    for root in range(len(A)):
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in np.flatnonzero(A[u]):
+                if colour[v] < 0:
+                    colour[v] = 1 - colour[u]
+                    queue.append(v)
+                elif colour[v] == colour[u]:
+                    return None
+    return colour == 1
 
 
 def _dense_min_pair_gap(w):
@@ -392,15 +439,21 @@ def _assert_matches_dense_oracles(monkeypatch, H):
         m.setattr(nhskin.spectral, "_gauged", _dense_gauged)
         m.setattr(nhskin.spectral, "_min_pair_gap", _dense_min_pair_gap)
         oracle = (_dense_gauge(H), dense_spectrum(H), eig_biorthogonal(H))
-        w, Vb, Lb = nhskin.spectral._gauged_eig(H)[:3]
-    # the residual from two reindexed copies of the vectors, as the parent
-    # took it: Lb is Vb on eigh, and Vb^T Vb takes matmul's syrk shortcut,
-    # which rounds differently
-    order = np.lexsort((w.imag, w.real))
-    Vb, Lb = Vb[:, order], Lb[:, order]
+        w, Vb, Lb, _, solver = nhskin.spectral._gauged_eig(H)
+    # the residual as a plain formula: eigh and the SVD return ascending
+    # eigenvalues and are not reindexed, so on their real vectors (Lb is Vb)
+    # the product takes matmul's Vb^T Vb shortcut, which rounds differently
+    # from a product of two copies
+    if solver == "eig":
+        order = np.lexsort((w.imag, w.real))
+        Vb, Lb = Vb[:, order], Lb[:, order]
     residual = float(np.max(np.abs(Lb.conj().T @ Vb - np.eye(len(w)))))
     _assert_same(ours[0], oracle[0])
     _assert_same(ours[1], oracle[1])
+    odd, want = nhskin.spectral._gauged(H)[3], _dense_gauged(H)[3]
+    assert (odd is None) == (want is None)
+    if odd is not None:
+        _assert_same(odd, want)
     sy, ref = ours[2], oracle[2]
     for field in ("eigenvalues", "right", "left"):
         _assert_same(getattr(sy, field), getattr(ref, field))
@@ -415,8 +468,9 @@ def test_bond_list_matches_dense_oracles_on_random_sparse_matrices(monkeypatch):
     for seed in range(420):
         seen.append(_assert_matches_dense_oracles(monkeypatch, _random_sparse(seed)))
     solvers = [solver for solver, _ in seen]
-    # both solver paths, and gauged and ungauged matrices, are well covered
+    # all three solver paths, and gauged and ungauged matrices, are well covered
     assert min(solvers.count("eigh"), solvers.count("eig")) > 100
+    assert solvers.count("chiral") > 40
     assert 100 < sum(gauged for _, gauged in seen) < 320
 
 
@@ -441,16 +495,17 @@ def test_bond_list_matches_dense_oracles_on_models(monkeypatch, op):
 def test_one_sided_entry_below_tolerance_is_mirrored_exactly():
     # a Hermitian chain with complex hoppings and one corner entry without a
     # partner, far below 4 eps max|H|: it is taken as Hermitian, and the
-    # matrix handed to eigh is (H + H^H)/2 to the bit
+    # matrix solved is (H + H^H)/2 to the bit (an even ring: two sublattices)
     H = np.zeros((6, 6), dtype=complex)
     for v in range(1, 6):
         H[v - 1, v], H[v, v - 1] = 1j, -1j
     H[0, 5] = 1e-18 + 2e-18j
-    M, d, hermitian = nhskin.spectral._gauged(H)
+    M, d, hermitian, odd = nhskin.spectral._gauged(H)
     assert hermitian and d is None
     _assert_same(M, 0.5 * (H + H.conj().T))
     assert M[0, 5] == np.conj(M[5, 0]) == 0.5 * H[0, 5]
-    assert eig_biorthogonal(from_matrix(H)).solver == "eigh"
+    _assert_same(odd, np.arange(6) % 2 == 1)
+    assert eig_biorthogonal(from_matrix(H)).solver == "chiral"
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
@@ -464,8 +519,111 @@ def test_non_finite_entries_raise(value, where):
 
 
 def test_min_pair_gap_of_an_exactly_repeated_zero_pair():
-    # this nh-ssh chain's zero modes come out of eigh as one value twice
-    sy = eig_biorthogonal(build(builtin_nh_ssh(0.3, 1.0, 0.1), [100], OBC))
-    assert sy.solver == "eigh"
+    # a gauged Y of three asymmetric bonds: sites 0, 2, 3 couple only to
+    # site 1, so two of the four eigenvalues are the exact zeros of the
+    # SVD path (p - q = 2)
+    H = np.zeros((4, 4))
+    for v, (t, u) in zip((0, 2, 3), [(1.0, 0.5), (0.8, 0.3), (1.2, 0.6)]):
+        H[v, 1], H[1, v] = t, u
+    sy = eig_biorthogonal(H)
+    assert sy.solver == "chiral"
     assert np.unique(sy.eigenvalues).size == sy.n - 1
     assert sy.min_pair_gap == _dense_min_pair_gap(sy.eigenvalues) == 0.0
+
+
+# The chiral path: a Hermitian H_b that only couples two sublattices is
+# solved from the SVD of its off-diagonal block.
+
+
+def _random_bipartite(seed):
+    """(physical, Hermitian) forms of a random matrix whose bonds only join
+    sites of opposite colour: real for even seeds, complex for odd ones,
+    with n = 1 and 2 first, and under a random imaginary gauge D H D^-1 for
+    two seeds in three."""
+    rng = np.random.default_rng(seed)
+    n = seed + 1 if seed < 2 else int(rng.integers(3, 16))
+    colour = np.arange(n) % 2 == 1 if n < 3 else rng.random(n) < rng.uniform(0.2, 0.8)
+    H = np.zeros((n, n), dtype=complex if seed % 2 else float)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if colour[u] != colour[v] and (n == 2 or rng.random() < 0.5):
+                t = rng.normal() + (1j * rng.normal() if seed % 2 else 0)
+                H[u, v], H[v, u] = t, np.conj(t)
+    if seed % 3:
+        d = np.exp(rng.uniform(-1, 1, size=n))
+        return H * (d[:, None] / d[None, :]), H
+    return H, H
+
+
+def test_chiral_path_matches_eigh_on_random_bipartite_matrices():
+    unequal = isolated = 0
+    for seed in range(60):
+        Hp, H = _random_bipartite(seed)
+        n = len(H)
+        odd = nhskin.spectral._gauged(Hp)[3]
+        unequal += 2 * odd.sum() != n
+        isolated += not np.all(H.any(axis=0))
+        sy = eig_biorthogonal(Hp)
+        assert sy.solver == "chiral", seed
+        want = np.linalg.eigvalsh(H)
+        np.testing.assert_allclose(sy.eigenvalues.real, want, atol=1e-13, err_msg=str(seed))
+        np.testing.assert_allclose(dense_spectrum(Hp).real, want, atol=1e-13, err_msg=str(seed))
+        w, R, L = sy.eigenvalues, sy.right, sy.left
+        np.testing.assert_allclose(Hp @ R, R * w, atol=1e-12, err_msg=str(seed))
+        np.testing.assert_allclose(L.conj().T @ Hp, w[:, None] * L.conj().T, atol=1e-12)
+        np.testing.assert_allclose(L.conj().T @ R, np.eye(n), atol=1e-12, err_msg=str(seed))
+        assert sy.biorth_residual < 1e-14 and sy.condition == 1.0
+        # the gauged vectors assembled from the SVD are orthonormal, as eigh's
+        Vb = nhskin.spectral._gauged_eig(Hp)[1]
+        np.testing.assert_allclose(Vb.conj().T @ Vb, np.eye(n), atol=1e-14, err_msg=str(seed))
+    assert unequal > 20 and isolated > 10
+
+
+def test_chiral_spectrum_is_exactly_symmetric_with_positive_zeros():
+    for seed in range(60):
+        w = dense_spectrum(_random_bipartite(seed)[0]).real
+        _assert_same(w, -w[::-1])
+        assert not np.signbit(w[w == 0]).any()
+    # an exact zero singular value of B as well as a longer side
+    M = np.zeros((5, 5))
+    M[0, 2] = M[2, 0] = 1.0
+    odd = np.array([False, False, True, True, False])
+    for vectors in (False, True):
+        w = nhskin.spectral._chiral_eig(M, odd, vectors)[0]
+        _assert_same(w, np.array([-1.0, 0.0, 0.0, 0.0, 1.0]))
+        assert not np.signbit(w[1:]).any()
+
+
+@pytest.mark.parametrize(
+    "H, solver",
+    [
+        (build(builtin_hatano_nelson(1.0, 1.0), [31], PBC).matrix, "eigh"),
+        (build(builtin_hatano_nelson(1.0, 1.0), [30], PBC).matrix, "chiral"),
+        (build(builtin_nh_ssh(0.6, 1.0, 0.2), [20], OBC).matrix + 0.1 * np.eye(40), "eigh"),
+        (build(builtin_2d(0.5, 1.0, 0.0), [6, 8], OBC).matrix, "chiral"),
+    ],
+    ids=["odd-ring", "even-ring", "onsite", "square-lattice"],
+)
+def test_only_two_sublattice_hermitian_matrices_take_chiral(H, solver):
+    # rings with flux and asym2d keep eig: test_non_hermitian_after_gauge_takes_eig
+    assert eig_biorthogonal(H).solver == solver
+    assert nhskin.spectral._gauged_eig(H, vectors=False)[4] == solver
+
+
+def test_nh_ssh_zero_pair_matches_high_precision_svd():
+    # the gauged nh-ssh chain is [[0, B], [B^T, 0]] on its (A, B) sites with
+    # B_ij = sign(H_ij) sqrt(H_ij H_ji) exactly; the smallest singular value
+    # of B, 8.62e-11 here, is the zero pair's |E|.  eigh's two values are
+    # 5e-6 apart in relative terms, the SVD's are an exact +- pair
+    import mpmath
+
+    H = build(builtin_nh_ssh(0.6, 1.0, 0.2), [40], OBC).matrix.real
+    B = mpmath.matrix(40, 40)
+    with mpmath.workdps(80):
+        for i, j in zip(*np.nonzero(H[0::2, 1::2])):
+            h, g = H[2 * i, 2 * j + 1], H[2 * j + 1, 2 * i]
+            B[i, j] = mpmath.sign(h) * mpmath.sqrt(mpmath.mpf(h) * mpmath.mpf(g))
+        sigma = float(min(mpmath.svd_r(B, compute_uv=False)))
+    for w in (eig_biorthogonal(H).eigenvalues.real, dense_spectrum(H).real):
+        assert w[39] == -w[40]
+        assert w[40] == pytest.approx(sigma, rel=2e-6)
