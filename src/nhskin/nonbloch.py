@@ -17,8 +17,8 @@ takes one energy or a 1-D array of energies.  The amoeba reads only root
 moduli; those of its quadratics in beta_y come in closed form from
 `model._quadratic_moduli`.  Either way a vanishing end coefficient comes back
 as a root at inf or 0; `beta_roots` refuses both, and the amoeba drops the
-samples with a root at inf.  The hole test fills the complement from the
-window's edge in numpy row and column passes.  The numerical settings no
+samples with a root at inf.  The hole test reads the same extreme moduli
+per raster column and one batched root count.  The numerical settings no
 caller varies are the module constants.
 """
 
@@ -32,9 +32,8 @@ import numpy as np
 from .errors import DegenerateCharPolyError, SamplingError
 from .model import LatticeModel, _char_roots, _quadratic_moduli, char_poly
 
-COPY_TOL = 1e-6  # relative distance within which resultant roots are one multiple root
+COPY_TOL = 1e-6  # relative distance within which two roots are one multiple root
 MAX_BAD_FRACTION = 0.01  # of amoeba samples with a vanishing leading coefficient
-MIN_HOLE_CELLS = 4  # smallest unreached complement component that is a hole
 BLOCK_SAMPLES = 32768  # amoeba samples per column block: its temporaries fit a 4 MiB L2 cache
 
 
@@ -186,11 +185,13 @@ def gbz_curve(model: LatticeModel, N_seed: int = 400, gbz_tol: float = 1e-6) -> 
 
 @dataclass
 class AmoebaRaster:
-    """Boolean occupancy over (log|beta_x|, log|beta_y|)."""
+    """Boolean occupancy over (log|beta_x|, log|beta_y|), and the widest column
+    gap in the central complement component (-inf where there is none)."""
 
     window: Tuple[Tuple[float, float], Tuple[float, float]]
     resolution: Tuple[int, int]
     occupancy: np.ndarray
+    hole_margin: float
 
     def axis_centers(self, axis: int) -> np.ndarray:
         return np.linspace(*self.window[axis], self.resolution[axis])
@@ -217,12 +218,16 @@ def amoeba_points(
     moduli are continuous functions of the phase, so every modulus rank
     sweeps a full interval over the phase circle; those intervals are what
     get filled, from the log of each column's extreme moduli.  (Marking
-    isolated root samples instead leaves sampling pinholes that read as
-    spurious holes.)  Samples with a root at infinity (a vanishing leading
-    coefficient) are dropped, on up to MAX_BAD_FRACTION of the samples; an
-    empty sampling plan, or a window without lo < hi on each axis, is
-    refused.  The defaults are sized so the built-in tentacle widths span
-    several grid cells.
+    isolated root samples instead leaves sampling pinholes.)  With q the pole
+    order in beta_y, a column's gap runs from the top of rank q - 1 to the
+    bottom of rank q; it lies in the central complement component when
+    det[E - H(beta_x, e^mu)] at its mid-height mu has q_x roots inside
+    |beta_x| = e^{r_x} (f has no zero on a torus in the complement, so one
+    phase of beta_y does).  Samples with a root at infinity (a vanishing
+    leading coefficient) are dropped, on up to MAX_BAD_FRACTION of the
+    samples; an empty sampling plan, or a window without lo < hi on each
+    axis, is refused.  The defaults are sized so the built-in tentacle
+    widths span several grid cells.
     """
     if model.dimension != 2:
         raise ValueError("amoeba construction requires a 2D model")
@@ -275,48 +280,36 @@ def amoeba_points(
         for i in np.nonzero(visible)[0]:
             occ[i, ia[i] : ib[i] + 1] = True
 
+    q, margin = -ylo_s, -np.inf
+    if 1 <= q < deg:
+        top, bottom = ext[q - 1, 1], ext[q, 0]
+        cols = np.flatnonzero(np.isfinite(top + bottom))  # a column without a good sample is nan
+        mid = 0.5 * (top[cols] + bottom[cols])
+        ky = np.arange(cp.coeffs.shape[2]) + ylo_s
+        roots = _char_roots(np.exp(np.multiply.outer(mid, ky)) @ cp.at(E).T)  # (column, q_x + p_x)
+        count = np.count_nonzero(np.abs(roots) < np.exp(rx[cols, None]), axis=1)
+        margin = float(np.max((bottom - top)[cols][count == -cp.lo[0]], initial=-np.inf))
+
     return AmoebaRaster(
         window=((float(xlo), float(xhi)), (float(ylo), float(yhi))),
         resolution=(nx, ny),
         occupancy=occ,
+        hole_margin=margin,
     )
 
 
 def has_hole(raster: AmoebaRaster) -> bool:
-    """Flood-fill the complement from the window boundary (4-connectivity);
-    a hole is an unreached complement component of at least MIN_HOLE_CELLS.
-    The minimum size suppresses single-cell pinholes from finite sampling.
-
-    Each free cell carries a label: -1 (reached) on the window's edge, its
-    own index elsewhere.  Row and column passes alternate, each giving every
-    free run the least label in it, until nothing changes; then the reached
-    cells hold -1 and each unreached component one label of its own.
-    """
-    free = ~raster.occupancy
-    F = int(np.count_nonzero(free))
-    index = np.zeros(free.shape, dtype=np.intp)
-    index[free] = np.arange(F)
-    edge = np.ones_like(free)
-    edge[1:-1, 1:-1] = False
-    label = np.where(edge[free], -1, np.arange(F))
-    row_prev = np.pad(free, ((0, 0), (1, 0)))[:, :-1]
-    col_prev = np.pad(free, ((1, 0), (0, 0)))[:-1]
-    runs = [  # (free cells in run order, first position of each run), rows then columns
-        (np.arange(F), np.flatnonzero(~row_prev[free])),
-        (index.T[free.T], np.flatnonzero(~col_prev.T[free.T])),
-    ]
-    changed = F > 0
-    while changed:
-        old = label.copy()
-        for cells, starts in runs:
-            run_min = np.minimum.reduceat(label[cells], starts)
-            label[cells] = np.repeat(run_min, np.diff(starts, append=F))
-        changed = not np.array_equal(label, old)
-    return bool((np.bincount(label[label >= 0]) >= MIN_HOLE_CELLS).any())
+    """Whether the amoeba has a central hole, a complement component of order
+    (q_x, q_y), the pole orders: `hole_margin` wider than COPY_TOL.  Closer
+    ranks are one multiple root, as on the real axis of a separable model,
+    whose exact zero gap comes out near 1e-14."""
+    return raster.hole_margin > COPY_TOL
 
 
 def obc_member_2d(model: LatticeModel, E) -> bool:
-    """E belongs to the 2D OBC spectrum iff its amoeba has no hole."""
+    """E belongs to the 2D OBC spectrum iff its amoeba has no central hole
+    (Wang, Song & Wang, PRX 14, 021011 (2024)), read from `hole_margin` at
+    the default sampling plan."""
     return not has_hole(amoeba_points(model, E))
 
 

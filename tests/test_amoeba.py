@@ -25,58 +25,7 @@ def ring_raster(inner=8, outer=20, n=60):
     y, x = np.meshgrid(np.arange(n), np.arange(n))
     r = np.hypot(x - n / 2, y - n / 2)
     occ = (r >= inner) & (r <= outer)
-    return AmoebaRaster(window=((-3, 3), (-3, 3)), resolution=(n, n), occupancy=occ)
-
-
-def test_hole_detection_on_synthetic_rings():
-    assert has_hole(ring_raster())
-    filled = ring_raster(inner=0)
-    assert not has_hole(filled)
-
-
-def test_min_hole_cells_suppresses_pinholes():
-    r = ring_raster(inner=0)
-    r.occupancy[30, 30] = False  # single dead cell inside the body
-    assert not has_hole(r)
-    r.occupancy[30, 31] = r.occupancy[31, 30] = False  # three cells, one short of four
-    assert not has_hole(r)
-    r.occupancy[31, 31] = False  # a 2x2 dead block: four cells make a hole
-    assert has_hole(r)
-
-
-def test_hole_touching_border_does_not_count():
-    n = 60
-    occ = np.ones((n, n), dtype=bool)
-    occ[20:40, 30:] = False  # notch open to the border
-    r = AmoebaRaster(window=((-3, 3), (-3, 3)), resolution=(n, n), occupancy=occ)
-    assert not has_hole(r)
-
-
-def reference_has_hole(occupancy):
-    # the same verdict through scipy.ndimage's component labelling
-    from scipy import ndimage
-
-    labels, n = ndimage.label(~occupancy)
-    sizes = np.bincount(labels.ravel(), minlength=n + 1)
-    sizes[0] = 0
-    sizes[np.concatenate([labels[0, :], labels[-1, :], labels[:, 0], labels[:, -1]])] = 0
-    return bool((sizes >= nonbloch.MIN_HOLE_CELLS).any())
-
-
-def test_has_hole_matches_component_labelling():
-    rng = np.random.default_rng(3)
-    rasters = [ring_raster().occupancy, ring_raster(inner=0).occupancy]
-    pinholes = ring_raster(inner=0).occupancy
-    for i, j in [(22, 22), (22, 30), (30, 22), (35, 35), (30, 30)]:
-        pinholes[i, j : j + 2] = False  # five separate 2-cell pinholes, ten cells in all
-    rasters.append(pinholes)
-    for _ in range(300):
-        shape = tuple(rng.integers(1, 25, size=2))
-        rasters.append(rng.random(shape) < rng.uniform(0.3, 0.9))
-    verdicts = [has_hole(AmoebaRaster(((-3, 3), (-3, 3)), r.shape, r)) for r in rasters]
-    assert verdicts == [reference_has_hole(r) for r in rasters]
-    assert verdicts[:3] == [True, False, False]
-    assert 30 < sum(verdicts) < 270  # the random rasters include both verdicts
+    return AmoebaRaster(window=((-3, 3), (-3, 3)), resolution=(n, n), occupancy=occ, hole_margin=0.5)
 
 
 def criterion_07_energies():
@@ -208,6 +157,26 @@ def test_outside_energy_has_hole():
     raster = amoeba_points(m, 4.5, r_x_samples=150, phase_samples=300)
     assert has_hole(raster)
     assert not obc_member_2d(m, 4.5)
+
+
+# asym2d(0.5, 1, 0) separates: its OBC spectrum is 2 sqrt(J_L J_R)(cos k_x + cos k_y),
+# the real segment [-2.83, 2.83], so off the axis there is a central hole and on it none
+@pytest.mark.parametrize(
+    "tp, E, hole",
+    [
+        (0.2, -3.466, True),  # a hole behind a strip of amoeba thinner than one raster cell
+        (0.0, -2 + 0.01j, True),
+        (0.0, 0.3 + 0.01j, True),
+        (0.0, 1.7 - 0.05j, True),
+        (0.0, -0.952 + 0.036j, True),
+        *[(0.0, E, False) for E in (-2.7, -1.8, -0.9, 0.0, 0.9, 1.8, 2.7)],
+    ],
+)
+def test_central_hole_against_oracles(tp, E, hole):
+    m = builtin_2d(0.5, 1.0, tp)
+    if tp:
+        assert np.min(np.abs(dense_spectrum(build(m, [30, 30], OBC)) - E)) > 1.5
+    assert obc_member_2d(m, E) is not hole
 
 
 def test_axis_swap_symmetry():
