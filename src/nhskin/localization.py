@@ -21,6 +21,7 @@ from .realspace import IndexMap, RealSpaceOperator
 SKIN = "skin"
 TOPOLOGICAL = "topological_boundary"
 BULK = "bulk"
+SIDE_TOL = 1e-12  # edge masses this close tie: the side of a topological state is "both"
 
 
 def _index_map(obj) -> IndexMap:
@@ -133,6 +134,7 @@ def _classify(Lt: np.ndarray, Rt: np.ndarray, imap: IndexMap, th: Thresholds) ->
     bio = _bio_weights(np.conj(Lt), Rt, imap)
     lf, rf = _edge_masses(right, th.edge_region)
     blf, brf = _edge_masses(bio, th.edge_region)
+    tied = np.abs(brf - blf) <= SIDE_TOL
     edge = np.maximum(lf, rf)
     pr = _participation(bio)
     n = imap.n_cells
@@ -146,7 +148,7 @@ def _classify(Lt: np.ndarray, Rt: np.ndarray, imap: IndexMap, th: Thresholds) ->
             side = "right" if rf[i] >= lf[i] else "left"
             out.append(StateClass(label=SKIN, side=side, metrics=metrics))
         elif edge[i] > th.edge_fraction:
-            side = "right" if brf[i] >= blf[i] else "left"
+            side = "both" if tied[i] else "right" if brf[i] > blf[i] else "left"
             out.append(StateClass(label=TOPOLOGICAL, side=side, metrics=metrics))
         else:
             out.append(StateClass(label=BULK, side=None, metrics=metrics))
@@ -160,10 +162,14 @@ def classify_spectrum(system, op, thresholds: Thresholds | None = None):
     Skin: right profile boundary-accumulated while the biorthogonal profile
     stays delocalized.  Topological boundary: both are boundary-localized
     (side taken from the biorthogonal profile, which may differ from the
-    right-vector side when left and right states live on opposite ends).
+    right-vector side when left and right states live on opposite ends;
+    "both" when its two edge masses agree within SIDE_TOL, as for the
+    mirror-symmetric zero pair of an open nh-SSH chain).
     Bulk: everything else.  Exceptional-point refusals propagate.
     """
-    return _classify(system.left.T, system.right.T, _index_map(op), thresholds or Thresholds())
+    # complex copies of real states keep the arithmetic of complex ones
+    Lt, Rt = (np.asarray(v.T, dtype=complex) for v in (system.left, system.right))
+    return _classify(Lt, Rt, _index_map(op), thresholds or Thresholds())
 
 
 def export_profiles_csv(path, profiles, labels) -> None:

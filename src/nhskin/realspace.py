@@ -10,7 +10,7 @@ periodic one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -27,42 +27,21 @@ class Coupled:
 
     epsilon: complex
 
-    def factor(self) -> complex:
-        return complex(self.epsilon)
 
-
-BoundaryKind = Union[str, Coupled]
-
-
-def _normalize_boundary(boundary, dimension: int) -> Tuple[BoundaryKind, ...]:
-    if isinstance(boundary, (str, Coupled)):
-        axes = (boundary,) * dimension
-    else:
-        axes = tuple(boundary)
-        if len(axes) != dimension:
-            raise BuildError(
-                f"boundary spec has {len(axes)} axes, model has {dimension}"
-            )
+def _wrap_factors(boundary, dimension: int) -> np.ndarray:
+    """One wrap factor per axis: 0 for open, 1 for periodic, epsilon for Coupled."""
+    axes = (boundary,) * dimension if isinstance(boundary, (str, Coupled)) else tuple(boundary)
+    if len(axes) != dimension:
+        raise BuildError(f"boundary spec has {len(axes)} axes, model has {dimension}")
     out = []
     for ax in axes:
-        if isinstance(ax, str):
-            kind = ax.lower()
-            if kind not in (OBC, PBC):
-                raise BuildError(f"unknown boundary kind {ax!r}")
-            out.append(kind)
-        elif isinstance(ax, Coupled):
-            out.append(ax)
+        if isinstance(ax, Coupled):
+            out.append(ax.epsilon)
+        elif isinstance(ax, str) and ax.lower() in (OBC, PBC):
+            out.append(float(ax.lower() == PBC))
         else:
             raise BuildError(f"unknown boundary kind {ax!r}")
-    return tuple(out)
-
-
-def _wrap_factor(kind: BoundaryKind) -> complex:
-    if kind == OBC:
-        return 0.0
-    if kind == PBC:
-        return 1.0
-    return kind.factor()
+    return np.array(out, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -96,7 +75,8 @@ class IndexMap:
 
 @dataclass
 class RealSpaceOperator:
-    """Dense finite-lattice Hamiltonian with its site bookkeeping."""
+    """Dense finite-lattice Hamiltonian with its site bookkeeping: float64 from
+    `build` when every amplitude and wrap factor is real, else complex128."""
 
     matrix: np.ndarray
     index_map: IndexMap
@@ -122,18 +102,20 @@ def build(model: LatticeModel, sizes, boundary=OBC) -> RealSpaceOperator:
             raise BuildError(
                 f"hopping offset {t.offset} does not fit in lattice {sizes}"
             )
-    bnd = _normalize_boundary(boundary, model.dimension)
-    factors = [_wrap_factor(k) for k in bnd]
+    factors = _wrap_factors(boundary, model.dimension)
+    amps = np.array([t.amplitude for t in model.terms])
+    if not (factors.imag.any() or amps.imag.any()):  # the same products in half the bytes
+        factors, amps = factors.real, amps.real
     imap = IndexMap(sizes=sizes, bands=model.bands)
     B = model.bands
     N = imap.n_sites
-    H = np.zeros((N, N), dtype=complex)
+    H = np.zeros((N, N), dtype=amps.dtype)
 
     cells = np.array(list(np.ndindex(*sizes)), dtype=int)  # (n_cells, d)
     lin = np.arange(cells.shape[0])
-    for t in model.terms:
+    for t, amplitude in zip(model.terms, amps):
         target = cells + np.asarray(t.offset, dtype=int)
-        factor = np.ones(cells.shape[0], dtype=complex)
+        factor = np.ones(cells.shape[0], dtype=H.dtype)
         for ax, s in enumerate(sizes):
             wrapped = (target[:, ax] < 0) | (target[:, ax] >= s)
             if wrapped.any():
@@ -147,7 +129,7 @@ def build(model: LatticeModel, sizes, boundary=OBC) -> RealSpaceOperator:
         cols = tlin * B
         for a in range(B):
             for b in range(B):
-                amp = t.amplitude[a, b]
+                amp = amplitude[a, b]
                 if amp != 0:
                     H[rows + a, cols + b] += amp * factor[keep]
     return RealSpaceOperator(matrix=H, index_map=imap)

@@ -291,7 +291,10 @@ class BiorthogonalSystem:
     "chiral" (Hermitian after the gauge and coupling only two sublattices:
     the SVD of the off-diagonal block), "eigh" (any other Hermitian H_b) or
     "eig" (the general eigensolver).  Both Hermitian paths return ascending
-    eigenvalues; right and left are complex and in Fortran order.
+    eigenvalues.  Eigenvalues are complex; right and left are in Fortran
+    order and keep the dtype of the solver's vectors: float64 on the chiral
+    and eigh paths for a real H_b, and on the eig path when LAPACK returns
+    real vectors (a real H_b with an all-real spectrum), complex otherwise.
     """
 
     eigenvalues: np.ndarray
@@ -325,24 +328,20 @@ def eig_biorthogonal(op) -> BiorthogonalSystem:
         w, Vb, Lb = w[order], Vb[:, order], Lb[:, order]
     residual = _biorth_residual(Lb, Vb)
     condition = _conditioning(Vb, hermitian)[0]
-    # the complex results are built once; real vectors are processed in
-    # their real parts, with the same arithmetic as real arrays
-    R = np.zeros(Vb.shape, dtype=complex, order="F")
-    L = np.zeros_like(R)
-    r, l = (R, L) if np.iscomplexobj(Vb) else (R.real, L.real)
+    # the physical vectors are built once, in the dtype the solver returned
     scale = d[:, None] if d is not None else 1.0
-    np.multiply(Vb, scale, out=r)
-    np.divide(Lb, scale, out=l)
+    R = np.multiply(Vb, scale, order="F")
+    L = np.divide(Lb, scale, order="F")
     del Vb, Lb  # freed before the temporaries below, which lowers the peak
 
-    norms = np.linalg.norm(r, axis=0)
-    r /= norms
-    l *= norms
+    norms = np.linalg.norm(R, axis=0)
+    R /= norms
+    L *= norms
     # phase convention: largest-magnitude component of each right vector real-positive
-    lead = r[np.argmax(np.abs(r), axis=0), np.arange(r.shape[1])]
+    lead = R[np.argmax(np.abs(R), axis=0), np.arange(R.shape[1])]
     phase = lead / np.abs(lead)
-    r /= phase[None, :]
-    l *= np.conj(phase)[None, :]
+    R /= phase[None, :]
+    L *= np.conj(phase)[None, :]
 
     return BiorthogonalSystem(
         eigenvalues=np.asarray(w, dtype=complex),

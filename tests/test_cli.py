@@ -166,6 +166,16 @@ def test_localize_summary(tmp_path):
     assert len(lines) == 1 + 80
 
 
+@pytest.mark.parametrize("cells", ["30", "100"])
+def test_localize_puts_the_tied_zero_pair_on_both_sides(tmp_path, capsys, cells):
+    # each gauged zero mode has half its weight on each end, so the two
+    # biorthogonal edge masses are equal in exact arithmetic
+    ssh = ["--builtin", "nh-ssh", "--t1", "0.6", "--t2", "1.0", "--gamma", "0.2"]
+    args = ["localize", *ssh, "-N", cells, "--format", "svg", "--out", str(tmp_path)]
+    assert main(args) == 0
+    assert "topological_boundary/both: 2" in capsys.readouterr().out
+
+
 def test_funnel_run(tmp_path):
     r = run("funnel", "--half", "8", "--site", "2", "--tmax", "4", "--dt", "0.05",
             "--out", str(tmp_path))

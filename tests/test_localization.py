@@ -141,7 +141,8 @@ def _per_state_reference(L, R, op, th=Thresholds()):
         label, side = "skin", "right" if rf >= lf else "left"
     elif edge > th.edge_fraction:
         blf, brf = edges(bio)
-        label, side = "topological_boundary", "right" if brf >= blf else "left"
+        side = "both" if abs(brf - blf) <= 1e-12 else "right" if brf > blf else "left"
+        label = "topological_boundary"
     else:
         label, side = "bulk", None
     return label, side, {
@@ -167,7 +168,9 @@ def test_batched_classifier_equals_per_state_reference(model, cells):
     sy = eig_biorthogonal(op)
     batch = classify_spectrum(sy, op)
     for i, c in enumerate(batch):
-        ref = _per_state_reference(sy.left[:, i].copy(), sy.right[:, i].copy(), op)
+        # complex copies, as classify_spectrum takes of real states
+        L, R = (v[:, i].astype(complex) for v in (sy.left, sy.right))
+        ref = _per_state_reference(L, R, op)
         assert (c.label, c.side, c.metrics) == ref
 
 

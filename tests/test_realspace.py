@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from nhskin.errors import BuildError
-from nhskin.model import builtin_2d, builtin_hatano_nelson, builtin_nh_ssh
+from nhskin.model import (
+    HoppingTerm,
+    LatticeModel,
+    builtin_2d,
+    builtin_hatano_nelson,
+    builtin_nh_ssh,
+)
 from nhskin.realspace import (
     OBC,
     PBC,
@@ -101,3 +107,51 @@ def test_build_rejects_tiny_or_overreaching_lattices():
 def test_from_matrix_checks_shape():
     with pytest.raises(BuildError):
         from_matrix(np.zeros((3, 4)))
+
+
+# hoppings 1.0, 0.8, 0.3 and 0.192 e^{0.7i} at offsets +1, -1, +2 and -2
+COMPLEX_CHAIN = LatticeModel(
+    1,
+    1,
+    tuple(
+        HoppingTerm((o,), [[a]])
+        for o, a in zip((1, -1, 2, -2), (1.0, 0.8, 0.3, 0.192 * np.exp(0.7j)))
+    ),
+)
+
+
+@pytest.mark.parametrize("boundary", [OBC, PBC, Coupled(1e-3)], ids=["obc", "pbc", "coupled"])
+@pytest.mark.parametrize(
+    "model",
+    [builtin_hatano_nelson(0.5, 1.0), builtin_nh_ssh(0.6, 1.0, 0.2), builtin_2d(0.5, 1.0, 0.2)],
+    ids=["hatano-nelson", "nh-ssh", "asym2d"],
+)
+def test_real_models_assemble_real_matrices(model, boundary):
+    sizes = [5] * model.dimension
+    H = build(model, sizes, boundary).matrix
+    assert H.dtype == np.float64
+    # an imaginary on-site term forces the complex assembly; the built-ins
+    # have no diagonal, so its real part must be H to the bit
+    onsite = HoppingTerm((0,) * model.dimension, 1j * np.eye(model.bands))
+    ref = build(LatticeModel(model.dimension, model.bands, model.terms + (onsite,)), sizes, boundary)
+    assert ref.matrix.dtype == np.complex128
+    np.testing.assert_array_equal(H, ref.matrix.real)
+    np.testing.assert_array_equal(ref.matrix.imag, np.eye(len(H)))
+
+
+@pytest.mark.parametrize(
+    "model, boundary",
+    [
+        (builtin_hatano_nelson(0.5, 1.0), Coupled(1e-3j)),
+        (builtin_2d(0.5, 1.0, 0.2), (OBC, Coupled(0.1 + 0.1j))),
+        (COMPLEX_CHAIN, OBC),
+        (COMPLEX_CHAIN, PBC),
+    ],
+    ids=["complex-epsilon", "complex-epsilon-one-axis", "complex-chain-obc", "complex-chain-pbc"],
+)
+def test_complex_amplitudes_or_wraps_assemble_complex_matrices(model, boundary):
+    assert build(model, [5] * model.dimension, boundary).matrix.dtype == np.complex128
+
+
+def test_from_matrix_stays_complex():
+    assert from_matrix(np.eye(3)).matrix.dtype == np.complex128

@@ -5,7 +5,13 @@ import pytest
 
 import nhskin.spectral
 from nhskin.errors import EigensolverError
-from nhskin.model import builtin_2d, builtin_hatano_nelson, builtin_nh_ssh
+from nhskin.model import (
+    HoppingTerm,
+    LatticeModel,
+    builtin_2d,
+    builtin_hatano_nelson,
+    builtin_nh_ssh,
+)
 from nhskin.realspace import OBC, PBC, Coupled, build, from_matrix
 from nhskin.spectral import (
     dense_spectrum,
@@ -235,23 +241,38 @@ def test_non_hermitian_after_gauge_takes_eig(op):
     assert eig_biorthogonal(op).solver == "eig"
 
 
+# hoppings 1.0, 0.8, 0.3 and 0.192 e^{0.7i} at offsets +1, -1, +2 and -2: its
+# magnitude gauge exists, but H_b stays complex and non-Hermitian
+COMPLEX_CHAIN = LatticeModel(
+    1,
+    1,
+    tuple(
+        HoppingTerm((o,), [[a]])
+        for o, a in zip((1, -1, 2, -2), (1.0, 0.8, 0.3, 0.192 * np.exp(0.7j)))
+    ),
+)
+
+
 @pytest.mark.parametrize(
-    "op",
+    "op, vectors",
     [
-        build(builtin_hatano_nelson(0.5, 1.0), [30], OBC).matrix + ONSITE * np.eye(30),
-        build(builtin_hatano_nelson(0.5, 1.0), [30], PBC),
-        # real H_b with an all-real spectrum: the real eig returns real
-        # vectors, and the results must still be complex
-        build(builtin_hatano_nelson(0.0, 1.0), [10], OBC),
-        build(builtin_hatano_nelson(0.5, 1.0), [30], OBC),
+        (build(builtin_hatano_nelson(0.5, 1.0), [30], OBC).matrix + ONSITE * np.eye(30), float),
+        (build(builtin_hatano_nelson(0.5, 1.0), [30], PBC), complex),
+        # real H_b with an all-real spectrum: the real eig returns real vectors
+        (build(builtin_hatano_nelson(0.0, 1.0), [10], OBC), float),
+        (build(builtin_hatano_nelson(0.5, 1.0), [30], OBC), float),
+        (build(builtin_nh_ssh(0.6, 1.0, 0.2), [15], OBC), float),
+        (build(COMPLEX_CHAIN, [30], OBC), complex),
     ],
-    ids=["eigh", "eig", "jordan-block", "chiral"],
+    ids=["eigh", "eig", "jordan-block", "chiral", "chiral-nh-ssh", "complex-chain"],
 )
 @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
-def test_results_stay_complex_on_both_paths(op):
+def test_results_stay_complex_on_both_paths(op, vectors):
+    # eigenvalues are always complex; the vectors keep the solver's dtype
     assert dense_spectrum(op).dtype == complex
     sy = eig_biorthogonal(op)
-    assert {sy.eigenvalues.dtype, sy.right.dtype, sy.left.dtype} == {np.dtype(complex)}
+    assert sy.eigenvalues.dtype == complex
+    assert sy.right.dtype == sy.left.dtype == np.dtype(vectors)
     # columns are contiguous, so each state is one contiguous row of .T
     assert sy.right.flags.f_contiguous and sy.left.flags.f_contiguous
 
@@ -511,7 +532,8 @@ def test_one_sided_entry_below_tolerance_is_mirrored_exactly():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
 @pytest.mark.parametrize("where", [(2, 2), (1, 3)], ids=["diagonal", "one-sided"])
 def test_non_finite_entries_raise(value, where):
-    H = build(builtin_hatano_nelson(0.5, 1.0), [6], OBC).matrix.copy()
+    H = build(builtin_hatano_nelson(0.5, 1.0), [6], OBC).matrix
+    H = H.astype(np.result_type(H, value))  # complex for an inf j entry
     H[where] = value
     for solve in (dense_spectrum, eig_biorthogonal, ep_diagnostic):
         with pytest.raises(EigensolverError, match="non-finite"):
