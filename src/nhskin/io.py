@@ -51,6 +51,7 @@ _FORMATS = {"b": lambda v: "1" if v else "0", "f": repr, "c": fmt_complex}
 # memory than a narrow one
 _CSV_CELLS = 3 * 8192
 _SVG_CELLS = 8192
+_SVG_COLS = 240  # a wider heatmap grid is column-subsampled
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
@@ -105,16 +106,14 @@ def _svg_open(title: str) -> list:
     ]
 
 
-def _scale(vals, lo_px, hi_px):
-    import numpy as np
-
-    v = np.asarray(vals, dtype=float)
+def _scale(v):
+    """The (low, high) axis range of the float array v; a constant gets a unit range."""
     vmin, vmax = float(v.min()), float(v.max())
     span = vmax - vmin
     if span <= 0:
         span = 1.0
         vmin -= 0.5
-    return lo_px + (v - vmin) / span * (hi_px - lo_px), (vmin, vmin + span)
+    return vmin, vmin + span
 
 
 def write_svg_scatter(path, groups, title="", xlabel="Re E", ylabel="Im E") -> None:
@@ -124,8 +123,8 @@ def write_svg_scatter(path, groups, title="", xlabel="Re E", ylabel="Im E") -> N
     xs_all = np.concatenate([np.asarray(g[0], float) for g in groups if len(g[0])])
     ys_all = np.concatenate([np.asarray(g[1], float) for g in groups if len(g[1])])
     body = _svg_open(title)
-    px_all, (x0, x1) = _scale(xs_all, _MARG, _SVG_W - _MARG)
-    py_all, (y0, y1) = _scale(ys_all, _SVG_H - _MARG, _MARG)
+    x0, x1 = _scale(xs_all)
+    y0, y1 = _scale(ys_all)
     body.append(
         f'<rect x="{_MARG}" y="{_MARG}" width="{_SVG_W - 2 * _MARG}" '
         f'height="{_SVG_H - 2 * _MARG}" fill="none" stroke="black"/>'
@@ -153,7 +152,7 @@ def write_svg_scatter(path, groups, title="", xlabel="Re E", ylabel="Im E") -> N
         if len(xs):
             px = _MARG + (xs - x0) / (x1 - x0) * (_SVG_W - 2 * _MARG)
             py = (_SVG_H - _MARG) + (ys - y0) / (y1 - y0) * (2 * _MARG - _SVG_H)
-            for a, b in zip(px, py):
+            for a, b in zip(px.tolist(), py.tolist()):
                 body.append(f'<circle cx="{a:.1f}" cy="{b:.1f}" r="2" fill="{color}"/>')
         if label:
             body.append(
@@ -169,21 +168,21 @@ def write_svg_scatter(path, groups, title="", xlabel="Re E", ylabel="Im E") -> N
         fh.write("\n".join(body) + "\n")
 
 
-def write_svg_heatmap(path, grid, title="", max_cols=240) -> None:
+def write_svg_heatmap(path, grid, title="") -> None:
     """Grayscale heatmap of a 2D array (rows drawn top-down).
 
-    Wide arrays are column-subsampled so the file stays small; data fidelity
-    lives in the CSVs, the SVG is a quick look.  Cells <= 0 are not drawn,
-    and each row's run of k adjacent cells of one shade is one rect of
-    width k * cw + 0.5.
+    Arrays wider than `_SVG_COLS` are column-subsampled so the file stays
+    small; data fidelity lives in the CSVs, the SVG is a quick look.  Cells
+    <= 0 are not drawn, and each row's run of k adjacent cells of one shade
+    is one rect of width k * cw + 0.5.
     """
     import numpy as np
 
     g = np.asarray(grid, dtype=float)
     if not np.isfinite(g).all():
         raise ValueError("heatmap grid has non-finite entries")
-    if g.shape[1] > max_cols:
-        step = int(np.ceil(g.shape[1] / max_cols))
+    if g.shape[1] > _SVG_COLS:
+        step = int(np.ceil(g.shape[1] / _SVG_COLS))
         g = g[:, ::step]
     vmax = g.max() if g.max() > 0 else 1.0
     nr, nc = g.shape

@@ -22,6 +22,10 @@ SKIN = "skin"
 TOPOLOGICAL = "topological_boundary"
 BULK = "bulk"
 SIDE_TOL = 1e-12  # edge masses this close tie: the side of a topological state is "both"
+# classifier cutoffs, validated on the built-ins
+EDGE_REGION = 0.1  # outer fraction of cells per side counted as 'edge'
+EDGE_FRACTION = 0.5  # minimal edge weight for a boundary-accumulated state
+PR_SCALE = 0.2  # biorthogonal PR below PR_SCALE * n_cells counts as localized
 
 
 def _index_map(obj) -> IndexMap:
@@ -95,36 +99,22 @@ def participation_ratio(weights) -> float:
 
 
 @dataclass(frozen=True)
-class Thresholds:
-    """Classifier cutoffs; the defaults were validated on the built-ins.
-
-    edge_region: outer fraction of cells per side counted as 'edge'.
-    edge_fraction: minimal edge weight for a boundary-accumulated state.
-    pr_scale: biorthogonal PR below pr_scale * n_cells counts as localized.
-    """
-
-    edge_fraction: float = 0.5
-    pr_scale: float = 0.2
-    edge_region: float = 0.1
-
-
-@dataclass(frozen=True)
 class StateClass:
     label: str
     side: Optional[str]
     metrics: dict
 
 
-def _edge_masses(weights: np.ndarray, edge_region: float):
+def _edge_masses(weights: np.ndarray):
     """Shares of |weights| in the outer cells of each end, one pair per row."""
     n = weights.shape[-1]
-    ne = max(1, int(np.ceil(edge_region * n)))
+    ne = max(1, int(np.ceil(EDGE_REGION * n)))
     w = np.abs(weights)
     total = w.sum(axis=-1)
     return w[..., :ne].sum(axis=-1) / total, w[..., -ne:].sum(axis=-1) / total
 
 
-def _classify(Lt: np.ndarray, Rt: np.ndarray, imap: IndexMap, th: Thresholds) -> list:
+def _classify(Lt: np.ndarray, Rt: np.ndarray, imap: IndexMap) -> list:
     """Verdicts for the matched pairs in the rows of Lt and Rt, in one pass.
 
     Rows of every intermediate array are states, so each per-state sum runs
@@ -132,8 +122,8 @@ def _classify(Lt: np.ndarray, Rt: np.ndarray, imap: IndexMap, th: Thresholds) ->
     """
     right = _right_weights(Rt, imap)
     bio = _bio_weights(np.conj(Lt), Rt, imap)
-    lf, rf = _edge_masses(right, th.edge_region)
-    blf, brf = _edge_masses(bio, th.edge_region)
+    lf, rf = _edge_masses(right)
+    blf, brf = _edge_masses(bio)
     tied = np.abs(brf - blf) <= SIDE_TOL
     edge = np.maximum(lf, rf)
     pr = _participation(bio)
@@ -144,10 +134,10 @@ def _classify(Lt: np.ndarray, Rt: np.ndarray, imap: IndexMap, th: Thresholds) ->
             "right_edge_fraction": float(edge[i]),
             "biorthogonal_participation_ratio_scaled": float(pr[i] / n),
         }
-        if edge[i] > th.edge_fraction and pr[i] > th.pr_scale * n:
+        if edge[i] > EDGE_FRACTION and pr[i] > PR_SCALE * n:
             side = "right" if rf[i] >= lf[i] else "left"
             out.append(StateClass(label=SKIN, side=side, metrics=metrics))
-        elif edge[i] > th.edge_fraction:
+        elif edge[i] > EDGE_FRACTION:
             side = "both" if tied[i] else "right" if brf[i] > blf[i] else "left"
             out.append(StateClass(label=TOPOLOGICAL, side=side, metrics=metrics))
         else:
@@ -155,7 +145,7 @@ def _classify(Lt: np.ndarray, Rt: np.ndarray, imap: IndexMap, th: Thresholds) ->
     return out
 
 
-def classify_spectrum(system, op, thresholds: Thresholds | None = None):
+def classify_spectrum(system, op):
     """Skin / topological-boundary / bulk verdict for every matched pair of a
     BiorthogonalSystem, batched.
 
@@ -169,7 +159,7 @@ def classify_spectrum(system, op, thresholds: Thresholds | None = None):
     """
     # complex copies of real states keep the arithmetic of complex ones
     Lt, Rt = (np.asarray(v.T, dtype=complex) for v in (system.left, system.right))
-    return _classify(Lt, Rt, _index_map(op), thresholds or Thresholds())
+    return _classify(Lt, Rt, _index_map(op))
 
 
 def export_profiles_csv(path, profiles, labels) -> None:

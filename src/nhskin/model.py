@@ -139,34 +139,6 @@ def builtin_2d(J_L: float, J_R: float, tp: float) -> LatticeModel:
 # ------------------------------------------------------------------ evaluation
 
 
-def bloch(model: LatticeModel, k) -> np.ndarray:
-    """Bloch matrix H(k) = sum_Delta A_Delta e^{i k.Delta}; 2pi-periodic."""
-    kv = np.atleast_1d(np.asarray(k, dtype=float))
-    if kv.shape != (model.dimension,):
-        raise ValueError(
-            f"k has shape {kv.shape}, model dimension is {model.dimension}"
-        )
-    H = np.zeros((model.bands, model.bands), dtype=complex)
-    for t in model.terms:
-        H += t.amplitude * np.exp(1j * float(np.dot(kv, t.offset)))
-    return H
-
-
-def nonbloch(model: LatticeModel, beta) -> np.ndarray:
-    """Analytic continuation H(beta) = sum_Delta A_Delta prod_i beta_i^Delta_i."""
-    bv = np.atleast_1d(np.asarray(beta, dtype=complex))
-    if bv.shape != (model.dimension,):
-        raise ValueError(
-            f"beta has shape {bv.shape}, model dimension is {model.dimension}"
-        )
-    if np.any(bv == 0):
-        raise ValueError("beta components must be nonzero (negative powers occur)")
-    H = np.zeros((model.bands, model.bands), dtype=complex)
-    for t in model.terms:
-        H += t.amplitude * np.prod(bv ** np.array(t.offset))
-    return H
-
-
 def bloch_samples(model: LatticeModel, ks: np.ndarray) -> np.ndarray:
     """Vectorized Bloch matrices, shape (len(ks), B, B); ks is (n, d)."""
     ks = np.asarray(ks, dtype=float).reshape(-1, model.dimension)
@@ -335,26 +307,6 @@ def char_poly(model: LatticeModel) -> CharPoly:
 
 
 # ------------------------------------------------------------------ JSON form
-
-
-def model_to_dict(model: LatticeModel) -> dict:
-    doc = {
-        "dimension": model.dimension,
-        "bands": model.bands,
-        "terms": [
-            {
-                "offset": list(t.offset),
-                "amplitude": [
-                    [{"re": float(v.real), "im": float(v.imag)} for v in row]
-                    for row in t.amplitude
-                ],
-            }
-            for t in model.terms
-        ],
-    }
-    if model.name is not None:
-        doc["name"] = model.name
-    return doc
 
 
 def model_from_dict(doc: dict) -> LatticeModel:

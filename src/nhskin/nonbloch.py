@@ -35,6 +35,7 @@ from .model import LatticeModel, _char_roots, _quadratic_moduli, char_poly
 COPY_TOL = 1e-6  # relative distance within which two roots are one multiple root
 MAX_BAD_FRACTION = 0.01  # of amoeba samples with a vanishing leading coefficient
 BLOCK_SAMPLES = 32768  # amoeba samples per column block: its temporaries fit a 4 MiB L2 cache
+GBZ_TOL = 1e-6  # relative modulus gap within which the middle roots are one pair
 
 
 def _pair_residual(roots: np.ndarray, q: int) -> np.ndarray:
@@ -82,14 +83,14 @@ def beta_roots(model: LatticeModel, E) -> np.ndarray:
     return _sorted_roots(_char_poly_1d(model, "beta_roots"), E)
 
 
-def gbz_membership(model: LatticeModel, E, gbz_tol: float = 1e-6) -> dict:
+def gbz_membership(model: LatticeModel, E) -> dict:
     """Middle-modulus degeneracy verdict at one energy."""
     cp = _char_poly_1d(model, "gbz_membership")
     roots = _sorted_roots(cp, E)
     q = -cp.span(0)[0]
     residual = float(_pair_residual(roots, q))
     return {
-        "member": bool(residual < gbz_tol),
+        "member": bool(residual < GBZ_TOL),
         "residual": residual,
         "beta_pair": (complex(roots[q - 1]), complex(roots[q])),
     }
@@ -115,7 +116,7 @@ def _f_and_grad(cp, beta, E):
     return (a * Ek).sum(-1), (da * Ek).sum(-1), (a[..., 1:] * k[1:] * Ek[..., :-1]).sum(-1)
 
 
-def gbz_curve(model: LatticeModel, N_seed: int = 400, gbz_tol: float = 1e-6) -> List[GBZSample]:
+def gbz_curve(model: LatticeModel, N_seed: int = 400, gbz_tol: float = GBZ_TOL) -> List[GBZSample]:
     """The generalized zone, sampled as an N_seed-cell chain samples it.
 
     Roots beta and beta e^{i theta} of one energy are the zeros of the resultant

@@ -63,11 +63,6 @@ class IndexMap:
     def n_sites(self) -> int:
         return self.n_cells * self.bands
 
-    def row(self, cell, orbital: int = 0) -> int:
-        cell = tuple(int(c) for c in np.atleast_1d(cell))
-        lin = int(np.ravel_multi_index(cell, self.sizes))
-        return lin * self.bands + int(orbital)
-
     def cell_index_of_rows(self) -> np.ndarray:
         """Linear cell index for every matrix row (length n_sites)."""
         return np.repeat(np.arange(self.n_cells), self.bands)

@@ -66,10 +66,11 @@ BLOWUP = 4.0  # largest growth of max|H| that the gauge may cause
 def _as_matrix(op) -> np.ndarray:
     if isinstance(op, RealSpaceOperator):
         return op.matrix
-    M = np.asarray(op, dtype=complex)
+    M = np.asarray(op)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix or RealSpaceOperator")
-    return M
+    # float64 and complex128 are kept as given, without a copy
+    return M.astype(np.result_type(M, float), copy=False)
 
 
 def _entries(H):

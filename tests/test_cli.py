@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from nhskin.cli import build_parser, main
-from nhskin.model import builtin_hatano_nelson, model_to_dict
 from nhskin.response import funnel_model, time_evolve
 
 CLI = [sys.executable, "-m", "nhskin.cli"]
@@ -116,8 +115,15 @@ def test_refused_inputs_exit_one_and_write_nothing(tmp_path, monkeypatch, capsys
     # refused where they enter, not blamed on a closed gap, degenerate
     # coefficients or a failed eigensolve, and a reversed window axis would
     # rasterize nothing and read as "hole: false"
-    doc = model_to_dict(builtin_hatano_nelson(0.5, 1.0))
-    doc["terms"][0]["amplitude"][0][0]["re"] = float("nan")
+    # the README's example model with a NaN amplitude
+    doc = {
+        "dimension": 1,
+        "bands": 1,
+        "terms": [
+            {"offset": [1], "amplitude": [[{"re": float("nan"), "im": 0.0}]]},
+            {"offset": [-1], "amplitude": [[{"re": 1.0, "im": 0.0}]]},
+        ],
+    }
     (tmp_path / "nan.json").write_text(json.dumps(doc))  # json writes, and reads back, a bare NaN
     monkeypatch.chdir(tmp_path)
     assert main([*args, "--out", "out"]) == 1

@@ -107,7 +107,7 @@ _RECT = re.compile(r'<rect x="([-0-9.]+)" y="([-0-9.]+)" width="([0-9.]+)" heigh
 def test_merged_heatmap_keeps_every_cell_shade(tmp_path, seed):
     rng = np.random.default_rng(seed)
     nr, nc = rng.integers(1, 40, size=2)
-    if seed == 5:  # wider than max_cols (every third column is drawn), and in three row blocks
+    if seed == 5:  # wider than _SVG_COLS (every third column is drawn), and in three row blocks
         nr, nc = 100, 500
     # few levels, so that runs of equal shade are common; some cells <= 0
     grid = rng.integers(-1, 4, size=(nr, nc)) * rng.choice([1.0, 0.37])
@@ -125,18 +125,6 @@ def test_merged_heatmap_keeps_every_cell_shade(tmp_path, seed):
             assert (jj, y) not in drawn
             drawn[jj, y] = int(shade)
     assert drawn == {(column[x], y): s for x, y, s in ref}
-
-
-def test_heatmap_subsamples_wide_grids(tmp_path):
-    # 5 columns over max_cols = 2: every third column (0 and 3) is drawn
-    path = tmp_path / "w.svg"
-    write_svg_heatmap(path, np.arange(10.0).reshape(2, 5), title="w", max_cols=2)
-    assert path.read_text() == _SVG_HEAD.format("w") + (
-        '<rect x="320.0" y="50.0" width="270.5" height="190.5" fill="rgb(159,159,159)"/>\n'
-        '<rect x="50.0" y="240.0" width="270.5" height="190.5" fill="rgb(95,95,95)"/>\n'
-        '<rect x="320.0" y="240.0" width="270.5" height="190.5" fill="rgb(0,0,0)"/>\n'
-        "</svg>\n"
-    )
 
 
 def test_csv_rows_span_write_chunks(tmp_path):

@@ -5,7 +5,9 @@ import pytest
 
 from nhskin.errors import EPVicinityError
 from nhskin.localization import (
-    Thresholds,
+    EDGE_FRACTION,
+    EDGE_REGION,
+    PR_SCALE,
     biorthogonal_density,
     classify_spectrum,
     density_profile,
@@ -99,12 +101,14 @@ def test_topological_states_single_sublattice():
 
 
 def test_classification_stable_under_small_threshold_shift():
+    # every verdict clears the cutoffs it reads by more than 1e-3, so a
+    # shift of either cutoff by 1e-3 changes no label
     op = build(builtin_nh_ssh(0.6, 1.0, 0.3), [40], OBC)
-    sy = eig_biorthogonal(op)
-    base = [c.label for c in classify_spectrum(sy, op)]
-    for d in (-1e-3, 1e-3):
-        th = Thresholds(edge_fraction=0.5 + d, pr_scale=0.2 + d, edge_region=0.1)
-        assert [c.label for c in classify_spectrum(sy, op, th)] == base
+    for c in classify_spectrum(eig_biorthogonal(op), op):
+        edge = c.metrics["right_edge_fraction"]
+        assert abs(edge - EDGE_FRACTION) > 1e-3
+        if edge > EDGE_FRACTION:
+            assert abs(c.metrics["biorthogonal_participation_ratio_scaled"] - PR_SCALE) > 1e-3
 
 
 def test_profiles_csv(tmp_path):
@@ -118,7 +122,7 @@ def test_profiles_csv(tmp_path):
     assert lines[1].endswith(",a")
 
 
-def _per_state_reference(L, R, op, th=Thresholds()):
+def _per_state_reference(L, R, op):
     """The per-state classifier as a plain loop body: numpy.vdot norms,
     numpy.add.at cell sums and 1-D reductions."""
     cells, n = op.index_map.cell_index_of_rows(), op.index_map.n_cells
@@ -130,16 +134,16 @@ def _per_state_reference(L, R, op, th=Thresholds()):
     bio /= np.vdot(L, R)
 
     def edges(w):
-        ne = max(1, int(np.ceil(th.edge_region * n)))
+        ne = max(1, int(np.ceil(EDGE_REGION * n)))
         a = np.abs(w)
         return a[:ne].sum() / a.sum(), a[-ne:].sum() / a.sum()
 
     lf, rf = edges(right)
     p = np.abs(bio) / np.abs(bio).sum()
     edge, pr = max(lf, rf), 1.0 / np.sum(p**2)
-    if edge > th.edge_fraction and pr > th.pr_scale * n:
+    if edge > EDGE_FRACTION and pr > PR_SCALE * n:
         label, side = "skin", "right" if rf >= lf else "left"
-    elif edge > th.edge_fraction:
+    elif edge > EDGE_FRACTION:
         blf, brf = edges(bio)
         side = "both" if abs(brf - blf) <= 1e-12 else "right" if brf > blf else "left"
         label = "topological_boundary"

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from nhskin.model import (
     LatticeModel,
     _char_roots,
     _quadratic_moduli,
-    bloch,
     bloch_samples,
     builtin_2d,
     builtin_hatano_nelson,
@@ -18,36 +18,53 @@ from nhskin.model import (
     char_poly,
     load_model,
     model_from_dict,
-    model_to_dict,
-    nonbloch,
 )
+
+
+def bloch(model, k):
+    """Reference Bloch matrix H(k) = sum_Delta A_Delta e^{i k.Delta}, one k at a time."""
+    kv = np.atleast_1d(np.asarray(k, dtype=float))
+    H = np.zeros((model.bands, model.bands), dtype=complex)
+    for t in model.terms:
+        H += t.amplitude * np.exp(1j * float(np.dot(kv, t.offset)))
+    return H
+
+
+def nonbloch(model, beta):
+    """Reference analytic continuation H(beta) = sum_Delta A_Delta prod_i beta_i^Delta_i."""
+    bv = np.atleast_1d(np.asarray(beta, dtype=complex))
+    H = np.zeros((model.bands, model.bands), dtype=complex)
+    for t in model.terms:
+        H += t.amplitude * np.prod(bv ** np.array(t.offset))
+    return H
 
 
 def test_hn_bloch_values():
     m = builtin_hatano_nelson(0.5, 1.0)
-    assert bloch(m, 0.0)[0, 0] == pytest.approx(1.5)
-    assert bloch(m, np.pi / 2)[0, 0] == pytest.approx(-0.5j)
+    h0, h1 = bloch_samples(m, [0.0, np.pi / 2])[:, 0, 0]
+    assert h0 == pytest.approx(1.5)
+    assert h1 == pytest.approx(-0.5j)
 
 
 def test_hn_dispersion_formula():
     jl, jr = 0.7, 1.3
     m = builtin_hatano_nelson(jl, jr)
     ks = np.linspace(-np.pi, np.pi, 257)
-    e = np.array([bloch(m, k)[0, 0] for k in ks])
+    e = bloch_samples(m, ks)[:, 0, 0]
     ref = (jl + jr) * np.cos(ks) + 1j * (jl - jr) * np.sin(ks)
     np.testing.assert_allclose(e, ref, atol=1e-14)
 
 
 def test_hermitian_hn_is_cosine_band():
     m = builtin_hatano_nelson(1.0, 1.0)
-    for k in (0.0, 0.3, 2.0):
-        assert bloch(m, k)[0, 0] == pytest.approx(2 * np.cos(k))
+    ks = np.array([0.0, 0.3, 2.0])
+    assert bloch_samples(m, ks)[:, 0, 0] == pytest.approx(2 * np.cos(ks))
 
 
 def test_nh_ssh_bloch_entries():
     m = builtin_nh_ssh(1.0, 1.0, 0.5)
-    for k in (0.0, 0.7, -1.9):
-        h = bloch(m, k)
+    ks = (0.0, 0.7, -1.9)
+    for k, h in zip(ks, bloch_samples(m, ks)):
         assert h[0, 1] == pytest.approx(1.5 + np.exp(-1j * k))
         assert h[1, 0] == pytest.approx(0.5 + np.exp(1j * k))
         assert h[0, 0] == h[1, 1] == 0
@@ -57,8 +74,7 @@ def test_nh_ssh_bloch_entries():
 
 def test_nh_ssh_hermitian_at_gamma_zero():
     m = builtin_nh_ssh(1.0, 1.0, 0.0)
-    for k in (0.1, 1.2):
-        h = bloch(m, k)
+    for h in bloch_samples(m, [0.1, 1.2]):
         np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
 
 
@@ -80,7 +96,7 @@ def test_duplicate_offsets_merge():
     ]
     m = LatticeModel(dimension=1, bands=1, terms=t)
     assert len(m.terms) == 2
-    assert bloch(m, 0.0)[0, 0] == pytest.approx(1.5)
+    assert bloch_samples(m, [0.0])[0, 0, 0] == pytest.approx(1.5)
 
 
 def test_all_zero_model_rejected():
@@ -100,14 +116,9 @@ def test_amplitude_shape_must_match_bands():
 
 def test_nonbloch_at_unit_beta_matches_bloch():
     m = builtin_nh_ssh(0.6, 1.0, 0.3)
-    for k in (0.0, 0.9):
-        np.testing.assert_allclose(nonbloch(m, [np.exp(1j * k)]), bloch(m, k), atol=1e-14)
-
-
-def test_nonbloch_rejects_zero_beta():
-    m = builtin_hatano_nelson(0.5, 1.0)
-    with pytest.raises(ValueError):
-        nonbloch(m, [0.0])
+    ks = (0.0, 0.9)
+    for k, h in zip(ks, bloch_samples(m, ks)):
+        np.testing.assert_allclose(nonbloch(m, [np.exp(1j * k)]), h, atol=1e-14)
 
 
 def test_bloch_samples_batches_match_single():
@@ -238,52 +249,62 @@ def test_quadratic_moduli_encode_vanishing_end_coefficients():
     assert np.isnan(got[4]).all()
 
 
+# the README's example model file: Hatano-Nelson with J_L = 0.5, J_R = 1.0
+README_MODEL = """{
+  "dimension": 1,
+  "bands": 1,
+  "terms": [
+    {"offset": [1],  "amplitude": [[{"re": 0.5, "im": 0.0}]]},
+    {"offset": [-1], "amplitude": [[{"re": 1.0, "im": 0.0}]]}
+  ],
+  "name": "my-chain"
+}
+"""
+
+
 def test_json_round_trip(tmp_path):
-    m = builtin_nh_ssh(0.6, 1.0, 0.3)
+    doc = json.loads(README_MODEL)
+    doc["terms"][0]["amplitude"][0][0]["im"] = 0.25
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(model_to_dict(m)))
-    m2 = load_model(path)
-    assert m2.dimension == m.dimension and m2.bands == m.bands
-    assert len(m2.terms) == len(m.terms)
-    for a, b in zip(m.terms, m2.terms):
-        assert a.offset == b.offset
-        np.testing.assert_allclose(a.amplitude, b.amplitude, atol=0)
+    path.write_text(json.dumps(doc))
+    m = load_model(path)
+    assert (m.dimension, m.bands, m.name) == (1, 1, "my-chain")
+    assert [t.offset for t in m.terms] == [(-1,), (1,)]  # sorted by offset
+    assert [complex(t.amplitude[0, 0]) for t in m.terms] == [1.0, 0.5 + 0.25j]
 
 
-def test_json_schema_shape(tmp_path):
-    m = builtin_hatano_nelson(0.5, 1.0)
-    doc = model_to_dict(m)
-    assert set(doc) >= {"dimension", "bands", "terms"}
-    amp = doc["terms"][0]["amplitude"]
-    assert isinstance(amp[0][0], dict) and set(amp[0][0]) == {"re", "im"}
-    # and the dict form feeds back in
-    assert model_from_dict(json.loads(json.dumps(doc))).terms == m.terms
+def test_json_schema_shape():
+    # the README documents the schema the loader reads
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == json.loads(README_MODEL)
+    assert model_from_dict(json.loads(block)).terms == builtin_hatano_nelson(0.5, 1.0).terms
 
 
 def test_loader_reports_term_index():
-    doc = model_to_dict(builtin_hatano_nelson(0.5, 1.0))
+    doc = json.loads(README_MODEL)
     doc["terms"][1]["offset"] = [1, 2]
     with pytest.raises(ModelFormatError, match=r"terms\[1\]"):
         model_from_dict(doc)
 
 
 def test_loader_rejects_bad_dimension():
-    doc = model_to_dict(builtin_hatano_nelson(0.5, 1.0))
+    doc = json.loads(README_MODEL)
     doc["dimension"] = 3
     with pytest.raises(ModelFormatError):
         model_from_dict(doc)
 
 
 def test_loader_rejects_ragged_amplitude():
-    doc = model_to_dict(builtin_nh_ssh(0.6, 1.0, 0.3))
-    doc["terms"][0]["amplitude"][0] = doc["terms"][0]["amplitude"][0][:1]
+    doc = json.loads(README_MODEL)
+    doc["terms"][0]["amplitude"][0] = []
     with pytest.raises(ModelFormatError, match=r"terms\[0\]"):
         model_from_dict(doc)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
 def test_loader_rejects_non_finite_amplitude(value):
-    doc = model_to_dict(builtin_hatano_nelson(0.5, 1.0))
+    doc = json.loads(README_MODEL)
     doc["terms"][1]["amplitude"][0][0]["im"] = value
     with pytest.raises(ModelFormatError, match="finite"):
         model_from_dict(doc)

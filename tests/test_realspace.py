@@ -77,23 +77,28 @@ def test_nh_ssh_obc_two_cells():
 def test_2d_build_places_bonds():
     op = build(builtin_2d(0.5, 1.0, 0.2), [4, 3], OBC)
     assert op.n == 12
-    im = op.index_map
-    r = im.row((1, 1), 0)
-    assert op.matrix[r, im.row((2, 1), 0)] == 0.5  # +x
-    assert op.matrix[r, im.row((1, 0), 0)] == 0.5  # -y
-    assert op.matrix[r, im.row((0, 1), 0)] == 1.0  # -x
-    assert op.matrix[r, im.row((1, 2), 0)] == 1.0  # +y
-    assert op.matrix[r, im.row((2, 2), 0)] == 0.2  # diagonal
+
+    def row(*cell):  # one band: the row is the C-order cell index
+        return np.ravel_multi_index(cell, (4, 3))
+
+    r = row(1, 1)
+    assert op.matrix[r, row(2, 1)] == 0.5  # +x
+    assert op.matrix[r, row(1, 0)] == 0.5  # -y
+    assert op.matrix[r, row(0, 1)] == 1.0  # -x
+    assert op.matrix[r, row(1, 2)] == 1.0  # +y
+    assert op.matrix[r, row(2, 2)] == 0.2  # diagonal
     # open boundary: no wrap of the +x bond from the last column
-    edge = im.row((3, 1), 0)
-    assert op.matrix[edge, im.row((0, 1), 0)] == 0
+    assert op.matrix[row(3, 1), row(0, 1)] == 0
 
 
 def test_mixed_boundary_axes():
     op = build(builtin_2d(0.5, 1.0, 0.2), [3, 3], ("pbc", "obc"))
-    im = op.index_map
-    assert op.matrix[im.row((2, 1), 0), im.row((0, 1), 0)] == 0.5  # x wraps
-    assert op.matrix[im.row((1, 2), 0), im.row((1, 0), 0)] == 0  # y does not
+
+    def row(*cell):
+        return np.ravel_multi_index(cell, (3, 3))
+
+    assert op.matrix[row(2, 1), row(0, 1)] == 0.5  # x wraps
+    assert op.matrix[row(1, 2), row(1, 0)] == 0  # y does not
 
 
 def test_build_rejects_tiny_or_overreaching_lattices():

@@ -277,6 +277,34 @@ def test_results_stay_complex_on_both_paths(op, vectors):
     assert sy.right.flags.f_contiguous and sy.left.flags.f_contiguous
 
 
+HN_ONSITE = LatticeModel(
+    1, 1, (HoppingTerm((1,), [[0.5]]), HoppingTerm((-1,), [[1.0]]), HoppingTerm((0,), [[ONSITE]]))
+)
+
+
+@pytest.mark.parametrize(
+    "op, solver",
+    [
+        (build(builtin_nh_ssh(0.6, 1.0, 0.2), [15], OBC), "chiral"),
+        (build(HN_ONSITE, [30], OBC), "eigh"),
+        (build(builtin_hatano_nelson(0.5, 1.0), [30], PBC), "eig"),
+    ],
+    ids=["chiral", "eigh", "eig"],
+)
+def test_bare_real_matrix_is_solved_as_its_operator(op, solver):
+    M = op.matrix
+    assert M.dtype == float and nhskin.spectral._as_matrix(M) is M  # no copy
+    bare, wrapped = eig_biorthogonal(M), eig_biorthogonal(op)
+    assert bare.solver == wrapped.solver == solver
+    for field in ("eigenvalues", "right", "left"):
+        a, b = getattr(bare, field), getattr(wrapped, field)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    # any other dtype is promoted to the float64 or complex128 it holds
+    for dtype, promoted in ((np.float32, float), (int, float), (bool, float), (np.complex64, complex)):
+        assert nhskin.spectral._as_matrix(M.astype(dtype)).dtype == promoted
+
+
 @pytest.mark.parametrize("jl, n", [(0.5, 40), (0.3, 90)])
 def test_hn_ring_matches_closed_form_in_conjugate_pairs(jl, n):
     # the ring keeps flux, so it takes the general eig; H is real, so the
