@@ -109,8 +109,6 @@ def _run(args) -> int:
     parser, so stderr shows that command's usage line."""
     from .io import write_manifest
 
-    if getattr(args, "eps_min", 0) > getattr(args, "eps_max", 0):
-        args.parser.error("crossover needs --eps-min <= --eps-max")
     # only funnel, which builds its own chain, declares no model options
     model = _resolve_model(args) if hasattr(args, "builtin") else None
     artifacts, summary = args.func(args, model)
@@ -336,6 +334,8 @@ def _cmd_crossover(args, model):
 
     from .response import boundary_crossover
 
+    if args.eps_min > args.eps_max:
+        args.parser.error("crossover needs --eps-min <= --eps-max")
     epsilons = np.logspace(np.log10(args.eps_min), np.log10(args.eps_max), args.eps_count)
     rows = boundary_crossover(model, args.sizes, epsilons)
     columns = [[r[key] for r in rows] for key in ("epsilon", "distance", "max_imag")]

@@ -44,8 +44,10 @@ def _cell_sum(values: np.ndarray, imap: IndexMap) -> np.ndarray:
 
 
 def _rows(v) -> np.ndarray:
-    """One state as a single complex row."""
-    return np.asarray(v, dtype=complex).reshape(1, -1)
+    """One state as a single row in its own arithmetic: float64 or complex128
+    as given, any other dtype promoted to the one of the two that holds it."""
+    v = np.asarray(v)
+    return v.astype(np.result_type(v, float), copy=False).reshape(1, -1)
 
 
 def _right_weights(Rt: np.ndarray, imap: IndexMap) -> np.ndarray:
@@ -74,7 +76,7 @@ def density_profile(state, index_map) -> np.ndarray:
 
 
 def biorthogonal_density(L, R, index_map) -> np.ndarray:
-    """Complex weights conj(L)_n R_n / <L|R> per cell, summing to 1.
+    """Weights conj(L)_n R_n / <L|R> per cell (real for real L, R), summing to 1.
 
     Refuses when |<L|R>| < 1e-12: that is the fingerprint of an exceptional
     point, where matched left/right pairs stop spanning the space and the
@@ -157,9 +159,7 @@ def classify_spectrum(system, op):
     mirror-symmetric zero pair of an open nh-SSH chain).
     Bulk: everything else.  Exceptional-point refusals propagate.
     """
-    # complex copies of real states keep the arithmetic of complex ones
-    Lt, Rt = (np.asarray(v.T, dtype=complex) for v in (system.left, system.right))
-    return _classify(Lt, Rt, _index_map(op))
+    return _classify(system.left.T, system.right.T, _index_map(op))
 
 
 def export_profiles_csv(path, profiles, labels) -> None:

@@ -9,10 +9,10 @@ gauge* similarity does: rescaling site n by exp(l_n) with
 l_j - l_i = log(|H_ji|/|H_ij|) / 2 across each two-sided bond makes |H_ij|
 symmetric exactly whenever that bond field is curl-free, which covers every
 open chain.  Eigenvalues are preserved exactly; eigenvectors transform by the
-known diagonal, so nothing is lost undoing the gauge afterwards.  The gauge
-and the solve each read the nonzeros in one `H != 0` pass; past that, the
-gauge, the Hermitian test below and the finiteness check cost O(nnz) on the
-bond list (each nonzero and its transposed entry).
+known diagonal, so nothing is lost undoing the gauge afterwards.  A solve
+reads the nonzeros in one `H != 0` pass; past that, the gauge, the Hermitian
+test below and the finiteness check cost O(nnz) on the one bond list it
+builds (each nonzero and its transposed entry).
 
 After the gauge an open chain with real (or conjugate-paired) hoppings is
 Hermitian, usually real symmetric, with the same eigenvalues (Yao & Wang,
@@ -105,8 +105,9 @@ def _tree_sums(n, i, j, step) -> np.ndarray:
     return np.array(l)
 
 
-def gauge_log_scales(H) -> np.ndarray:
-    """Per-site log scales that symmetrize |H|, or zeros when impossible.
+def gauge_log_scales(n, i, j, k, h) -> np.ndarray:
+    """Per-site log scales that symmetrize the n x n |H|, or zeros when
+    impossible, from its bond list (i, j, k) of `_entries` and h = H[i, j].
 
     A spanning forest of the hopping graph fixes l up to a constant per
     component; the assignment is then checked on *every* edge (cycles may
@@ -114,12 +115,9 @@ def gauge_log_scales(H) -> np.ndarray:
     case no exact gauge exists and the identity is returned).  A blow-up
     guard also bails out if scaling would inflate the largest amplitude by
     more than BLOWUP, so one-sided numerics can't get worse than untouched.
-    Works on the bond list, in O(nnz) after one `H != 0` pass.
+    Works in O(nnz) on the bond list of the solve's one `H != 0` pass.
     """
-    H = np.asarray(H)
-    n = H.shape[0]
-    i, j, k = _entries(H)
-    a = np.abs(H[i, j]).astype(float)
+    a = np.abs(h)
     a[i == j] = 0.0
     on = a > 0
     if not on.any():
@@ -154,7 +152,7 @@ def _gauged(H):
     h = H[i, j]
     if not np.all(np.isfinite(h)):
         raise EigensolverError("matrix has non-finite entries")
-    l = gauge_log_scales(H)
+    l = gauge_log_scales(len(H), i, j, k, h)
     d = np.exp(l) if l.any() else None
     hb = h if d is None else h * (d[j] / d[i])
     tol = 4 * _EPS * (1 + np.abs(l).max(initial=0.0)) * np.abs(hb).max(initial=0.0)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import nhskin.localization
 from nhskin.errors import EPVicinityError
 from nhskin.localization import (
     EDGE_FRACTION,
@@ -129,7 +130,7 @@ def _per_state_reference(L, R, op):
     right = np.zeros(n)
     np.add.at(right, cells, np.abs(R) ** 2)
     right /= np.vdot(R, R).real
-    bio = np.zeros(n, dtype=complex)
+    bio = np.zeros(n, dtype=np.result_type(L, R))
     np.add.at(bio, cells, np.conj(L) * R)
     bio /= np.vdot(L, R)
 
@@ -172,10 +173,51 @@ def test_batched_classifier_equals_per_state_reference(model, cells):
     sy = eig_biorthogonal(op)
     batch = classify_spectrum(sy, op)
     for i, c in enumerate(batch):
-        # complex copies, as classify_spectrum takes of real states
-        L, R = (v[:, i].astype(complex) for v in (sy.left, sy.right))
-        ref = _per_state_reference(L, R, op)
+        ref = _per_state_reference(sy.left[:, i], sy.right[:, i], op)
         assert (c.label, c.side, c.metrics) == ref
+
+
+def test_classifier_reads_the_solver_vectors_without_copies(monkeypatch):
+    op = build(builtin_hatano_nelson(0.5, 1.0), [50], OBC)
+    sy = eig_biorthogonal(op)
+    seen = []
+    classify = nhskin.localization._classify
+
+    def spy(Lt, Rt, im):
+        seen.append((Lt, Rt))
+        return classify(Lt, Rt, im)
+
+    monkeypatch.setattr(nhskin.localization, "_classify", spy)
+    classify_spectrum(sy, op)
+    [(Lt, Rt)] = seen
+    assert Lt.dtype == Rt.dtype == np.float64
+    assert np.shares_memory(Lt, sy.left) and np.shares_memory(Rt, sy.right)
+
+
+@pytest.mark.parametrize(
+    "model, cells, tied",
+    [
+        (builtin_hatano_nelson(0.5, 1.0), 50, 0),
+        (builtin_hatano_nelson(0.5, 1.0), 100, 0),
+        (builtin_nh_ssh(0.6, 1.0, 0.3), 40, 2),
+        (builtin_nh_ssh(0.6, 1.0, 0.2), 30, 2),
+    ],
+    ids=["hn50", "hn100", "nh-ssh40", "nh-ssh30"],
+)
+def test_real_and_complex_vectors_classify_alike(model, cells, tied):
+    # the criterion 04/06 systems and the CI's nh-SSH chain, whose zero pair
+    # must keep its tied side "both" in either arithmetic
+    op = build(model, [cells], OBC)
+    sy = eig_biorthogonal(op)
+    as_complex = dataclasses.replace(
+        sy, left=sy.left.astype(complex), right=sy.right.astype(complex)
+    )
+    real, cplx = classify_spectrum(sy, op), classify_spectrum(as_complex, op)
+    assert [(c.label, c.side) for c in real] == [(c.label, c.side) for c in cplx]
+    for a, b in zip(real, cplx):
+        for key, value in a.metrics.items():
+            assert value == pytest.approx(b.metrics[key], rel=1e-14, abs=0)
+    assert sum(c.side == "both" for c in real) == tied
 
 
 def test_batched_classifier_refuses_any_ep_pair():

@@ -100,9 +100,15 @@ def test_phase_convention_largest_component_real():
         assert top.real > 0
 
 
+def _gauge(H):
+    """gauge_log_scales of a dense matrix, on the bond list a solve builds."""
+    i, j, k = nhskin.spectral._entries(H)
+    return gauge_log_scales(len(H), i, j, k, H[i, j])
+
+
 def test_gauge_symmetrizes_open_chain():
     H = build(builtin_hatano_nelson(0.5, 1.0), [30], OBC).matrix
-    ell = gauge_log_scales(H)
+    ell = _gauge(H)
     assert ell.any()
     d = np.exp(ell - ell.max())
     Hb = H * (d[None, :] / d[:, None])
@@ -111,7 +117,17 @@ def test_gauge_symmetrizes_open_chain():
 
 def test_gauge_refuses_flux_ring():
     H = build(builtin_hatano_nelson(0.5, 1.0), [12], PBC).matrix
-    assert not gauge_log_scales(H).any()  # wrapped chain carries net flux
+    assert not _gauge(H).any()  # wrapped chain carries net flux
+
+
+@pytest.mark.parametrize("solve", [dense_spectrum, eig_biorthogonal, ep_diagnostic])
+def test_one_bond_list_per_solve(monkeypatch, solve):
+    # the gauge reads the solve's bond list instead of building its own
+    calls = []
+    entries = nhskin.spectral._entries
+    monkeypatch.setattr(nhskin.spectral, "_entries", lambda H: calls.append(1) or entries(H))
+    solve(build(builtin_hatano_nelson(0.5, 1.0), [30], OBC))
+    assert len(calls) == 1
 
 
 def test_non_normality_values():
@@ -483,7 +499,7 @@ def _assert_same(a, b):
 def _assert_matches_dense_oracles(monkeypatch, H):
     """Bond-list and dense paths give bit-identical results; returns the
     solver taken and whether a gauge was found."""
-    ours = (gauge_log_scales(H), dense_spectrum(H), eig_biorthogonal(H))
+    ours = (_gauge(H), dense_spectrum(H), eig_biorthogonal(H))
     with monkeypatch.context() as m:
         m.setattr(nhskin.spectral, "_gauged", _dense_gauged)
         m.setattr(nhskin.spectral, "_min_pair_gap", _dense_min_pair_gap)
