@@ -241,7 +241,7 @@ def _cmd_localize(args, model):
     import numpy as np
 
     from .io import write_svg_scatter
-    from .localization import classify_spectrum, density_profile, export_profiles_csv
+    from .localization import _right_weights, classify_spectrum, export_profiles_csv
     from .realspace import build
     from .spectral import eig_biorthogonal
 
@@ -261,7 +261,7 @@ def _cmd_localize(args, model):
     ]
 
     def profiles_csv(path):
-        profiles = [density_profile(system.right[:, i], op.index_map) for i in range(op.n)]
+        profiles = _right_weights(system.right.T, op.index_map)  # one row per state
         export_profiles_csv(path, profiles, labels=[c.label for c in classes])
 
     def localize_svg(path):

@@ -53,14 +53,15 @@ def _rows(v) -> np.ndarray:
 def _right_weights(Rt: np.ndarray, imap: IndexMap) -> np.ndarray:
     """|psi_n|^2 per cell over <psi|psi>, one row per state (row of Rt)."""
     # stacked 1 x n @ n x 1 products: the same dot routine as numpy.vdot
-    nrm2 = (np.conj(Rt)[:, None, :] @ Rt[:, :, None])[:, 0, 0].real
+    nrm2 = (Rt.conj()[:, None, :] @ Rt[:, :, None])[:, 0, 0].real
     if np.any(nrm2 == 0):
         raise ValueError("cannot profile the zero vector")
     return _cell_sum(np.abs(Rt) ** 2, imap) / nrm2[:, None]
 
 
-def _bio_weights(Lc: np.ndarray, Rt: np.ndarray, imap: IndexMap) -> np.ndarray:
-    """conj(L)_n R_n per cell over <L|R>, one row per pair; Lc is conj(L)."""
+def _bio_weights(Lt: np.ndarray, Rt: np.ndarray, imap: IndexMap) -> np.ndarray:
+    """conj(L)_n R_n per cell over <L|R>, one row per pair (row of Lt, Rt)."""
+    Lc = Lt.conj()  # the array itself when real: conjugation copies complex rows only
     ip = (Lc[:, None, :] @ Rt[:, :, None])[:, 0, 0]
     bad = np.flatnonzero(np.abs(ip) < 1e-12)
     if bad.size:
@@ -82,7 +83,7 @@ def biorthogonal_density(L, R, index_map) -> np.ndarray:
     point, where matched left/right pairs stop spanning the space and the
     biorthogonal decomposition is meaningless.
     """
-    return _bio_weights(np.conj(_rows(L)), _rows(R), _index_map(index_map))[0]
+    return _bio_weights(_rows(L), _rows(R), _index_map(index_map))[0]
 
 
 def _participation(weights: np.ndarray) -> np.ndarray:
@@ -123,7 +124,7 @@ def _classify(Lt: np.ndarray, Rt: np.ndarray, imap: IndexMap) -> list:
     over one row exactly as it would for a single vector.
     """
     right = _right_weights(Rt, imap)
-    bio = _bio_weights(np.conj(Lt), Rt, imap)
+    bio = _bio_weights(Lt, Rt, imap)
     lf, rf = _edge_masses(right)
     blf, brf = _edge_masses(bio)
     tied = np.abs(brf - blf) <= SIDE_TOL

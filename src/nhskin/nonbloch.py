@@ -18,8 +18,10 @@ moduli; those of its quadratics in beta_y come in closed form from
 `model._quadratic_moduli`.  Either way a vanishing end coefficient comes back
 as a root at inf or 0; `beta_roots` refuses both, and the amoeba drops the
 samples with a root at inf.  The hole test reads the same extreme moduli
-per raster column and one batched root count.  The numerical settings no
-caller varies are the module constants.
+per raster column and one batched root count.  Both samplings solve half
+of a phase circle whose two halves carry the same roots: the GBZ always, the
+amoeba when its polynomial is real.  The numerical settings no caller varies
+are the module constants.
 """
 
 from __future__ import annotations
@@ -122,26 +124,29 @@ def gbz_curve(model: LatticeModel, N_seed: int = 400, gbz_tol: float = GBZ_TOL) 
     Roots beta and beta e^{i theta} of one energy are the zeros of the resultant
     R(beta) = Res_E[f(beta, .), f(beta e^{i theta}, .)], f = det[E - H(beta)]
     (Yang et al., PRL 125, 226402 (2020)).  For theta = 2 pi m / (N_seed + 1),
-    m = 1..N_seed, one FFT of 2B x 2B Sylvester determinants on the unit circle
-    gives R's Laurent coefficients; its roots (less those at 0 or inf) take the
-    energy their two polynomials share and one Newton step on the pair.  A root
-    is kept when beta and beta e^{i theta} are the middle-modulus pair at E, to
-    within gbz_tol.  For Hatano-Nelson the energies are the N_seed-site OBC
-    eigenvalues, each once per root of its pair.
+    m = 1..ceil(N_seed / 2), one FFT of 2B x 2B Sylvester determinants on the
+    unit circle gives R's Laurent coefficients; its roots (less those at 0 or
+    inf) take the energy their two polynomials share and one Newton step on
+    the pair.  A root is kept when beta and beta e^{i theta} are the
+    middle-modulus pair at E, to within gbz_tol.  The roots at 2 pi - theta are
+    those at theta times e^{i theta}, so each kept (beta, E, residual) of block
+    m <= N_seed / 2 also stands, as beta e^{i theta}, in block N_seed + 1 - m;
+    samples come in ascending theta.  For Hatano-Nelson the energies are the
+    N_seed-site OBC eigenvalues, each once per root of its pair.
     """
     if N_seed < 1:
         raise SamplingError(f"the zone needs at least one theta sample, got N_seed = {N_seed}")
     cp = _char_poly_1d(model, "gbz_curve")
     (lo, hi), B = cp.span(0), cp.coeffs.shape[0] - 1
     j = np.arange(lo, hi + 1)
-    theta = 2 * np.pi * np.arange(1, N_seed + 1) / (N_seed + 1)
+    theta = 2 * np.pi * np.arange(1, (N_seed + 1) // 2 + 1) / (N_seed + 1)
     M = 2 * B * (hi - lo) + 1  # R spans the exponents [2B lo, 2B hi]
     pw = np.exp(2j * np.pi * np.arange(M) / M)[:, None] ** j
     a = pw @ cp.coeffs.T  # (M, B + 1): the E-coefficients of f(beta, .)
     # rows of f(beta e^{i theta}, .) less those of f(beta, .): the same
     # determinant, without cancelling two nearly equal rows at small theta
     d = (pw * np.expm1(1j * theta[:, None, None] * j)) @ cp.coeffs.T
-    syl = np.zeros((N_seed, M, 2 * B, 2 * B), dtype=complex)
+    syl = np.zeros((len(theta), M, 2 * B, 2 * B), dtype=complex)
     for i in range(B):
         syl[..., i, i : i + B + 1] = a[..., ::-1]
         syl[..., B + i, i : i + B + 1] = d[..., ::-1]
@@ -150,6 +155,7 @@ def gbz_curve(model: LatticeModel, N_seed: int = 400, gbz_tol: float = GBZ_TOL) 
     valid = np.isfinite(roots) & (roots != 0)
     roots = np.where(valid, roots, 1.0)
     turn = np.broadcast_to(np.exp(1j * theta)[:, None], roots.shape)
+    block = np.broadcast_to(np.arange(len(theta))[:, None], roots.shape)
 
     same = np.abs(roots[..., :, None] - roots[..., None, :]) <= COPY_TOL * np.abs(roots)[..., None]
     copy = np.tril(same, -1).sum(-1)[..., None]
@@ -159,7 +165,8 @@ def gbz_curve(model: LatticeModel, N_seed: int = 400, gbz_tol: float = GBZ_TOL) 
     # best shared energy first; the copies of a multiple root take them in turn
     miss = np.abs(_f_and_grad(cp, (lead * turn)[..., None], E)[0])
     pick = np.take_along_axis(np.argsort(miss, -1), np.minimum(copy, B - 1), -1)
-    beta, E, turn = roots[valid], np.take_along_axis(E, pick, -1)[valid, 0], turn[valid]
+    beta, E = roots[valid], np.take_along_axis(E, pick, -1)[valid, 0]
+    turn, block = turn[valid], block[valid]
 
     # one Newton step on the pair restores the digits a multiple root loses
     f1, f1b, f1e = _f_and_grad(cp, beta, E)
@@ -168,16 +175,24 @@ def gbz_curve(model: LatticeModel, N_seed: int = 400, gbz_tol: float = GBZ_TOL) 
         det = f1b * f2e - f1e * f2b * turn
         beta, E = beta - (f1 * f2e - f2 * f1e) / det, E - (f2 * f1b - f1 * f2b * turn) / det
     ok = np.isfinite(beta) & np.isfinite(E)
-    beta, E = beta[ok], E[ok]
+    beta, E, block = beta[ok], E[ok], block[ok]
 
     at_E = beta_roots(model, E)  # one batch through the public function, so traces count it
     residual = _pair_residual(at_E, -lo)
     kept = (residual < gbz_tol) & (np.abs(np.abs(at_E[:, -lo - 1] / beta) - 1) < gbz_tol)
     if not kept.any():
         raise SamplingError(f"no point of the zone on {N_seed} theta samples (a flat band?)")
+    beta, E, residual, block = beta[kept], E[kept], residual[kept], block[kept]
+    # the pair (beta, beta e^{i theta}) is the pair of beta e^{i theta} at
+    # 2 pi - theta: block m stands for block N_seed + 1 - m too, which comes
+    # later in ascending theta; at odd N_seed the theta = pi block is its own
+    mirror = np.flatnonzero(block < N_seed // 2)
+    mirror = mirror[np.argsort(-block[mirror], kind="stable")]
+    rows = np.concatenate([np.arange(beta.size), mirror])
+    beta = np.concatenate([beta, beta[mirror] * np.exp(1j * theta[block[mirror]])])
     mod = np.abs(beta)
     side = np.where(mod < 1 - gbz_tol, "left", np.where(mod > 1 + gbz_tol, "right", "bloch"))
-    cols = (beta[kept].tolist(), E[kept].tolist(), residual[kept].tolist(), side[kept].tolist())
+    cols = (beta.tolist(), E[rows].tolist(), residual[rows].tolist(), side.tolist())
     return [GBZSample(*row) for row in zip(*cols)]
 
 
@@ -215,13 +230,17 @@ def amoeba_points(
     its temporaries stay in cache.  Only the root moduli of each block are
     computed, for all branches at once: in closed form when the polynomial
     is quadratic (its beta_y exponents span two, as in asym2d), else by
-    batched companion matrices.  Along each raster column the sorted root
-    moduli are continuous functions of the phase, so every modulus rank
-    sweeps a full interval over the phase circle; those intervals are what
-    get filled, from the log of each column's extreme moduli.  (Marking
-    isolated root samples instead leaves sampling pinholes.)  With q the pole
-    order in beta_y, a column's gap runs from the top of rank q - 1 to the
-    bottom of rank q; it lies in the central complement component when
+    batched companion matrices.  When the coefficients at E are real, phase
+    2 pi - phi gives the conjugate polynomial, with the same root moduli, so
+    only the phases up to pi are solved, the blocks are sized from them, and
+    the samples they stand for are counted twice.  Along each raster column
+    the sorted root moduli are continuous functions of the phase, so every
+    modulus rank sweeps a full interval over the phase circle; those
+    intervals are what get filled, from the log of each column's extreme
+    moduli.  (Marking isolated root samples instead leaves sampling
+    pinholes.)  With q the pole order in beta_y, a column's gap runs from
+    the top of rank q - 1 to the bottom of rank q; it lies in the central
+    complement component when
     det[E - H(beta_x, e^mu)] at its mid-height mu has q_x roots inside
     |beta_x| = e^{r_x} (f has no zero on a torus in the complement, so one
     phase of beta_y does).  Samples with a root at infinity (a vanishing
@@ -246,12 +265,16 @@ def amoeba_points(
         raise SamplingError(f"the window needs lo < hi on both axes, got {window}")
     rx = np.linspace(xlo, xhi, nx)
     ph = np.linspace(0.0, 2 * np.pi, nph, endpoint=False)
+    coef = cp.at(E)
+    twice = slice(0)  # the solved phases that also stand for their mirror 2 pi - phi
+    if not coef.imag.any():
+        ph, twice = ph[: nph // 2 + 1], slice(1, (nph + 1) // 2)
     kx = np.arange(cp.coeffs.shape[1]) + cp.lo[0]
     # beta_x^k = e^{k r_x} e^{i k phi}, so the coefficient of beta_y^(j + ylo_s),
     # A[j] = sum_k e^{k r_x} coef[k, j] e^{i k phi}, is one small product per block
-    waves = cp.at(E).T[:, :, None] * np.exp(1j * kx[:, None] * ph)  # (deg + 1, k, phase)
+    waves = coef.T[:, :, None] * np.exp(1j * kx[:, None] * ph)  # (deg + 1, k, phase)
     ext = np.empty((deg, 2, nx))  # per rank and column: lowest, highest modulus
-    n_good, step = 0, max(1, BLOCK_SAMPLES // nph)
+    n_good, step = 0, max(1, BLOCK_SAMPLES // len(ph))
     for i in range(0, nx, step):
         A = np.exp(np.multiply.outer(rx[i : i + step], kx)) @ waves  # (deg + 1, column, phase)
         if deg == 2:
@@ -259,7 +282,7 @@ def amoeba_points(
         else:
             ranks = np.moveaxis(np.sort(np.abs(_char_roots(np.moveaxis(A, 0, -1))), axis=-1), -1, 0)
         good = np.isfinite(ranks[-1])  # sorted last, a root at inf or a nan row shows there
-        n_good += np.count_nonzero(good)
+        n_good += np.count_nonzero(good) + np.count_nonzero(good[:, twice])
         for rank, out in zip(ranks, ext[..., i : i + step]):
             rank[~good] = np.nan
             out[:] = np.nanmin(rank, axis=1), np.nanmax(rank, axis=1)
@@ -287,7 +310,7 @@ def amoeba_points(
         cols = np.flatnonzero(np.isfinite(top + bottom))  # a column without a good sample is nan
         mid = 0.5 * (top[cols] + bottom[cols])
         ky = np.arange(cp.coeffs.shape[2]) + ylo_s
-        roots = _char_roots(np.exp(np.multiply.outer(mid, ky)) @ cp.at(E).T)  # (column, q_x + p_x)
+        roots = _char_roots(np.exp(np.multiply.outer(mid, ky)) @ coef.T)  # (column, q_x + p_x)
         count = np.count_nonzero(np.abs(roots) < np.exp(rx[cols, None]), axis=1)
         margin = float(np.max((bottom - top)[cols][count == -cp.lo[0]], initial=-np.inf))
 

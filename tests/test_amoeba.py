@@ -54,7 +54,9 @@ def test_closed_form_amoeba_matches_companion_solve(monkeypatch):
 
 def companion_raster(model, E, nx, nph, window=((-3.0, 3.0), (-3.0, 3.0))):
     """The raster from one companion solve over the whole (column, phase) grid,
-    with beta_x^k taken as powers of exp(r_x + i phi): (occupancy, dropped samples)."""
+    every phase solved, with beta_x^k taken as powers of exp(r_x + i phi):
+    (occupancy, hole margin, dropped samples).  The margin's root count takes
+    numpy.roots of each column's polynomial in beta_x."""
     cp = char_poly(model)
     (xlo, xhi), (ylo, yhi) = window
     rx = np.linspace(xlo, xhi, nx)
@@ -67,16 +69,26 @@ def companion_raster(model, E, nx, nph, window=((-3.0, 3.0), (-3.0, 3.0))):
     ry[~good] = np.nan
     occ = np.zeros((nx, nx), dtype=bool)
     scale = (nx - 1) / (yhi - ylo)
+    ext = []
     for rank in np.moveaxis(ry, -1, 0):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # a column with no good sample
             lo, hi = np.nanmin(rank, axis=1), np.nanmax(rank, axis=1)
+        ext.append((lo, hi))
         for i in range(nx):
             if hi[i] >= ylo and lo[i] <= yhi:  # False on nan
                 first = int(np.clip(np.floor((lo[i] - ylo) * scale), 0, nx - 1))
                 last = int(np.clip(np.ceil((hi[i] - ylo) * scale), 0, nx - 1))
                 occ[i, first : last + 1] = True
-    return occ, int(np.count_nonzero(~good))
+    q, margin = -cp.span(1)[0], -np.inf
+    top, bottom = ext[q - 1][1], ext[q][0]
+    for i in np.flatnonzero(np.isfinite(top + bottom)):
+        mu = 0.5 * (top[i] + bottom[i])
+        cx = cp.at(E) @ np.exp(mu * (np.arange(cp.coeffs.shape[2]) + cp.lo[1]))  # in beta_x
+        inside = np.count_nonzero(np.abs(np.roots(cx[::-1])) < np.exp(rx[i]))
+        if inside == -cp.span(0)[0]:
+            margin = max(margin, bottom[i] - top[i])
+    return occ, margin, int(np.count_nonzero(~good))
 
 
 def asym2d_second_neighbour_y():
@@ -95,9 +107,37 @@ def test_column_blocks_match_whole_grid_solve(columns, monkeypatch):
     for m, E, window in [(asym2d, 0.7, ((-3.0, 3.0), (-3.0, 3.0))), (asym2d, 4.5, custom),
                          (asym2d_second_neighbour_y(), 1.0 + 0.5j, custom)]:
         got = amoeba_points(m, E, r_x_samples=columns, phase_samples=nph, window=window)
-        ref, dropped = companion_raster(m, E, columns, nph, window)
+        ref, _, dropped = companion_raster(m, E, columns, nph, window)
         assert dropped == 0
         np.testing.assert_array_equal(got.occupancy, ref)
+
+
+@pytest.mark.parametrize("nph", [80, 81])
+@pytest.mark.parametrize("E", [4.5, 0.7, -3.466, 1.0 + 0.5j, 4.75j])
+def test_half_circle_at_real_energy_matches_full_plan(E, nph):
+    # a real polynomial at phase 2 pi - phi is the conjugate of the one at
+    # phi: its root moduli, the raster and the margin are those of every phase
+    for m in (builtin_2d(0.5, 1.0, 0.2), asym2d_second_neighbour_y()):
+        got = amoeba_points(m, E, r_x_samples=40, phase_samples=nph)
+        occ, margin, dropped = companion_raster(m, E, 40, nph)
+        assert dropped == 0
+        np.testing.assert_array_equal(got.occupancy, occ)
+        assert got.hole_margin == margin or abs(got.hole_margin - margin) <= 1e-12
+
+
+@pytest.mark.parametrize("nph, solved", [(80, 41), (81, 41), (1, 1), (2, 2)])
+def test_real_coefficients_solve_half_the_phases(nph, solved, monkeypatch):
+    phases, quadratic = [], nonbloch._quadratic_moduli
+
+    def spy(c, b, a):
+        phases.append(c.shape[-1])
+        return quadratic(c, b, a)
+
+    monkeypatch.setattr(nonbloch, "_quadratic_moduli", spy)
+    m = builtin_2d(0.5, 1.0, 0.2)
+    amoeba_points(m, 4.5, r_x_samples=10, phase_samples=nph)
+    amoeba_points(m, 4.5 + 1e-3j, r_x_samples=10, phase_samples=nph)
+    assert phases == [solved, nph]
 
 
 def test_vanishing_leading_coefficient_drops_samples():
@@ -107,7 +147,7 @@ def test_vanishing_leading_coefficient_drops_samples():
     m = builtin_2d(0.5, 1.0, 0.2)
     r = np.arccosh(2.5)
     window = ((r - 1.0, r + 1.0), (-3.0, 3.0))
-    ref, dropped = companion_raster(m, 0.7, 11, 120, window)
+    ref, _, dropped = companion_raster(m, 0.7, 11, 120, window)
     assert dropped == 1  # 1 of 1320 samples, under MAX_BAD_FRACTION
     got = amoeba_points(m, 0.7, r_x_samples=11, phase_samples=120, window=window)
     np.testing.assert_array_equal(got.occupancy, ref)

@@ -182,6 +182,36 @@ def test_localize_puts_the_tied_zero_pair_on_both_sides(tmp_path, capsys, cells)
     assert "topological_boundary/both: 2" in capsys.readouterr().out
 
 
+COMPLEX_CHAIN = {1: 1.0, -1: 0.8, 2: 0.3, -2: 0.192 * np.exp(0.7j)}  # complex eigenvectors
+
+
+@pytest.mark.parametrize("chain", ["hn174", "ssh40", "complex30"])
+def test_localize_profiles_are_the_per_state_density_profiles(tmp_path, chain):
+    from nhskin.localization import density_profile
+    from nhskin.model import builtin_hatano_nelson, builtin_nh_ssh, load_model
+    from nhskin.realspace import build
+    from nhskin.spectral import eig_biorthogonal
+
+    path = tmp_path / "m.json"
+    terms = [{"offset": [k], "amplitude": [[{"re": complex(a).real, "im": complex(a).imag}]]}
+             for k, a in COMPLEX_CHAIN.items()]
+    path.write_text(json.dumps({"dimension": 1, "bands": 1, "terms": terms}))
+    ssh = ["--builtin", "nh-ssh", "--t1", "0.6", "--t2", "1.0", "--gamma", "0.2"]
+    model_args, model, n = {
+        "hn174": (HN, builtin_hatano_nelson(0.5, 1.0), 174),
+        "ssh40": (ssh, builtin_nh_ssh(0.6, 1.0, 0.2), 40),
+        "complex30": (["--model", str(path)], load_model(path), 30),
+    }[chain]
+    out = tmp_path / "run"
+    assert main(["localize", *model_args, "-N", str(n), "--format", "csv", "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "profiles.csv", delimiter=",", skiprows=1, usecols=(1, 2))
+    op = build(model, [n], "obc")
+    system = eig_biorthogonal(op)
+    ref = np.concatenate([density_profile(system.right[:, i], op.index_map) for i in range(op.n)])
+    np.testing.assert_array_equal(rows[:, 0], ref.real)
+    np.testing.assert_array_equal(rows[:, 1], np.imag(ref))
+
+
 def test_funnel_run(tmp_path):
     r = run("funnel", "--half", "8", "--site", "2", "--tmax", "4", "--dt", "0.05",
             "--out", str(tmp_path))

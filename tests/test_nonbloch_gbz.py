@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from nhskin.errors import DegenerateCharPolyError, SamplingError
-from nhskin.model import HoppingTerm, LatticeModel, builtin_hatano_nelson, builtin_nh_ssh
-from nhskin.nonbloch import GBZSample, beta_roots, export_gbz_csv, gbz_curve, gbz_membership
+from nhskin.model import HoppingTerm, LatticeModel, builtin_hatano_nelson, builtin_nh_ssh, char_poly
+from nhskin.nonbloch import GBZ_TOL, GBZSample, beta_roots, export_gbz_csv, gbz_curve, gbz_membership
 from nhskin.realspace import OBC, build
 from nhskin.spectral import dense_spectrum
 
@@ -65,9 +65,10 @@ def test_hermitian_curve_is_bloch_circle():
     assert {s.side for s in samples} == {"bloch"}
 
 
-def test_hn_curve_radius_and_side():
-    samples = gbz_curve(builtin_hatano_nelson(0.5, 1.0), N_seed=100)
-    assert len(samples) == 200  # both roots of the degenerate pair per theta sample
+@pytest.mark.parametrize("N_seed", [100, 101])
+def test_hn_curve_radius_and_side(N_seed):
+    samples = gbz_curve(builtin_hatano_nelson(0.5, 1.0), N_seed=N_seed)
+    assert len(samples) == 2 * N_seed  # both roots of the degenerate pair per theta sample
     mods = np.array([abs(s.beta) for s in samples])
     np.testing.assert_allclose(mods, np.sqrt(2.0), atol=1e-8)
     assert {s.side for s in samples} == {"right"}
@@ -123,18 +124,49 @@ def test_hn_energies_are_the_finite_chain_eigenvalues():
     assert max(abs(s.energy.imag) for s in samples) < 1e-12
 
 
-def test_nh_ssh_double_roots_are_polished_and_take_both_energies():
+@pytest.mark.parametrize("N_seed", [30, 31])
+def test_nh_ssh_double_roots_are_polished_and_take_both_energies(N_seed):
     # the resultant of this chiral chain is a perfect square; the Newton
     # step restores the digits its double roots lose, and the two copies of
     # each take the two energies +E and -E they share
-    samples = gbz_curve(builtin_nh_ssh(0.6, 1.0, 0.2), N_seed=30)
-    assert len(samples) == 120
+    samples = gbz_curve(builtin_nh_ssh(0.6, 1.0, 0.2), N_seed=N_seed)
+    assert len(samples) == 4 * N_seed
     beta = np.array([s.beta for s in samples])
     energy = np.array([s.energy for s in samples])
     np.testing.assert_allclose(np.abs(beta), np.sqrt(0.4 / 0.8), rtol=0, atol=1e-10)
     pairs = np.round(np.stack([beta.real, beta.imag, energy.real], axis=1), 9)
-    assert len(np.unique(pairs, axis=0)) == 120
+    assert len(np.unique(pairs, axis=0)) == 4 * N_seed
     np.testing.assert_allclose(np.sort(energy.real), -np.sort(energy.real)[::-1], atol=1e-12)
+
+
+@pytest.mark.parametrize("N_seed", [1, 2, 3, 30, 31])
+@pytest.mark.parametrize(
+    "model",
+    [builtin_hatano_nelson(0.5, 1.0), builtin_nh_ssh(0.6, 1.0, 0.2), COMPLEX_CHAIN],
+    ids=["hatano-nelson", "nh-ssh", "complex"],
+)
+def test_every_sample_is_a_middle_root_at_its_energy(model, N_seed):
+    # half the theta blocks are solved and the other half mirrored from them;
+    # each sample, solved or mirrored, is checked here on its own
+    samples = gbz_curve(model, N_seed=N_seed)
+    beta = np.array([s.beta for s in samples])
+    roots = beta_roots(model, np.array([s.energy for s in samples]))
+    assert (np.min(np.abs(roots - beta[:, None]), axis=1) <= 1e-9 * np.abs(beta)).all()
+    q = -char_poly(model).span(0)[0]  # the pole order: roots q - 1 and q are the middle pair
+    for middle in (roots[:, q - 1], roots[:, q]):
+        assert (np.abs(np.abs(beta) / np.abs(middle) - 1) < GBZ_TOL).all()
+
+
+@pytest.mark.parametrize("N_seed", [30, 31])
+def test_hn_samples_come_in_ascending_theta(N_seed):
+    # a sample of block m has the other root of its energy at beta e^{i theta_m}
+    samples = gbz_curve(builtin_hatano_nelson(0.5, 1.0), N_seed=N_seed)
+    beta = np.array([s.beta for s in samples])
+    roots = beta_roots(builtin_hatano_nelson(0.5, 1.0), np.array([s.energy for s in samples]))
+    first = np.abs(roots[:, 0] - beta) < np.abs(roots[:, 1] - beta)
+    other = np.where(first, roots[:, 1], roots[:, 0])
+    m = np.round(np.angle(other / beta) % (2 * np.pi) * (N_seed + 1) / (2 * np.pi)).astype(int)
+    np.testing.assert_array_equal(m, np.repeat(np.arange(1, N_seed + 1), 2))
 
 
 def test_curve_refuses_an_empty_theta_grid_and_a_flat_band():
