@@ -347,7 +347,12 @@ def model_from_dict(doc: dict) -> LatticeModel:
                     raise ModelFormatError(
                         f"{where}.amplitude[{r}][{c}]: expected {{re, im}}"
                     )
-                vals.append(complex(float(cell["re"]), float(cell["im"])))
+                try:
+                    vals.append(complex(float(cell["re"]), float(cell["im"])))
+                except (TypeError, ValueError) as exc:
+                    raise ModelFormatError(
+                        f"{where}.amplitude[{r}][{c}]: re and im must be numbers"
+                    ) from exc
             rows.append(vals)
         terms.append(HoppingTerm(tuple(off), rows))
     name = doc.get("name")

@@ -1,4 +1,4 @@
-"""Biorthogonal eigendecomposition with conditioning diagnostics.
+"""Biorthogonal eigendecomposition with an exceptional-point test.
 
 Skin-effect matrices are spectacularly non-normal: the right-eigenvector
 matrix condition number grows exponentially with system size, and beyond a
@@ -38,12 +38,15 @@ solver paths:
 - "eig": everything else (exceptional points and one-way chains, periodic
   and partially coupled rings, lattices with flux) keeps the general
   eigensolver, in real arithmetic when H_b is real: one LAPACK `geev` call
-  returns the left and right vectors, paired by index.
+  returns the left and right vectors, paired by index, which are sorted
+  by (Re, Im).  The Hermitian paths come out in that order already.
 
-Conditioning comes from the singular values of the gauged right-vector
-matrix, which is unitary on the two Hermitian paths.  The physical basis
-would add the skin effect's exponential non-normality (Trefethen & Embree,
-2005), which the gauge removes exactly and which is no exceptional point.
+A Hermitian H_b can always be diagonalized, so only the eig path can meet
+an exceptional point; only there does eig_biorthogonal compute the
+conditioning of the gauged right-vector matrix and the biorthogonality
+residual.  The physical basis would add the skin effect's exponential non-normality
+(Trefethen & Embree, 2005), which the gauge removes exactly and which is no
+exceptional point.
 """
 
 from __future__ import annotations
@@ -199,13 +202,14 @@ def _chiral_eig(M, odd, vectors: bool):
 
 
 def _gauged_eig(H, vectors: bool = True):
-    """Eigenpairs of the gauged H: (w, Vb, Lb, d, solver), right and left
-    vectors in the gauged basis (None when vectors is False).  A Hermitian
-    H_b on two sublattices goes to the SVD of its off-diagonal block
-    ("chiral"), any other Hermitian H_b to eigh ("eigh"); on both Lb is Vb
-    and w is ascending.  Everything else goes to one general eig ("eig").
-    Each runs in real arithmetic when H_b is real.  Left vectors are scaled
-    to <L_i|R_i> = 1 where |<L_i|R_i>| > 1e-12 and keep unit norm elsewhere."""
+    """Eigenpairs of the gauged H sorted by (Re, Im): (w, Vb, Lb, d, solver),
+    right and left vectors in the gauged basis (None when vectors is False).
+    A Hermitian H_b on two sublattices goes to the SVD of its off-diagonal
+    block ("chiral"), any other Hermitian H_b to eigh ("eigh"); both come
+    out ascending, and on both Lb is Vb.  Everything else goes to one
+    general eig ("eig"), sorted here.  Each runs in real arithmetic when H_b is
+    real.  Left vectors are scaled to <L_i|R_i> = 1 where |<L_i|R_i>| > 1e-12
+    and keep unit norm elsewhere."""
     M, d, hermitian, odd = _gauged(H)
     solver = "eig" if not hermitian else "eigh" if odd is None else "chiral"
     la = np.linalg
@@ -226,22 +230,26 @@ def _gauged_eig(H, vectors: bool = True):
             w, Vb, Lb = la.eigvals(M), None, None
     except la.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
+    if solver == "eig":
+        order = np.lexsort((w.imag, w.real))
+        w = w[order]
+        if vectors:
+            Vb, Lb = Vb[:, order], Lb[:, order]
     return w, Vb, Lb, d, solver
 
 
 def _biorth_residual(Lb, Vb) -> float:
-    """max |L_b^H V_b - I|, taken in place; Vb^T Vb on real Hermitian paths
-    (Lb is Vb) goes to matmul's symmetric-product shortcut."""
+    """max |L_b^H V_b - I| of the eig path's gauged vectors, taken in place."""
     G = Lb.conj().T @ Vb
     G[np.diag_indices_from(G)] -= 1.0
     return float(np.abs(G, out=G if G.dtype == float else None).max())
 
 
-def _conditioning(Vb, hermitian: bool):
+def _conditioning(Vb, solver: str):
     """(s_0/s_min, count of s <= sqrt(eps) s_0) from the singular values s of
-    the gauged right vectors (unit columns); unitary on the Hermitian paths,
-    so no SVD."""
-    if hermitian:
+    the gauged right vectors (unit columns); unitary off the eig path, so no
+    SVD."""
+    if solver != "eig":
         return 1.0, 0
     s = np.linalg.svd(Vb, compute_uv=False)
     kappa = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
@@ -257,52 +265,32 @@ def _distances(a, b) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-def _min_pair_gap(w: np.ndarray) -> float:
-    """Smallest distance between two eigenvalues; inf for fewer than two."""
-    if not w.imag.any():  # sorted neighbours suffice, by the same formula
-        dx = np.diff(np.sort(w.real))
-        return float(np.sqrt(dx * dx).min(initial=np.inf))
-    D = _distances(w, w)
-    np.fill_diagonal(D, np.inf)
-    return float(D.min(initial=np.inf))
-
-
 def dense_spectrum(op) -> np.ndarray:
     """Eigenvalues only, gauge-stabilized, sorted by (Re, Im)."""
-    w = np.asarray(_gauged_eig(_as_matrix(op), vectors=False)[0], dtype=complex)
-    return w[np.lexsort((w.imag, w.real))]
+    return np.asarray(_gauged_eig(_as_matrix(op), vectors=False)[0], dtype=complex)
 
 
 @dataclass(frozen=True)
 class BiorthogonalSystem:
-    """Matched eigen-triples (E_i, R_i, L_i) with conditioning diagnostics.
+    """Matched eigen-triples (E_i, R_i, L_i), sorted by (Re, Im).
 
     right[:, i] has unit norm with its largest component rotated to the
     positive real axis; left[:, i] is scaled so <L_i|R_i> = 1 whenever the
-    pairing is numerically meaningful.  `condition` is the condition number
-    of the right-eigenvector matrix in the gauged basis (columns of unit
-    norm), 1 on the Hermitian paths; it measures closeness to an exceptional
-    point, not the skin effect's non-normality, which the gauge removes.
-    `biorth_residual` is max |L_b^H V_b - I| in the gauged basis, where the
-    physical column-norm ratios cannot amplify rounding; ep_flag marks
-    decompositions whose conditioning (or biorthogonality residual) is
-    consistent with an exceptional point.  `solver` names the path taken:
-    "chiral" (Hermitian after the gauge and coupling only two sublattices:
-    the SVD of the off-diagonal block), "eigh" (any other Hermitian H_b) or
-    "eig" (the general eigensolver).  Both Hermitian paths return ascending
-    eigenvalues.  Eigenvalues are complex; right and left are in Fortran
-    order and keep the dtype of the solver's vectors: float64 on the chiral
-    and eigh paths for a real H_b, and on the eig path when LAPACK returns
-    real vectors (a real H_b with an all-real spectrum), complex otherwise.
+    pairing is numerically meaningful.  ep_flag marks a decomposition
+    consistent with an exceptional point (see eig_biorthogonal).  `solver`
+    names the path taken: "chiral" (Hermitian after the gauge and coupling
+    only two sublattices: the SVD of the off-diagonal block), "eigh" (any
+    other Hermitian H_b) or "eig" (the general eigensolver).  Eigenvalues
+    are complex; right and left are in Fortran order and keep the dtype of
+    the solver's vectors: float64 on the chiral and eigh paths for a real
+    H_b, and on the eig path when LAPACK returns real vectors (a real H_b
+    with an all-real spectrum), complex otherwise.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    condition: float
-    min_pair_gap: float
     ep_flag: bool
-    biorth_residual: float
     solver: str
 
     @property
@@ -314,19 +302,19 @@ def eig_biorthogonal(op) -> BiorthogonalSystem:
     """Full right+left eigensystem of a dense operator from one eigensolve.
 
     When the gauged matrix is Hermitian (the chiral and eigh paths) its
-    unitary eigenvector matrix is its own left partner and its eigenvalues
-    come out ascending; otherwise the general eigensolver returns the left
-    vectors with the right ones, sorted here by (Re, Im).  ep_flag is set
-    when `condition` exceeds COND_LIMIT or the biorthogonality residual
-    exceeds TOL_BIORTH.
+    unitary eigenvector matrix is its own left partner, and it has no
+    exceptional point; otherwise the general eigensolver returns the left
+    vectors with the right ones.  ep_flag is set on that path only, when the
+    condition number of the gauged right-vector matrix exceeds COND_LIMIT
+    or max |L_b^H V_b - I| exceeds TOL_BIORTH.  Both are taken in the gauged
+    basis: the skin effect's non-normality, which the gauge removes, is no
+    exceptional point, and its column-norm ratios would amplify rounding.
     """
     w, Vb, Lb, d, solver = _gauged_eig(_as_matrix(op))
-    hermitian = solver != "eig"
-    if not hermitian:  # eigh and the SVD return ascending real eigenvalues
-        order = np.lexsort((w.imag, w.real))
-        w, Vb, Lb = w[order], Vb[:, order], Lb[:, order]
-    residual = _biorth_residual(Lb, Vb)
-    condition = _conditioning(Vb, hermitian)[0]
+    ep_flag = False
+    if solver == "eig":
+        kappa, residual = _conditioning(Vb, solver)[0], _biorth_residual(Lb, Vb)
+        ep_flag = bool(kappa > COND_LIMIT or residual > TOL_BIORTH)
     # the physical vectors are built once, in the dtype the solver returned
     scale = d[:, None] if d is not None else 1.0
     R = np.multiply(Vb, scale, order="F")
@@ -346,10 +334,7 @@ def eig_biorthogonal(op) -> BiorthogonalSystem:
         eigenvalues=np.asarray(w, dtype=complex),
         right=R,
         left=L,
-        condition=condition,
-        min_pair_gap=_min_pair_gap(w),
-        ep_flag=bool(condition > COND_LIMIT or residual > TOL_BIORTH),
-        biorth_residual=residual,
+        ep_flag=ep_flag,
         solver=solver,
     )
 
@@ -362,16 +347,17 @@ def non_normality(op) -> float:
 
 
 def ep_diagnostic(op) -> dict:
-    """kappa_V, minimal eigenvalue pair gap, and the eigenbasis defect.
+    """kappa_V and the eigenbasis defect.
 
     kappa_V is the condition number of the right-eigenvector matrix in the
-    gauged basis (the `condition` of eig_biorthogonal); defect_estimate
-    counts missing eigenvector directions: matrix dimension minus its
-    numerical rank at tolerance sqrt(machine eps) * largest singular value.
+    gauged basis, which eig_biorthogonal's ep_flag tests; 1 on the Hermitian
+    paths.  defect_estimate counts missing eigenvector directions: matrix
+    dimension minus its numerical rank at tolerance sqrt(machine eps) *
+    largest singular value.
     """
-    w, Vb, _, _, solver = _gauged_eig(_as_matrix(op))
-    kappa, defect = _conditioning(Vb, solver != "eig")
-    return {"kappa_V": kappa, "min_pair_gap": _min_pair_gap(w), "defect_estimate": defect}
+    _, Vb, _, _, solver = _gauged_eig(_as_matrix(op))
+    kappa, defect = _conditioning(Vb, solver)
+    return {"kappa_V": kappa, "defect_estimate": defect}
 
 
 def hausdorff_distance(a, b) -> float:

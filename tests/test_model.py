@@ -308,3 +308,12 @@ def test_loader_rejects_non_finite_amplitude(value):
     doc["terms"][1]["amplitude"][0][0]["im"] = value
     with pytest.raises(ModelFormatError, match="finite"):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("value", [None, "x", [1], {}], ids=["null", "string", "list", "object"])
+def test_loader_rejects_non_numeric_amplitude(part, value):
+    doc = json.loads(README_MODEL)
+    doc["terms"][1]["amplitude"][0][0][part] = value
+    with pytest.raises(ModelFormatError, match=r"terms\[1\]\.amplitude\[0\]\[0\]"):
+        model_from_dict(doc)

@@ -44,9 +44,17 @@ def test_eigenvalue_ordering():
     assert np.all(key == np.arange(len(ev)))
 
 
+def _gauged_residual(H):
+    """max |L_b^H V_b - I| over a solve's gauged vectors, where the physical
+    column-norm ratios cannot amplify rounding."""
+    _, Vb, Lb, _, _ = nhskin.spectral._gauged_eig(nhskin.spectral._as_matrix(H))
+    return float(np.max(np.abs(Lb.conj().T @ Vb - np.eye(len(Vb)))))
+
+
 def test_hermitian_left_equals_right():
-    sy = eig_biorthogonal(build(builtin_hatano_nelson(1.0, 1.0), [24], OBC))
-    assert sy.biorth_residual < 1e-10
+    op = build(builtin_hatano_nelson(1.0, 1.0), [24], OBC)
+    sy = eig_biorthogonal(op)
+    assert _gauged_residual(op) < 1e-10
     assert not sy.ep_flag
     np.testing.assert_allclose(sy.left, sy.right, atol=1e-8)
 
@@ -162,8 +170,7 @@ def test_healthy_system_not_flagged(model, cells):
     op = build(model, [cells], OBC)
     sy = eig_biorthogonal(op)
     assert not sy.ep_flag
-    assert sy.condition == 1.0
-    assert ep_diagnostic(op)["defect_estimate"] == 0
+    assert ep_diagnostic(op) == {"kappa_V": 1.0, "defect_estimate": 0}
 
 
 def test_hausdorff_distance_known_sets():
@@ -171,13 +178,6 @@ def test_hausdorff_distance_known_sets():
     b = np.array([0.0, 1.0, 1.0 + 2.0j])
     assert hausdorff_distance(a, a) == 0
     assert hausdorff_distance(a, b) == pytest.approx(2.0)
-
-
-def test_min_pair_gap_matches_spectrum():
-    sy = eig_biorthogonal(build(builtin_hatano_nelson(0.5, 1.0), [12], OBC))
-    ev = sy.eigenvalues
-    gaps = [abs(ev[i] - ev[j]) for i in range(12) for j in range(12) if i != j]
-    assert sy.min_pair_gap == pytest.approx(min(gaps), rel=1e-12)
 
 
 def test_spectrum_csv(tmp_path):
@@ -321,6 +321,36 @@ def test_bare_real_matrix_is_solved_as_its_operator(op, solver):
         assert nhskin.spectral._as_matrix(M.astype(dtype)).dtype == promoted
 
 
+def _raise(*args):
+    raise AssertionError("an exceptional-point measure on a Hermitian path")
+
+
+@pytest.mark.parametrize(
+    "op, solver",
+    [
+        (build(builtin_hatano_nelson(0.3, 1.0), [423], OBC), "chiral"),
+        (build(HN_ONSITE, [30], OBC), "eigh"),
+    ],
+    ids=["chiral", "eigh"],
+)
+def test_hermitian_paths_compute_no_ep_measure(monkeypatch, op, solver):
+    # a Hermitian H_b is diagonalizable, so it has no exceptional point
+    for name in ("_biorth_residual", "_conditioning"):
+        monkeypatch.setattr(nhskin.spectral, name, _raise)
+    sy = eig_biorthogonal(op)
+    assert sy.solver == solver and sy.ep_flag is False
+
+
+def test_eig_path_takes_each_ep_measure_once(monkeypatch):
+    calls = []
+    for name in ("_biorth_residual", "_conditioning"):
+        f = getattr(nhskin.spectral, name)
+        monkeypatch.setattr(nhskin.spectral, name, lambda *a, f=f, n=name: calls.append(n) or f(*a))
+    sy = eig_biorthogonal(build(builtin_hatano_nelson(0.0, 1.0), [10], OBC))  # a Jordan block
+    assert sy.solver == "eig" and sy.ep_flag is True
+    assert sorted(calls) == ["_biorth_residual", "_conditioning"]
+
+
 @pytest.mark.parametrize("jl, n", [(0.5, 40), (0.3, 90)])
 def test_hn_ring_matches_closed_form_in_conjugate_pairs(jl, n):
     # the ring keeps flux, so it takes the general eig; H is real, so the
@@ -342,18 +372,18 @@ def test_biorth_residual_is_small_on_both_paths(monkeypatch, model, cells):
     # residual of the nh-ssh chain reads about 0.1 on eig and 1e12 on the
     # Hermitian paths
     op = build(model, [cells], OBC)
-    fast = eig_biorthogonal(op)
+    fast, fast_residual = eig_biorthogonal(op), _gauged_residual(op)
     # the same solve with no matrix taken as Hermitian
     monkeypatch.setattr(nhskin.spectral, "_hermitian_part", lambda *args: None)
     general = eig_biorthogonal(op)
     assert (fast.solver, general.solver) == ("chiral", "eig")
-    assert fast.biorth_residual < 1e-10
-    assert general.biorth_residual < 1e-10
+    assert fast_residual < 1e-10
+    assert _gauged_residual(op) < 1e-10
     assert fast.ep_flag == general.ep_flag
 
 
-# The dense n x n gauge, Hermitian test and pair gap that the bond-list code
-# replaced, kept as oracles: the bond-list code must reproduce them bit for bit.
+# The dense n x n gauge and Hermitian test that the bond-list code replaced,
+# kept as oracles: the bond-list code must reproduce them bit for bit.
 
 
 def _dense_gauge(H):
@@ -441,15 +471,6 @@ def _dense_sublattice(H):
     return colour == 1
 
 
-def _dense_min_pair_gap(w):
-    w = np.asarray(w, dtype=complex)
-    dx = w.real[:, None] - w.real
-    dy = w.imag[:, None] - w.imag
-    D = np.sqrt(dx * dx + dy * dy)
-    np.fill_diagonal(D, np.inf)
-    return float(D.min(initial=np.inf))
-
-
 def _random_sparse(seed):
     """A small matrix of one of seven kinds, chosen by the seed."""
     rng = np.random.default_rng(seed)
@@ -502,17 +523,11 @@ def _assert_matches_dense_oracles(monkeypatch, H):
     ours = (_gauge(H), dense_spectrum(H), eig_biorthogonal(H))
     with monkeypatch.context() as m:
         m.setattr(nhskin.spectral, "_gauged", _dense_gauged)
-        m.setattr(nhskin.spectral, "_min_pair_gap", _dense_min_pair_gap)
         oracle = (_dense_gauge(H), dense_spectrum(H), eig_biorthogonal(H))
         w, Vb, Lb, _, solver = nhskin.spectral._gauged_eig(H)
-    # the residual as a plain formula: eigh and the SVD return ascending
-    # eigenvalues and are not reindexed, so on their real vectors (Lb is Vb)
-    # the product takes matmul's Vb^T Vb shortcut, which rounds differently
-    # from a product of two copies
-    if solver == "eig":
-        order = np.lexsort((w.imag, w.real))
-        Vb, Lb = Vb[:, order], Lb[:, order]
-    residual = float(np.max(np.abs(Lb.conj().T @ Vb - np.eye(len(w)))))
+    if solver == "eig":  # the residual ep_flag tests, as a plain formula
+        residual = float(np.max(np.abs(Lb.conj().T @ Vb - np.eye(len(w)))))
+        assert nhskin.spectral._biorth_residual(Lb, Vb) == residual
     _assert_same(ours[0], oracle[0])
     _assert_same(ours[1], oracle[1])
     odd, want = nhskin.spectral._gauged(H)[3], _dense_gauged(H)[3]
@@ -522,9 +537,8 @@ def _assert_matches_dense_oracles(monkeypatch, H):
     sy, ref = ours[2], oracle[2]
     for field in ("eigenvalues", "right", "left"):
         _assert_same(getattr(sy, field), getattr(ref, field))
-    for field in ("solver", "biorth_residual", "min_pair_gap", "condition", "ep_flag"):
+    for field in ("solver", "ep_flag"):
         assert getattr(sy, field) == getattr(ref, field), field
-    assert sy.biorth_residual == residual
     return sy.solver, ours[0].any()
 
 
@@ -584,7 +598,7 @@ def test_non_finite_entries_raise(value, where):
             solve(H)
 
 
-def test_min_pair_gap_of_an_exactly_repeated_zero_pair():
+def test_chiral_path_keeps_an_exactly_repeated_zero_pair():
     # a gauged Y of three asymmetric bonds: sites 0, 2, 3 couple only to
     # site 1, so two of the four eigenvalues are the exact zeros of the
     # SVD path (p - q = 2)
@@ -594,7 +608,6 @@ def test_min_pair_gap_of_an_exactly_repeated_zero_pair():
     sy = eig_biorthogonal(H)
     assert sy.solver == "chiral"
     assert np.unique(sy.eigenvalues).size == sy.n - 1
-    assert sy.min_pair_gap == _dense_min_pair_gap(sy.eigenvalues) == 0.0
 
 
 # The chiral path: a Hermitian H_b that only couples two sublattices is
@@ -638,10 +651,10 @@ def test_chiral_path_matches_eigh_on_random_bipartite_matrices():
         np.testing.assert_allclose(Hp @ R, R * w, atol=1e-12, err_msg=str(seed))
         np.testing.assert_allclose(L.conj().T @ Hp, w[:, None] * L.conj().T, atol=1e-12)
         np.testing.assert_allclose(L.conj().T @ R, np.eye(n), atol=1e-12, err_msg=str(seed))
-        assert sy.biorth_residual < 1e-14 and sy.condition == 1.0
+        assert not sy.ep_flag and ep_diagnostic(Hp)["kappa_V"] == 1.0
         # the gauged vectors assembled from the SVD are orthonormal, as eigh's
-        Vb = nhskin.spectral._gauged_eig(Hp)[1]
-        np.testing.assert_allclose(Vb.conj().T @ Vb, np.eye(n), atol=1e-14, err_msg=str(seed))
+        _, Vb, Lb, _, _ = nhskin.spectral._gauged_eig(Hp)
+        assert Lb is Vb and _gauged_residual(Hp) < 1e-14, seed
     assert unequal > 20 and isolated > 10
 
 
