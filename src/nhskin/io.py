@@ -3,6 +3,13 @@
 All text output is deterministic: floats are printed with repr (shortest
 round-trip form), rows are written in a fixed order, and manifests carry no
 timestamps, so identical configurations produce byte-identical files.
+
+Every writer creates its file anew: whatever is at the path is unlinked
+first, never truncated and written through, which on a rerun into the same
+directory is also the cheaper of the two.  So a symlink or hard link at an
+artifact path is replaced by a regular file (its target, or the file's other
+name, keeps the old bytes), and a read-only artifact in a writable directory
+is replaced too.
 """
 
 from __future__ import annotations
@@ -45,6 +52,15 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex literal {text!r}; expected a+bi") from None
 
 
+def _new_file(path, mode="w", **kwargs):
+    """open(path, mode) on a file created anew, after unlinking any old one."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, mode, **kwargs)
+
+
 # cell format by dtype kind; anything else (ints, strings) goes through str
 _FORMATS = {"b": lambda v: "1" if v else "0", "f": repr, "c": fmt_complex}
 # cells held per write, not rows, so a wide table or grid holds no more in
@@ -65,7 +81,7 @@ def write_csv(path, header: Sequence[str], columns: Sequence) -> None:
     if len(columns) != len(header) or any(len(c) != n for c in columns):
         raise ValueError("write_csv needs one column per header entry, all of one length")
     rows = max(1, _CSV_CELLS // max(1, len(columns)))
-    with open(path, "w", newline="") as fh:
+    with _new_file(path, newline="") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n, rows):
             cells = []
@@ -86,7 +102,7 @@ def write_pgm(path, occupancy) -> None:
     occ = np.asarray(occupancy, dtype=bool)
     nx, ny = occ.shape
     img = np.where(occ.T[::-1], 0, 255).astype(np.uint8)  # occupied = black
-    with open(path, "wb") as fh:
+    with _new_file(path, "wb") as fh:
         fh.write(f"P5\n{nx} {ny}\n255\n".encode("ascii"))
         fh.write(img.tobytes())
 
@@ -164,7 +180,7 @@ def write_svg_scatter(path, groups, title="", xlabel="Re E", ylabel="Im E") -> N
             )
             legend_y += 14
     body.append("</svg>")
-    with open(path, "w") as fh:
+    with _new_file(path) as fh:
         fh.write("\n".join(body) + "\n")
 
 
@@ -194,7 +210,7 @@ def write_svg_heatmap(path, grid, title="") -> None:
     widths = [f'" width="{k * cw + 0.5:.1f}{tail}' for k in range(nc + 1)]
     fills = [f'{s},{s},{s})"/>\n' for s in range(256)]
     block = max(1, _SVG_CELLS // nc)
-    with open(path, "w") as fh:
+    with _new_file(path) as fh:
         fh.write("\n".join(_svg_open(title)) + "\n")
         for lo in range(0, nr, block):
             v = g[lo : lo + block] / vmax
@@ -226,6 +242,6 @@ def write_manifest(outdir, payload: dict) -> None:
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
     }
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
+    with _new_file(os.path.join(outdir, "manifest.json")) as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

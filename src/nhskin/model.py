@@ -347,12 +347,18 @@ def model_from_dict(doc: dict) -> LatticeModel:
                     raise ModelFormatError(
                         f"{where}.amplitude[{r}][{c}]: expected {{re, im}}"
                     )
-                try:
-                    vals.append(complex(float(cell["re"]), float(cell["im"])))
-                except (TypeError, ValueError) as exc:
+                parts = (cell["re"], cell["im"])
+                # JSON numbers only: float() would also take "0.5", and a bool is an int
+                if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in parts):
                     raise ModelFormatError(
                         f"{where}.amplitude[{r}][{c}]: re and im must be numbers"
-                    ) from exc
+                    )
+                try:
+                    vals.append(complex(*map(float, parts)))
+                except OverflowError:  # an integer beyond the float range
+                    raise ModelFormatError(
+                        f"{where}.amplitude[{r}][{c}]: re and im must be finite"
+                    ) from None
             rows.append(vals)
         terms.append(HoppingTerm(tuple(off), rows))
     name = doc.get("name")

@@ -201,9 +201,10 @@ def _chiral_eig(M, odd, vectors: bool):
     return np.concatenate([0.0 - s, np.zeros(z), s[::-1]]), V  # 0.0 - s is never -0.0
 
 
-def _gauged_eig(H, vectors: bool = True):
+def _gauged_eig(H, vectors: bool | str = True):
     """Eigenpairs of the gauged H sorted by (Re, Im): (w, Vb, Lb, d, solver),
-    right and left vectors in the gauged basis (None when vectors is False).
+    right and left vectors in the gauged basis, or None when vectors is
+    False (vectors may also name the one solver path that computes them).
     A Hermitian H_b on two sublattices goes to the SVD of its off-diagonal
     block ("chiral"), any other Hermitian H_b to eigh ("eigh"); both come
     out ascending, and on both Lb is Vb.  Everything else goes to one
@@ -212,6 +213,7 @@ def _gauged_eig(H, vectors: bool = True):
     and keep unit norm elsewhere."""
     M, d, hermitian, odd = _gauged(H)
     solver = "eig" if not hermitian else "eigh" if odd is None else "chiral"
+    vectors = vectors is True or vectors == solver
     la = np.linalg
     try:
         if solver == "chiral":
@@ -353,9 +355,9 @@ def ep_diagnostic(op) -> dict:
     gauged basis, which eig_biorthogonal's ep_flag tests; 1 on the Hermitian
     paths.  defect_estimate counts missing eigenvector directions: matrix
     dimension minus its numerical rank at tolerance sqrt(machine eps) *
-    largest singular value.
+    largest singular value.  Vectors are computed on the eig path only.
     """
-    _, Vb, _, _, solver = _gauged_eig(_as_matrix(op))
+    _, Vb, _, _, solver = _gauged_eig(_as_matrix(op), vectors="eig")
     kappa, defect = _conditioning(Vb, solver)
     return {"kappa_V": kappa, "defect_estimate": defect}
 

@@ -1,16 +1,26 @@
-"""Golden bytes of the CSV and SVG writers.
+"""Golden bytes of the CSV and SVG writers, and how every writer replaces
+the file at its path.
 
 Every artifact's bytes follow from these formats, so the reruns and the
 benchmark oracles rely on them staying fixed.
 """
 
+import os
 import re
 
 import numpy as np
 import pytest
 
 import nhskin.io
-from nhskin.io import fmt_complex, fmt_float, write_csv, write_svg_heatmap
+from nhskin.io import (
+    fmt_complex,
+    fmt_float,
+    write_csv,
+    write_manifest,
+    write_pgm,
+    write_svg_heatmap,
+    write_svg_scatter,
+)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -156,3 +166,73 @@ def test_csv_refuses_ragged_columns(tmp_path):
 def test_heatmap_refuses_non_finite_cells(tmp_path):
     with pytest.raises(ValueError):
         write_svg_heatmap(tmp_path / "n.svg", [[0.0, NAN], [1.0, 2.0]])
+
+
+# ------------------------------------------------- replacing the old artifact
+
+# each writer with the file name it writes in a directory; manifest.json's is fixed
+WRITERS = {
+    "csv": ("t.csv", lambda d: write_csv(d / "t.csv", HEADER, COLUMNS)),
+    "pgm": ("t.pgm", lambda d: write_pgm(d / "t.pgm", [[True, False, True], [False, False, True]])),
+    "scatter": ("s.svg", lambda d: write_svg_scatter(d / "s.svg", [([0.0, 1.0], [1.0, -1.0], "red", "a")])),
+    "heatmap": ("h.svg", lambda d: write_svg_heatmap(d / "h.svg", [[0.0, 1.0], [0.5, 0.25]], title="h")),
+    "manifest": ("manifest.json", lambda d: write_manifest(d, {"command": "t", "sizes": [4]})),
+}
+
+
+def _fresh_bytes(tmp_path, kind) -> bytes:
+    """The writer's bytes in a directory it creates its file in."""
+    name, write = WRITERS[kind]
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    write(fresh)
+    assert os.listdir(fresh) == [name]
+    return (fresh / name).read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_writer_replaces_a_longer_file_with_a_new_one(tmp_path, kind):
+    new = _fresh_bytes(tmp_path, kind)
+    name, write = WRITERS[kind]
+    path = tmp_path / name
+    old = b"x" * (len(new) + 4096)
+    path.write_bytes(old)
+    with open(path, "rb") as held:  # an open handle keeps the old inode from reuse
+        write(tmp_path)
+        assert os.stat(path).st_ino != os.fstat(held.fileno()).st_ino
+        assert held.read() == old  # the old file was not truncated
+    assert path.read_bytes() == new
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_writer_replaces_a_symlink_and_leaves_its_target(tmp_path, kind):
+    new = _fresh_bytes(tmp_path, kind)
+    name, write = WRITERS[kind]
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"keep me\n")
+    (tmp_path / name).symlink_to(target)
+    write(tmp_path)
+    assert not (tmp_path / name).is_symlink()
+    assert (tmp_path / name).read_bytes() == new
+    assert target.read_bytes() == b"keep me\n"
+
+
+def test_writer_replaces_hard_links_and_read_only_files(tmp_path):
+    new = _fresh_bytes(tmp_path, "csv")
+    path, other = tmp_path / "t.csv", tmp_path / "other.csv"
+    other.write_bytes(b"other\n")
+    os.link(other, path)
+    other.chmod(0o444)
+    write_csv(path, HEADER, COLUMNS)
+    assert path.read_bytes() == new
+    assert other.read_bytes() == b"other\n"
+    assert os.stat(path).st_nlink == 1 and os.stat(other).st_nlink == 1
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_writer_creates_its_file_in_a_fresh_directory(tmp_path, kind):
+    # the golden formats above, and no temporary or leftover file beside it
+    new = _fresh_bytes(tmp_path, kind)
+    assert new
+    if kind == "csv":
+        assert new.decode() == GOLDEN_CSV

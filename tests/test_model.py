@@ -302,7 +302,9 @@ def test_loader_rejects_ragged_amplitude():
         model_from_dict(doc)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), 10**400], ids=["nan", "inf", "-inf", "huge-int"]
+)
 def test_loader_rejects_non_finite_amplitude(value):
     doc = json.loads(README_MODEL)
     doc["terms"][1]["amplitude"][0][0]["im"] = value
@@ -311,7 +313,11 @@ def test_loader_rejects_non_finite_amplitude(value):
 
 
 @pytest.mark.parametrize("part", ["re", "im"])
-@pytest.mark.parametrize("value", [None, "x", [1], {}], ids=["null", "string", "list", "object"])
+@pytest.mark.parametrize(
+    "value",
+    [None, "x", "0.5", True, False, [1], {}],
+    ids=["null", "string", "numeric-string", "true", "false", "list", "object"],
+)
 def test_loader_rejects_non_numeric_amplitude(part, value):
     doc = json.loads(README_MODEL)
     doc["terms"][1]["amplitude"][0][0][part] = value

@@ -351,6 +351,23 @@ def test_eig_path_takes_each_ep_measure_once(monkeypatch):
     assert sorted(calls) == ["_biorth_residual", "_conditioning"]
 
 
+@pytest.mark.parametrize(
+    "op, solver, defect",
+    [
+        (build(builtin_hatano_nelson(0.3, 1.0), [423], OBC), "chiral", 0),
+        (build(HN_ONSITE, [30], OBC), "eigh", 0),
+        (build(builtin_hatano_nelson(0.0, 1.0), [10], OBC), "eig", 9),  # a Jordan block
+    ],
+    ids=["chiral", "eigh", "eig"],
+)
+def test_ep_diagnostic_solves_for_vectors_on_the_eig_path_only(monkeypatch, op, solver, defect):
+    seen = []
+    f = nhskin.spectral._conditioning
+    monkeypatch.setattr(nhskin.spectral, "_conditioning", lambda Vb, s: seen.append((Vb is None, s)) or f(Vb, s))
+    assert ep_diagnostic(op)["defect_estimate"] == defect
+    assert seen == [(solver != "eig", solver)]
+
+
 @pytest.mark.parametrize("jl, n", [(0.5, 40), (0.3, 90)])
 def test_hn_ring_matches_closed_form_in_conjugate_pairs(jl, n):
     # the ring keeps flux, so it takes the general eig; H is real, so the
