@@ -143,14 +143,14 @@ def _cmd_spectrum(args, model):
     from .io import write_svg_scatter
     from .model import bloch_samples
     from .realspace import build
-    from .spectral import eig_biorthogonal, export_spectrum_csv
+    from .spectral import eigen_conditions
 
     ks = np.linspace(0.0, 2 * np.pi, args.k_samples, endpoint=False)
     bands = np.sort(np.linalg.eigvals(bloch_samples(model, ks)), axis=1)
-    system = eig_biorthogonal(build(model, [args.sizes], "obc"))
-    ev = system.eigenvalues
+    ev, kappa = eigen_conditions(build(model, [args.sizes], "obc"))
     header = ["k"] + [f"{part}_e{b}" for b in range(bands.shape[1]) for part in ("re", "im")]
     columns = [ks] + [x for z in bands.T for x in (z.real, z.imag)]
+    obc = [np.arange(len(ev)), ev.real, ev.imag, kappa]
     groups = [
         (bands.real.ravel(), bands.imag.ravel(), "steelblue", "PBC"),
         (ev.real, ev.imag, "crimson", "OBC"),
@@ -158,7 +158,7 @@ def _cmd_spectrum(args, model):
     title = f"{model.name or 'model'}: PBC vs OBC spectrum"
     artifacts = [
         ("pbc_bands.csv", _csv(header, columns)),
-        ("obc_spectrum.csv", lambda path: export_spectrum_csv(path, system)),
+        ("obc_spectrum.csv", _csv(["index", "re_e", "im_e", "kappa_i"], obc)),
         ("spectrum.svg", lambda path: write_svg_scatter(path, groups, title=title)),
     ]
     return artifacts, [

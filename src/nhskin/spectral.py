@@ -42,11 +42,12 @@ solver paths:
   by (Re, Im).  The Hermitian paths come out in that order already.
 
 A Hermitian H_b can always be diagonalized, so only the eig path can meet
-an exceptional point; only there does eig_biorthogonal compute the
-conditioning of the gauged right-vector matrix and the biorthogonality
-residual.  The physical basis would add the skin effect's exponential non-normality
-(Trefethen & Embree, 2005), which the gauge removes exactly and which is no
-exceptional point.
+an exceptional point, and only there does eig_biorthogonal measure the
+gauged vectors' conditioning and biorthogonality.  The physical basis adds
+the skin effect's non-normality (Trefethen & Embree, 2005), which the gauge
+removes exactly and which is no exceptional point.  eigen_conditions, for
+`nhskin spectrum`, reads each condition number off the one solve's gauged
+vectors and gauge, and takes no exceptional-point measure.
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ def gauge_log_scales(n, i, j, k, h) -> np.ndarray:
     case no exact gauge exists and the identity is returned).  A blow-up
     guard also bails out if scaling would inflate the largest amplitude by
     more than BLOWUP, so one-sided numerics can't get worse than untouched.
-    Works in O(nnz) on the bond list of the solve's one `H != 0` pass.
     """
     a = np.abs(h)
     a[i == j] = 0.0
@@ -202,15 +202,14 @@ def _chiral_eig(M, odd, vectors: bool):
 
 
 def _gauged_eig(H, vectors: bool | str = True):
-    """Eigenpairs of the gauged H sorted by (Re, Im): (w, Vb, Lb, d, solver),
-    right and left vectors in the gauged basis, or None when vectors is
-    False (vectors may also name the one solver path that computes them).
-    A Hermitian H_b on two sublattices goes to the SVD of its off-diagonal
-    block ("chiral"), any other Hermitian H_b to eigh ("eigh"); both come
-    out ascending, and on both Lb is Vb.  Everything else goes to one
-    general eig ("eig"), sorted here.  Each runs in real arithmetic when H_b is
-    real.  Left vectors are scaled to <L_i|R_i> = 1 where |<L_i|R_i>| > 1e-12
-    and keep unit norm elsewhere."""
+    """(w, Vb, Lb, d, solver): eigenvalues of the gauged H sorted by (Re, Im),
+    its right and left vectors in the gauged basis (None when vectors is
+    False or names another solver path), the gauge scales and the path: the
+    SVD of a Hermitian H_b's two-sublattice block ("chiral"), eigh of any
+    other Hermitian H_b ("eigh"; both ascending, with Lb = Vb) or one general
+    eig ("eig", sorted here), each in real arithmetic when H_b is real.  Left
+    vectors are scaled to <L_i|R_i> = 1 where |<L_i|R_i>| > 1e-12 and keep
+    unit norm elsewhere."""
     M, d, hermitian, odd = _gauged(H)
     solver = "eig" if not hermitian else "eigh" if odd is None else "chiral"
     vectors = vectors is True or vectors == solver
@@ -218,10 +217,8 @@ def _gauged_eig(H, vectors: bool | str = True):
     try:
         if solver == "chiral":
             w, Vb = _chiral_eig(M, odd, vectors)
-            Lb = Vb
         elif solver == "eigh":
             w, Vb = la.eigh(M) if vectors else (la.eigvalsh(M), None)
-            Lb = Vb
         elif vectors:
             from scipy.linalg import eig
 
@@ -232,6 +229,7 @@ def _gauged_eig(H, vectors: bool | str = True):
             w, Vb, Lb = la.eigvals(M), None, None
     except la.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
+    Lb = Vb if hermitian else Lb
     if solver == "eig":
         order = np.lexsort((w.imag, w.real))
         w = w[order]
@@ -258,35 +256,54 @@ def _conditioning(Vb, solver: str):
     return kappa, int(np.sum(s <= np.sqrt(_EPS) * s[0]))
 
 
-def _distances(a, b) -> np.ndarray:
-    """|a_i - b_j| for all pairs, as sqrt(dx^2 + dy^2): np.abs rounds some
-    distances differently in the last bit, which crossover.csv would show."""
-    a, b = (np.asarray(z, dtype=complex).ravel() for z in (a, b))
-    dx = a.real[:, None] - b.real
-    dy = a.imag[:, None] - b.imag
-    return np.sqrt(dx * dx + dy * dy)
-
-
 def dense_spectrum(op) -> np.ndarray:
     """Eigenvalues only, gauge-stabilized, sorted by (Re, Im)."""
     return np.asarray(_gauged_eig(_as_matrix(op), vectors=False)[0], dtype=complex)
+
+
+def _log2_norms(V, A, d, sign: int):
+    """(m, e) with ||D^sign V[:, i]|| = m_i 2^e_i for A = |V|^2, D = diag(d) and
+    sign +-1.  D^sign is scaled exactly, by a power of two, to at most 2, so no
+    sum of squares overflows; a column whose sum is below 2^-1000, where squares
+    lose bits, is scaled by the largest power of two among its entries instead."""
+    f, x = np.frexp(d)
+    f, x = f**sign, x * sign  # D^sign = f 2^x with 1/2 <= f <= 2
+    m = np.sqrt(np.ldexp(f, x - x.max()) ** 2 @ A)
+    e = np.full(m.size, x.max())
+    if (out := m < 2.0**-500).any():
+        fv, ev = np.frexp(np.abs(V[:, out]))
+        ex = ev + x[:, None]
+        e[out] = np.where(fv > 0, ex, ex.min()).max(axis=0)
+        m[out] = np.linalg.norm(np.ldexp(fv * f[:, None], ex - e[out]), axis=0)
+    return m, e
+
+
+def eigen_conditions(op):
+    """Eigenvalues sorted by (Re, Im) and their condition numbers ||L_i|| ||R_i||
+    at <L_i|R_i> = 1, as ||D v_i|| ||D^-1 l_i|| from one solve's gauged vectors
+    (l_i = v_i on the Hermitian paths): inf beyond the float range, never nan."""
+    w, Vb, Lb, d, _ = _gauged_eig(_as_matrix(op))
+    d = np.ones(len(w)) if d is None else d
+    A = Vb * Vb if Vb.dtype == float else (Vb.conj() * Vb).real
+    B = A if Lb is Vb else Lb * Lb if Lb.dtype == float else (Lb.conj() * Lb).real
+    (mr, er), (ml, el) = _log2_norms(Vb, A, d, 1), _log2_norms(Lb, B, d, -1)
+    with np.errstate(over="ignore"):
+        return np.asarray(w, dtype=complex), np.ldexp(mr * ml, er + el)
 
 
 @dataclass(frozen=True)
 class BiorthogonalSystem:
     """Matched eigen-triples (E_i, R_i, L_i), sorted by (Re, Im).
 
-    right[:, i] has unit norm with its largest component rotated to the
-    positive real axis; left[:, i] is scaled so <L_i|R_i> = 1 whenever the
-    pairing is numerically meaningful.  ep_flag marks a decomposition
-    consistent with an exceptional point (see eig_biorthogonal).  `solver`
-    names the path taken: "chiral" (Hermitian after the gauge and coupling
-    only two sublattices: the SVD of the off-diagonal block), "eigh" (any
-    other Hermitian H_b) or "eig" (the general eigensolver).  Eigenvalues
-    are complex; right and left are in Fortran order and keep the dtype of
-    the solver's vectors: float64 on the chiral and eigh paths for a real
-    H_b, and on the eig path when LAPACK returns real vectors (a real H_b
-    with an all-real spectrum), complex otherwise.
+    right[:, i] has unit norm, its largest component real and positive;
+    left[:, i] is scaled to <L_i|R_i> = 1 wherever that pairing is
+    numerically meaningful.  ep_flag marks a decomposition consistent with
+    an exceptional point (see eig_biorthogonal); `solver` names the path
+    taken: "chiral", "eigh" or "eig" (see the module docstring).  Eigenvalues
+    are complex; right and left are in Fortran order and keep the solver's
+    dtype: float64 on the Hermitian paths for a real H_b, and on eig when
+    LAPACK returns real vectors (a real H_b with an all-real spectrum),
+    complex otherwise.
     """
 
     eigenvalues: np.ndarray
@@ -303,14 +320,13 @@ class BiorthogonalSystem:
 def eig_biorthogonal(op) -> BiorthogonalSystem:
     """Full right+left eigensystem of a dense operator from one eigensolve.
 
-    When the gauged matrix is Hermitian (the chiral and eigh paths) its
-    unitary eigenvector matrix is its own left partner, and it has no
-    exceptional point; otherwise the general eigensolver returns the left
-    vectors with the right ones.  ep_flag is set on that path only, when the
-    condition number of the gauged right-vector matrix exceeds COND_LIMIT
-    or max |L_b^H V_b - I| exceeds TOL_BIORTH.  Both are taken in the gauged
-    basis: the skin effect's non-normality, which the gauge removes, is no
-    exceptional point, and its column-norm ratios would amplify rounding.
+    On the Hermitian (chiral and eigh) paths the unitary eigenvector matrix
+    is its own left partner and there is no exceptional point.  On the eig
+    path ep_flag is set when the condition number of the gauged right-vector
+    matrix exceeds COND_LIMIT or max |L_b^H V_b - I| exceeds TOL_BIORTH,
+    both in the gauged basis: the skin effect's non-normality, which the
+    gauge removes, is no exceptional point, and its column-norm ratios would
+    amplify rounding.
     """
     w, Vb, Lb, d, solver = _gauged_eig(_as_matrix(op))
     ep_flag = False
@@ -332,13 +348,7 @@ def eig_biorthogonal(op) -> BiorthogonalSystem:
     R /= phase[None, :]
     L *= np.conj(phase)[None, :]
 
-    return BiorthogonalSystem(
-        eigenvalues=np.asarray(w, dtype=complex),
-        right=R,
-        left=L,
-        ep_flag=ep_flag,
-        solver=solver,
-    )
+    return BiorthogonalSystem(np.asarray(w, dtype=complex), R, L, ep_flag, solver)
 
 
 def non_normality(op) -> float:
@@ -349,14 +359,10 @@ def non_normality(op) -> float:
 
 
 def ep_diagnostic(op) -> dict:
-    """kappa_V and the eigenbasis defect.
-
-    kappa_V is the condition number of the right-eigenvector matrix in the
-    gauged basis, which eig_biorthogonal's ep_flag tests; 1 on the Hermitian
-    paths.  defect_estimate counts missing eigenvector directions: matrix
-    dimension minus its numerical rank at tolerance sqrt(machine eps) *
-    largest singular value.  Vectors are computed on the eig path only.
-    """
+    """kappa_V, the condition number of the gauged right-vector matrix that
+    ep_flag tests (1 on the Hermitian paths), and defect_estimate, its count
+    of singular values at most sqrt(eps) times the largest (the missing
+    eigenvector directions).  Vectors are computed on the eig path only."""
     _, Vb, _, _, solver = _gauged_eig(_as_matrix(op), vectors="eig")
     kappa, defect = _conditioning(Vb, solver)
     return {"kappa_V": kappa, "defect_estimate": defect}
@@ -364,15 +370,9 @@ def ep_diagnostic(op) -> dict:
 
 def hausdorff_distance(a, b) -> float:
     """Hausdorff distance between two finite sets of complex numbers."""
-    D = _distances(a, b)
+    a, b = (np.asarray(z, dtype=complex).ravel() for z in (a, b))
+    # sqrt(dx^2 + dy^2): np.abs rounds some distances differently in the
+    # last bit, which crossover.csv would show
+    dx, dy = a.real[:, None] - b.real, a.imag[:, None] - b.imag
+    D = np.sqrt(dx * dx + dy * dy)
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
-
-
-def export_spectrum_csv(path, system: BiorthogonalSystem) -> None:
-    """index, Re E, Im E, per-eigenvalue condition."""
-    from .io import write_csv
-
-    kappa_i = np.linalg.norm(system.left, axis=0) * np.linalg.norm(system.right, axis=0)
-    ev = system.eigenvalues
-    columns = [np.arange(len(ev)), ev.real, ev.imag, kappa_i]
-    write_csv(path, ["index", "re_e", "im_e", "kappa_i"], columns)

@@ -89,6 +89,45 @@ def test_spectrum_from_model_file(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
+def _raise(*args, **kwargs):
+    raise AssertionError("spectrum built a biorthogonal system or took an exceptional-point measure")
+
+
+def test_spectrum_builds_no_biorthogonal_system_on_the_eig_path(tmp_path, monkeypatch):
+    # the complex chain (hoppings 1.0, 0.8, 0.3 and 0.192 e^{0.7i} at offsets
+    # +1, -1, +2 and -2) stays non-Hermitian after its gauge: spectrum reads
+    # each kappa_i off the one eig solve's gauged vectors
+    import nhskin.spectral
+
+    amps = (1.0, 0.8, 0.3, 0.192 * np.exp(0.7j))
+    terms = [
+        {"offset": [o], "amplitude": [[{"re": complex(a).real, "im": complex(a).imag}]]}
+        for o, a in zip((1, -1, 2, -2), amps)
+    ]
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"dimension": 1, "bands": 1, "terms": terms}))
+    from nhskin.model import load_model
+    from nhskin.realspace import build
+
+    H = build(load_model(str(path)), [40], "obc").matrix
+    assert nhskin.spectral._gauged_eig(H, vectors=False)[4] == "eig"
+    for name in ("eig_biorthogonal", "_conditioning", "_biorth_residual"):
+        monkeypatch.setattr(nhskin.spectral, name, _raise)
+    assert main(["spectrum", "--model", str(path), "-N", "40", "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "obc_spectrum.csv").read_text().splitlines()
+    assert rows[0] == "index,re_e,im_e,kappa_i" and len(rows) == 41
+
+
+def test_steep_spectrum_writes_finite_kappa(tmp_path):
+    # kappa_i reaches about 1e198 here; the norms of physical vectors overflow
+    args = ["spectrum", "--builtin", "hatano-nelson", "--jl", "0.01", "--jr", "1.0", "-N", "201"]
+    r = run(*args, "--out", str(tmp_path))
+    assert r.returncode == 0 and r.stderr == "", r.stderr  # no RuntimeWarning either
+    rows = (tmp_path / "obc_spectrum.csv").read_text().splitlines()[1:]
+    kappa = np.array([float(row.split(",")[3]) for row in rows])
+    assert len(kappa) == 201 and np.isfinite(kappa).all() and kappa.max() > 1e197
+
+
 def test_bad_model_file_exits_one(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dimension": 1, "bands": 1, "terms": []}))

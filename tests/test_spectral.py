@@ -16,8 +16,8 @@ from nhskin.realspace import OBC, PBC, Coupled, build, from_matrix
 from nhskin.spectral import (
     dense_spectrum,
     eig_biorthogonal,
+    eigen_conditions,
     ep_diagnostic,
-    export_spectrum_csv,
     gauge_log_scales,
     hausdorff_distance,
     non_normality,
@@ -181,13 +181,19 @@ def test_hausdorff_distance_known_sets():
 
 
 def test_spectrum_csv(tmp_path):
-    op = build(builtin_hatano_nelson(0.5, 1.0), [8], OBC)
-    sy = eig_biorthogonal(op)
-    path = tmp_path / "spec.csv"
-    export_spectrum_csv(path, sy)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("index,re_e,im_e,kappa")
-    assert len(lines) == 9
+    # obc_spectrum.csv holds eigen_conditions' values under the CLI's header,
+    # each float written so that it reads back to the same bits
+    from nhskin.cli import main
+
+    HN = ["--builtin", "hatano-nelson", "--jl", "0.5", "--jr", "1.0"]
+    assert main(["spectrum", *HN, "-N", "8", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "obc_spectrum.csv").read_text().splitlines()
+    header, *rows = (line.split(",") for line in lines)
+    assert header == ["index", "re_e", "im_e", "kappa_i"]
+    w, kappa = eigen_conditions(build(builtin_hatano_nelson(0.5, 1.0), [8], OBC))
+    assert [[int(r[0]), complex(float(r[1]), float(r[2])), float(r[3])] for r in rows] == [
+        [i, e, k] for i, (e, k) in enumerate(zip(w.tolist(), kappa.tolist()))
+    ]
 
 
 def test_dense_spectrum_accepts_plain_arrays():
@@ -723,3 +729,95 @@ def test_nh_ssh_zero_pair_matches_high_precision_svd():
     for w in (eig_biorthogonal(H).eigenvalues.real, dense_spectrum(H).real):
         assert w[39] == -w[40]
         assert w[40] == pytest.approx(sigma, rel=2e-6)
+
+
+@pytest.mark.parametrize(
+    "op, solver",
+    [
+        (build(builtin_hatano_nelson(0.3, 1.0), [423], OBC), "chiral"),
+        (build(builtin_nh_ssh(0.6, 1.0, 0.2), [75], OBC), "chiral"),
+        (build(builtin_hatano_nelson(0.5, 1.0), [201], OBC), "chiral"),  # odd: a null vector
+        (build(builtin_hatano_nelson(0.5, 1.0), [60], OBC).matrix + ONSITE * np.eye(60), "eigh"),
+        (build(COMPLEX_CHAIN, [60], OBC), "eig"),
+        (build(builtin_hatano_nelson(0.5, 1.0), [40], Coupled(1e-3)), "eig"),
+    ],
+    ids=["chiral-hn", "chiral-nh-ssh", "chiral-odd", "eigh", "eig-complex-chain", "eig-coupled"],
+)
+def test_eigen_conditions_match_the_biorthogonal_system(op, solver):
+    # kappa_i from the gauged vectors is ||L_i|| ||R_i|| of the physical ones
+    w, kappa = eigen_conditions(op)
+    sy = eig_biorthogonal(op)
+    assert sy.solver == solver
+    np.testing.assert_array_equal(w, sy.eigenvalues)
+    norms = np.linalg.norm(sy.left, axis=0) * np.linalg.norm(sy.right, axis=0)
+    np.testing.assert_allclose(kappa, norms, rtol=1e-14)
+    # a values-only solve rounds some eigenvalues differently off the eig path
+    ev = dense_spectrum(op)
+    if solver == "eig":
+        np.testing.assert_array_equal(w, ev)
+    np.testing.assert_allclose(w, ev, rtol=0, atol=1e-13)
+
+
+def _hn_kappa(jl, n):
+    """kappa of each eigenvalue of the n-site open chain H[i, i+1] = jl,
+    H[i+1, i] = 1 (or its transpose), ascending, in mpmath: the vectors are
+    r^(+-i) sin(k_m i) with r^2 = 1/jl and E = 2 sqrt(jl) cos k_m,
+    k_m = m pi/(n + 1)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        r2 = 1 / mpmath.mpf(jl)
+        out = []
+        for m in range(n, 0, -1):  # ascending E
+            s2 = [mpmath.sin(m * mpmath.pi * i / (n + 1)) ** 2 for i in range(1, n + 1)]
+            right = mpmath.fsum(r2**i * x for i, x in enumerate(s2))
+            left = mpmath.fsum(r2**-i * x for i, x in enumerate(s2))
+            out.append(mpmath.sqrt(right * left) / mpmath.fsum(s2))
+        return out
+
+
+@pytest.mark.parametrize("jl, n", [(1e-30, 21), (1e-30, 20), (1e-60, 11), (1e-32, 21), (0.01, 201)])
+def test_steep_chain_kappa_matches_high_precision(jl, n):
+    # each kappa_i is finite below the float range and inf above it, never
+    # nan (the odd chains' null vector included), and raises no warning; the
+    # norms of physical vectors overflow from about kappa = 1e154
+    import warnings
+
+    import mpmath
+
+    op = build(builtin_hatano_nelson(jl, 1.0), [n], OBC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, kappa = eigen_conditions(op)
+    for k, ref in zip(kappa, _hn_kappa(jl, n)):
+        if ref > np.finfo(float).max:
+            assert k == np.inf
+        else:
+            assert k == pytest.approx(float(ref), rel=1e-10)
+    assert not np.isnan(kappa).any()
+
+
+def _log2_norms_cases():
+    """(V, d): d spans e^-700 .. e^700 and columns sit at its low end, its
+    high end, in the middle or across it, with exact zeros elsewhere, so that
+    a sum of squares scaled to the largest d^+-1 underflows, or does not."""
+    rng = np.random.default_rng(3)
+    n = 12
+    d = np.exp(np.linspace(-700.0, 700.0, n))
+    V = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
+    for c, (lo, hi) in enumerate([(0, 2), (10, 12), (5, 7), (0, 12), (0, 1), (11, 12)]):
+        V[:lo, c] = V[hi:, c] = 0.0
+    return [(V, d), (V.real.copy(), d), (V, np.ones(n))]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("case", range(3))
+def test_log2_norms_match_high_precision(case, sign):
+    import mpmath
+
+    V, d = _log2_norms_cases()[case]
+    m, e = nhskin.spectral._log2_norms(V, np.abs(V) ** 2, d, sign)
+    scale = [mpmath.mpf(s) ** sign for s in d]
+    for c in range(V.shape[1]):
+        ref = mpmath.sqrt(mpmath.fsum((mpmath.mpf(abs(v)) * s) ** 2 for v, s in zip(V[:, c], scale)))
+        assert float(mpmath.mpf(m[c]) * mpmath.mpf(2) ** int(e[c]) / ref) == pytest.approx(1.0, rel=1e-15)
