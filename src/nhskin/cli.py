@@ -143,11 +143,14 @@ def _cmd_spectrum(args, model):
     from .io import write_svg_scatter
     from .model import bloch_samples
     from .realspace import build
-    from .spectral import eigen_conditions
+    from .spectral import dense_spectrum, eigen_conditions
 
     ks = np.linspace(0.0, 2 * np.pi, args.k_samples, endpoint=False)
     bands = np.sort(np.linalg.eigvals(bloch_samples(model, ks)), axis=1)
-    ev, kappa = eigen_conditions(build(model, [args.sizes], "obc"))
+    op = build(model, [args.sizes], "obc")
+    # the eigenvectors behind kappa_i serve obc_spectrum.csv alone
+    csv = "csv" in args.format.split(",")
+    ev, kappa = eigen_conditions(op) if csv else (dense_spectrum(op), None)
     header = ["k"] + [f"{part}_e{b}" for b in range(bands.shape[1]) for part in ("re", "im")]
     columns = [ks] + [x for z in bands.T for x in (z.real, z.imag)]
     obc = [np.arange(len(ev)), ev.real, ev.imag, kappa]

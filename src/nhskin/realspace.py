@@ -59,12 +59,8 @@ class IndexMap:
     def n_cells(self) -> int:
         return int(np.prod(self.sizes))
 
-    @property
-    def n_sites(self) -> int:
-        return self.n_cells * self.bands
-
     def cell_index_of_rows(self) -> np.ndarray:
-        """Linear cell index for every matrix row (length n_sites)."""
+        """Linear cell index for every matrix row."""
         return np.repeat(np.arange(self.n_cells), self.bands)
 
 
@@ -97,13 +93,17 @@ def build(model: LatticeModel, sizes, boundary=OBC) -> RealSpaceOperator:
             raise BuildError(
                 f"hopping offset {t.offset} does not fit in lattice {sizes}"
             )
-    factors = _wrap_factors(boundary, model.dimension)
+    H = _assemble(model, sizes, _wrap_factors(boundary, model.dimension))
+    return RealSpaceOperator(matrix=H, index_map=IndexMap(sizes=sizes, bands=model.bands))
+
+
+def _assemble(model: LatticeModel, sizes, factors, inner=1.0) -> np.ndarray:
+    """`build`'s matrix for wrap factors per axis, other bonds scaled by inner."""
     amps = np.array([t.amplitude for t in model.terms])
     if not (factors.imag.any() or amps.imag.any()):  # the same products in half the bytes
         factors, amps = factors.real, amps.real
-    imap = IndexMap(sizes=sizes, bands=model.bands)
     B = model.bands
-    N = imap.n_sites
+    N = int(np.prod(sizes)) * B
     H = np.zeros((N, N), dtype=amps.dtype)
 
     cells = np.array(list(np.ndindex(*sizes)), dtype=int)  # (n_cells, d)
@@ -111,6 +111,8 @@ def build(model: LatticeModel, sizes, boundary=OBC) -> RealSpaceOperator:
     for t, amplitude in zip(model.terms, amps):
         target = cells + np.asarray(t.offset, dtype=int)
         factor = np.ones(cells.shape[0], dtype=H.dtype)
+        if inner != 1:
+            factor[np.all((target >= 0) & (target < sizes), axis=1)] = inner
         for ax, s in enumerate(sizes):
             wrapped = (target[:, ax] < 0) | (target[:, ax] >= s)
             if wrapped.any():
@@ -127,7 +129,7 @@ def build(model: LatticeModel, sizes, boundary=OBC) -> RealSpaceOperator:
                 amp = amplitude[a, b]
                 if amp != 0:
                     H[rows + a, cols + b] += amp * factor[keep]
-    return RealSpaceOperator(matrix=H, index_map=imap)
+    return H
 
 
 def from_matrix(matrix) -> RealSpaceOperator:

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import AmbiguousTargetError, SingularProbeError, StepSizeError
 from .model import LatticeModel
-from .realspace import Coupled, RealSpaceOperator, build, from_matrix
-from .spectral import _as_matrix, dense_spectrum, hausdorff_distance
+from .realspace import RealSpaceOperator, _assemble, build, from_matrix
+from .spectral import _as_matrix, dense_spectrum, family_spectra, hausdorff_distance
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,15 @@ def funnel_model(J_L: float, J_R: float, N_half: int) -> RealSpaceOperator:
     return from_matrix(H)
 
 
+def _ring_family(model: LatticeModel, cells: int, epsilons):
+    """Yields the open chain H0's spectrum, then its Coupled(eps) ring's per eps:
+    H0 + eps W with the wrap bonds W, build's ring bit for bit in 1D (an entry
+    holds at most one open and one wrap bond), solved as one `family_spectra`."""
+    H0 = build(model, [cells], "obc").matrix
+    yield dense_spectrum(H0)
+    yield from family_spectra(H0, _assemble(model, (cells,), np.ones(1), inner=0.0), epsilons)
+
+
 def sensor_sweep(
     model: LatticeModel,
     epsilon: float,
@@ -190,8 +199,8 @@ def sensor_sweep(
     for N in N_list:
         if N % B != 0:
             raise ValueError(f"N={N} sites is not a whole number of {B}-site cells")
-        cells = N // B
-        e_obc = dense_spectrum(build(model, [cells], "obc"))
+        spectra = _ring_family(model, N // B, [epsilon])
+        e_obc = next(spectra)
         d = np.abs(e_obc - complex(target))
         pick = int(np.argmin(d))
         ref = e_obc[pick]
@@ -202,7 +211,7 @@ def sensor_sweep(
                 f"another open-boundary eigenvalue sits within "
                 f"{np.min(np.abs(rest - ref)):.3e} of the tracked one at N={N}"
             )
-        e_c = dense_spectrum(build(model, [cells], Coupled(epsilon)))
+        e_c = next(spectra)
         shifted = e_c[np.argmin(np.abs(e_c - ref))]
         out.append({"N": int(N), "delta_E": float(abs(shifted - ref))})
     return out
@@ -214,14 +223,16 @@ def boundary_crossover(
     epsilons: Sequence[float],
 ) -> List[dict]:
     """Spectral migration from the open-boundary cloud toward the periodic
-    loops as the boundary link is turned on."""
-    e_obc = dense_spectrum(build(model, [int(N)], "obc"))
+    loops as the boundary link is turned on.  The rings are one `_ring_family`,
+    each row the one a build and dense_spectrum per eps would give."""
+    epsilons = [float(eps) for eps in epsilons]
+    spectra = _ring_family(model, int(N), epsilons)
+    e_obc = next(spectra)
     out = []
-    for eps in epsilons:
-        e = dense_spectrum(build(model, [int(N)], Coupled(float(eps))))
+    for eps, e in zip(epsilons, spectra):
         out.append(
             {
-                "epsilon": float(eps),
+                "epsilon": eps,
                 "distance": hausdorff_distance(e, e_obc),
                 "max_imag": float(np.max(np.abs(e.imag))),
             }

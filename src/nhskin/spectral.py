@@ -10,9 +10,13 @@ l_j - l_i = log(|H_ji|/|H_ij|) / 2 across each two-sided bond makes |H_ij|
 symmetric exactly whenever that bond field is curl-free, which covers every
 open chain.  Eigenvalues are preserved exactly; eigenvectors transform by the
 known diagonal, so nothing is lost undoing the gauge afterwards.  A solve
-reads the nonzeros in one `H != 0` pass; past that, the gauge, the Hermitian
-test below and the finiteness check cost O(nnz) on the one bond list it
-builds (each nonzero and its transposed entry).
+has a pattern part, from one `H != 0` pass: the bond list (each nonzero and
+its transposed entry) and one breadth-first spanning forest of it, the only
+walk over the graph, whose tree serves both the gauge's sums and the
+two-colouring below.  Its value part (gauge, finiteness, flux, blow-up and Hermitian
+tests) is O(nnz).  Matrices of one nonzero pattern, such as a crossover's
+rings H0 + eps W (`family_spectra`), share one pattern part.  The scales
+exp(l) are kept as f 2^x, so they never overflow.
 
 After the gauge an open chain with real (or conjugate-paired) hoppings is
 Hermitian, usually real symmetric, with the same eigenvalues (Yao & Wang,
@@ -25,8 +29,8 @@ eigenvalue shift of the symmetrisation to about that size.  There are three
 solver paths:
 
 - "chiral": a Hermitian H_b with no diagonal whose bond graph has two
-  colours (no odd cycle; the parity of breadth-first depth on the bond
-  list finds them) is [[0, B], [B^H, 0]] on its two sublattices, p x q.
+  colours (no odd cycle; the parity of depth in the spanning forest
+  finds them) is [[0, B], [B^H, 0]] on its two sublattices, p x q.
   Its eigenvalues are -S, |p - q| exact zeros and +S for the singular values
   S of B, its eigenvectors (u, -/+ w)/sqrt 2 and the null vectors of the
   longer side, all from one SVD of the half-size block.  This covers the
@@ -88,38 +92,49 @@ def _entries(H):
     return i, j, np.searchsorted(key, j * n + i)
 
 
-def _tree_sums(n, i, j, step) -> np.ndarray:
-    """Per-site sums of step[e] along breadth-first spanning trees of the
-    row-major (CSR) bond list (i, j), each component rooted at its first
-    site with 0."""
-    start = np.searchsorted(i, np.arange(n + 1)).tolist()
-    nbr, step = j.tolist(), step.tolist()
-    l, seen = [0.0] * n, [False] * n
+def _spanning_tree(n, i, j):
+    """Breadth-first spanning forest of the row-major (CSR) bond list (i, j),
+    each component rooted at its first site: (v, u, e) for every other site v
+    in visiting order, reached from u over bond e, and the depth of each site."""
+    start, nbr = np.searchsorted(i, np.arange(n + 1)).tolist(), j.tolist()
+    depth, tree = [-1] * n, []
     for root in range(n):
-        if seen[root]:
+        if depth[root] >= 0:
             continue
-        seen[root], queue = True, deque([root])
+        depth[root], queue = 0, deque([root])
         while queue:
             u = queue.popleft()
             for e in range(start[u], start[u + 1]):
                 v = nbr[e]
-                if not seen[v]:
-                    l[v], seen[v] = l[u] + step[e], True
+                if depth[v] < 0:
+                    depth[v] = depth[u] + 1
+                    tree.append((v, u, e))
                     queue.append(v)
-    return np.array(l)
+    return tree, np.array(depth, dtype=int)
 
 
-def gauge_log_scales(n, i, j, k, h) -> np.ndarray:
+def _pattern(H):
+    """What H's nonzero pattern alone fixes: (i, j, k) of `_entries`, the
+    `_spanning_tree` forest and odd, the sites of odd depth if that two-colours
+    the bonds (no diagonal, no odd cycle), else None."""
+    i, j, k = _entries(H)
+    tree, depth = _spanning_tree(H.shape[0], i, j)
+    odd = depth % 2 == 1
+    return i, j, k, tree, None if np.any(odd[i] == odd[j]) else odd
+
+
+def gauge_log_scales(n, pattern, h) -> np.ndarray:
     """Per-site log scales that symmetrize the n x n |H|, or zeros when
-    impossible, from its bond list (i, j, k) of `_entries` and h = H[i, j].
+    impossible, from its `_pattern` and h = H[i, j] on its bond list.
 
-    A spanning forest of the hopping graph fixes l up to a constant per
-    component; the assignment is then checked on *every* edge (cycles may
-    carry nonzero flux, e.g. rings or 2D lattices with diagonals, in which
-    case no exact gauge exists and the identity is returned).  A blow-up
-    guard also bails out if scaling would inflate the largest amplitude by
-    more than BLOWUP, so one-sided numerics can't get worse than untouched.
+    The spanning forest fixes l up to a constant per component; the
+    assignment is then checked on *every* edge (cycles may carry nonzero
+    flux, e.g. rings or 2D lattices with diagonals, in which case no exact
+    gauge exists and the identity is returned).  A blow-up guard also bails
+    out if scaling would inflate the largest amplitude by more than BLOWUP,
+    so one-sided numerics can't get worse than untouched.
     """
+    i, j, k, tree, _ = pattern
     a = np.abs(h)
     a[i == j] = 0.0
     on = a > 0
@@ -129,7 +144,10 @@ def gauge_log_scales(n, i, j, k, h) -> np.ndarray:
     two_sided = on & on[k]
     # half-log ratio across each edge; a one-way bond carries no constraint
     half = np.where(two_sided, 0.5 * (log_a[k] - log_a), 0.0)
-    l = _tree_sums(n, i, j, half)
+    l, steps = [0.0] * n, half.tolist()
+    for v, u, e in tree:  # sums along the forest's bonds, 0 at each root
+        l[v] = l[u] + steps[e]
+    l = np.array(l)
     dl = l[j] - l[i]
     if np.any(np.abs(dl[two_sided] - half[two_sided]) > FLUX_TOL):
         return np.zeros(n)
@@ -139,39 +157,47 @@ def gauge_log_scales(n, i, j, k, h) -> np.ndarray:
     return l - l.mean()
 
 
+def _split_scales(l):
+    """(f, x) with exp(l) = f 2^x and 1/2 <= f < 1, so that no scale
+    overflows: np.frexp(np.exp(l)) wherever exp(l) stays a positive float."""
+    with np.errstate(over="ignore"):
+        d = np.exp(l)
+    if np.all((d > 0) & (d < np.inf)):
+        return np.frexp(d)
+    x = np.floor(l / np.log(2)).astype(int) + 1
+    return np.exp(l - x * np.log(2)), x
+
+
 def _hermitian_part(hb, k, tol):
-    """Entries of (H_b + H_b^H)/2 from those of H_b, or None if not Hermitian within tol."""
+    """Entries of (H_b + H_b^H)/2 from those of H_b, or None unless Hermitian within tol."""
     hh = hb[k].conj()
-    return None if np.abs(hb - hh).max(initial=0.0) > tol else 0.5 * (hb + hh)
+    return 0.5 * (hb + hh) if np.abs(hb - hh).max(initial=0.0) <= tol else None
 
 
-def _gauged(H):
-    """(M, d, hermitian, odd) for H_b = D^-1 H D, d the per-site scales or
-    None: M is H_b symmetrised if H_b is Hermitian within the rounding of the
-    gauge, else H_b, and real when its imaginary part is exactly zero.  odd
-    marks one of two sublattices when M is Hermitian and couples only sites
-    of opposite sublattices (no diagonal, no odd cycle), else it is None."""
-    i, j, k = _entries(H)
+def _gauged(H, pattern=None):
+    """(M, scales, hermitian, odd) for H_b = D^-1 H D, D = diag(f 2^x) for scales
+    (f, x) or None: M is H_b symmetrised if H_b is Hermitian within the rounding
+    of the gauge, else H_b, and real when its imaginary part is exactly zero.
+    odd is the pattern's, when M is Hermitian.  pattern is `_pattern(H)`, which
+    matrices with one nonzero pattern share; the rest is O(nnz)."""
+    i, j, k, _, odd = pattern = _pattern(H) if pattern is None else pattern
     h = H[i, j]
     if not np.all(np.isfinite(h)):
         raise EigensolverError("matrix has non-finite entries")
-    l = gauge_log_scales(len(H), i, j, k, h)
-    d = np.exp(l) if l.any() else None
-    hb = h if d is None else h * (d[j] / d[i])
+    l = gauge_log_scales(len(H), pattern, h)
+    scales = _split_scales(l) if l.any() else None
+    f, x = scales or (None, None)
+    # h d_j / d_i, which the BLOWUP guard bounds even where d is no float
+    hb = h if f is None else h * np.ldexp(f[j] / f[i], x[j] - x[i])
     tol = 4 * _EPS * (1 + np.abs(l).max(initial=0.0)) * np.abs(hb).max(initial=0.0)
     s = _hermitian_part(hb, k, tol)
     v = hb if s is None else s
     if not v.imag.any():
         v, H = v.real, H.real
-    if s is not None or d is not None:  # the matrix to solve, from its entries
+    if s is not None or scales is not None:  # the matrix to solve, from its entries
         H = np.zeros(H.shape, dtype=v.dtype)
         H[i, j] = v
-    odd = None
-    if s is not None and not np.any(i == j):  # colour by the parity of tree depth
-        odd = _tree_sums(len(H), i, j, np.ones(i.size)) % 2 == 1
-        if np.any(odd[i] == odd[j]):
-            odd = None
-    return H, d, s is not None, odd
+    return H, scales, s is not None, None if s is None else odd
 
 
 def _chiral_eig(M, odd, vectors: bool):
@@ -201,16 +227,16 @@ def _chiral_eig(M, odd, vectors: bool):
     return np.concatenate([0.0 - s, np.zeros(z), s[::-1]]), V  # 0.0 - s is never -0.0
 
 
-def _gauged_eig(H, vectors: bool | str = True):
-    """(w, Vb, Lb, d, solver): eigenvalues of the gauged H sorted by (Re, Im),
+def _gauged_eig(H, vectors: bool | str = True, pattern=None):
+    """(w, Vb, Lb, scales, solver): eigenvalues of the gauged H sorted by (Re, Im),
     its right and left vectors in the gauged basis (None when vectors is
-    False or names another solver path), the gauge scales and the path: the
+    False or names another solver path), the gauge's (f, x) and the path: the
     SVD of a Hermitian H_b's two-sublattice block ("chiral"), eigh of any
     other Hermitian H_b ("eigh"; both ascending, with Lb = Vb) or one general
     eig ("eig", sorted here), each in real arithmetic when H_b is real.  Left
     vectors are scaled to <L_i|R_i> = 1 where |<L_i|R_i>| > 1e-12 and keep
-    unit norm elsewhere."""
-    M, d, hermitian, odd = _gauged(H)
+    unit norm elsewhere.  pattern is passed on to `_gauged`."""
+    M, scales, hermitian, odd = _gauged(H, pattern)
     solver = "eig" if not hermitian else "eigh" if odd is None else "chiral"
     vectors = vectors is True or vectors == solver
     la = np.linalg
@@ -235,7 +261,7 @@ def _gauged_eig(H, vectors: bool | str = True):
         w = w[order]
         if vectors:
             Vb, Lb = Vb[:, order], Lb[:, order]
-    return w, Vb, Lb, d, solver
+    return w, Vb, Lb, scales, solver
 
 
 def _biorth_residual(Lb, Vb) -> float:
@@ -261,13 +287,13 @@ def dense_spectrum(op) -> np.ndarray:
     return np.asarray(_gauged_eig(_as_matrix(op), vectors=False)[0], dtype=complex)
 
 
-def _log2_norms(V, A, d, sign: int):
-    """(m, e) with ||D^sign V[:, i]|| = m_i 2^e_i for A = |V|^2, D = diag(d) and
-    sign +-1.  D^sign is scaled exactly, by a power of two, to at most 2, so no
-    sum of squares overflows; a column whose sum is below 2^-1000, where squares
-    lose bits, is scaled by the largest power of two among its entries instead."""
-    f, x = np.frexp(d)
-    f, x = f**sign, x * sign  # D^sign = f 2^x with 1/2 <= f <= 2
+def _log2_norms(V, A, scales, sign: int):
+    """(m, e) with ||D^sign V[:, i]|| = m_i 2^e_i for A = |V|^2, D = diag(f 2^x),
+    (f, x) = scales, and sign +-1.  D^sign is scaled exactly, by a power of two,
+    to at most 2, so no sum of squares overflows; a column whose sum is below
+    2^-1000, where squares lose bits, is scaled by the largest power of two
+    among its entries instead."""
+    f, x = scales[0] ** sign, scales[1] * sign  # D^sign = f 2^x with 1/2 <= f <= 2
     m = np.sqrt(np.ldexp(f, x - x.max()) ** 2 @ A)
     e = np.full(m.size, x.max())
     if (out := m < 2.0**-500).any():
@@ -282,11 +308,11 @@ def eigen_conditions(op):
     """Eigenvalues sorted by (Re, Im) and their condition numbers ||L_i|| ||R_i||
     at <L_i|R_i> = 1, as ||D v_i|| ||D^-1 l_i|| from one solve's gauged vectors
     (l_i = v_i on the Hermitian paths): inf beyond the float range, never nan."""
-    w, Vb, Lb, d, _ = _gauged_eig(_as_matrix(op))
-    d = np.ones(len(w)) if d is None else d
+    w, Vb, Lb, scales, _ = _gauged_eig(_as_matrix(op))
+    scales = np.frexp(np.ones(len(w))) if scales is None else scales
     A = Vb * Vb if Vb.dtype == float else (Vb.conj() * Vb).real
     B = A if Lb is Vb else Lb * Lb if Lb.dtype == float else (Lb.conj() * Lb).real
-    (mr, er), (ml, el) = _log2_norms(Vb, A, d, 1), _log2_norms(Lb, B, d, -1)
+    (mr, er), (ml, el) = _log2_norms(Vb, A, scales, 1), _log2_norms(Lb, B, scales, -1)
     with np.errstate(over="ignore"):
         return np.asarray(w, dtype=complex), np.ldexp(mr * ml, er + el)
 
@@ -326,22 +352,24 @@ def eig_biorthogonal(op) -> BiorthogonalSystem:
     matrix exceeds COND_LIMIT or max |L_b^H V_b - I| exceeds TOL_BIORTH,
     both in the gauged basis: the skin effect's non-normality, which the
     gauge removes, is no exceptional point, and its column-norm ratios would
-    amplify rounding.
+    amplify rounding.  Physical vectors past the float range raise EigensolverError.
     """
-    w, Vb, Lb, d, solver = _gauged_eig(_as_matrix(op))
+    w, Vb, Lb, scales, solver = _gauged_eig(_as_matrix(op))
     ep_flag = False
     if solver == "eig":
         kappa, residual = _conditioning(Vb, solver)[0], _biorth_residual(Lb, Vb)
         ep_flag = bool(kappa > COND_LIMIT or residual > TOL_BIORTH)
     # the physical vectors are built once, in the dtype the solver returned
-    scale = d[:, None] if d is not None else 1.0
-    R = np.multiply(Vb, scale, order="F")
-    L = np.divide(Lb, scale, order="F")
-    del Vb, Lb  # freed before the temporaries below, which lowers the peak
-
-    norms = np.linalg.norm(R, axis=0)
-    R /= norms
-    L *= norms
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = np.ldexp(*scales)[:, None] if scales is not None else 1.0
+        R = np.multiply(Vb, scale, order="F")
+        L = np.divide(Lb, scale, order="F")
+        del Vb, Lb  # freed before the temporaries below, which lowers the peak
+        norms = np.linalg.norm(R, axis=0)
+        R /= norms
+        L *= norms
+    if not np.isfinite(L).all():
+        raise EigensolverError("physical eigenvectors leave the float range")
     # phase convention: largest-magnitude component of each right vector real-positive
     lead = R[np.argmax(np.abs(R), axis=0), np.arange(R.shape[1])]
     phase = lead / np.abs(lead)
@@ -349,6 +377,22 @@ def eig_biorthogonal(op) -> BiorthogonalSystem:
     L *= np.conj(phase)[None, :]
 
     return BiorthogonalSystem(np.asarray(w, dtype=complex), R, L, ep_flag, solver)
+
+
+def family_spectra(H0, W, epsilons) -> list:
+    """dense_spectrum(H0 + eps W) for each eps in turn.  Members whose nonzero
+    pattern is the family's, that of H0 or W, share one pattern part; any
+    other (eps = 0, or a bond eps W that underflows) derives its own."""
+    nz = (H0 != 0) | (W != 0)
+    family, count = _pattern(nz), np.count_nonzero(nz)
+    wi, wj = np.nonzero(W)  # only these entries differ from H0's: no n x n temporary
+    out = []
+    for eps in epsilons:
+        M = H0.astype(np.result_type(H0, W, eps))
+        M[wi, wj] += eps * W[wi, wj]
+        shared = family if np.count_nonzero(M) == count else None
+        out.append(np.asarray(_gauged_eig(M, False, shared)[0], dtype=complex))
+    return out
 
 
 def non_normality(op) -> float:

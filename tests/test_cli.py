@@ -587,3 +587,42 @@ def test_boundary_response_commands_leave_scipy_linalg_unloaded(tmp_path):
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize(
+    "model, n",
+    [(HN, "50"), (["--builtin", "nh-ssh", "--t1", "0.6", "--t2", "1.0", "--gamma", "0.2"], "60")],
+    ids=["hn50", "nh-ssh60"],
+)
+def test_svg_only_spectrum_computes_no_eigenvectors(tmp_path, monkeypatch, capsys, model, n):
+    import nhskin.spectral
+
+    args = ["spectrum", *model, "-N", n]
+    assert main([*args, "--out", str(tmp_path / "all")]) == 0
+    default = capsys.readouterr().out
+    monkeypatch.setattr(nhskin.spectral, "eigen_conditions", _raise)
+    assert main([*args, "--format", "svg", "--out", str(tmp_path / "svg")]) == 0
+    assert capsys.readouterr().out == default
+    assert sorted(p.name for p in (tmp_path / "svg").iterdir()) == ["manifest.json", "spectrum.svg"]
+
+
+@pytest.mark.parametrize("n", [600, 650, 700, 1000])
+def test_steep_chains_past_the_gauge_float_range(tmp_path, n):
+    # HN(0.01, 1): exp(l) of the gauge overflows from n = 618.  spectrum
+    # writes kappa_i = inf (every one exceeds the float range), localize
+    # refuses the physical vectors with a typed error; neither warns
+    args = ["--builtin", "hatano-nelson", "--jl", "0.01", "--jr", "1.0", "-N", str(n)]
+    code = ("import sys, warnings; warnings.simplefilter('error'); "
+            "from nhskin.cli import main; sys.exit(main(sys.argv[1:]))")
+
+    def nhskin(*argv):
+        return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+
+    r = nhskin("spectrum", *args, "--out", str(tmp_path / "s"))
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    rows = (tmp_path / "s" / "obc_spectrum.csv").read_text().splitlines()[1:]
+    assert len(rows) == n and all(row.endswith(",inf") for row in rows)
+    r = nhskin("localize", *args, "--out", str(tmp_path / "l"))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: EigensolverError") and "Warning" not in r.stderr, r.stderr
+    assert not (tmp_path / "l").exists()

@@ -248,3 +248,99 @@ def test_crossover_distance_monotone_in_epsilon():
     rows = boundary_crossover(m, 24, [1e-12, 1e-6, 1e-2, 1.0])
     d = [r["distance"] for r in rows]
     assert all(np.diff(d) >= -1e-9)
+
+
+# A crossover solves its rings as one family: H0 + eps W from one assembly,
+# with one pattern part (bond list and spanning tree) for every member whose
+# nonzeros match.  Each row must equal the row of a separate build and solve.
+
+FAMILY_EPS = np.concatenate([np.logspace(-16, 0, 25), [5e-324, 1e-310, 1e20]])
+
+
+def _complex_chain(tmp_path):
+    # hoppings 1.0, 0.8, 0.3 and 0.192 e^{0.7i} at offsets +1, -1, +2, -2
+    import json
+
+    from nhskin.model import load_model
+
+    amps = (1.0, 0.8, 0.3, 0.192 * np.exp(0.7j))
+    terms = [
+        {"offset": [o], "amplitude": [[{"re": complex(a).real, "im": complex(a).imag}]]}
+        for o, a in zip((1, -1, 2, -2), amps)
+    ]
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"dimension": 1, "bands": 1, "terms": terms}))
+    return load_model(str(path))
+
+
+FAMILIES = {
+    "hn69": (lambda tmp: builtin_hatano_nelson(0.37, 1.0), 69),
+    "hn88": (lambda tmp: builtin_hatano_nelson(0.63, 1.0), 88),
+    "reciprocal30-chiral": (lambda tmp: builtin_hatano_nelson(1.0, 1.0), 30),
+    "reciprocal31-eigh": (lambda tmp: builtin_hatano_nelson(1.0, 1.0), 31),
+    "nh-ssh20": (lambda tmp: builtin_nh_ssh(0.6, 1.0, 0.2), 20),
+    "complex-file30": (_complex_chain, 30),
+    "complex-file3": (_complex_chain, 3),
+    "hn2": (lambda tmp: builtin_hatano_nelson(0.5, 1.0), 2),
+    "hn3": (lambda tmp: builtin_hatano_nelson(0.5, 1.0), 3),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_crossover_rows_equal_a_build_per_member(tmp_path, family):
+    from nhskin.realspace import _assemble
+
+    make, N = FAMILIES[family]
+    model = make(tmp_path)
+    H0 = build(model, [N], OBC).matrix
+    W = _assemble(model, (N,), np.ones(1), inner=0.0)
+    e_obc = dense_spectrum(build(model, [N], OBC))
+    want = []
+    for eps in FAMILY_EPS:
+        H = build(model, [N], Coupled(float(eps))).matrix
+        # the member is the built matrix bit for bit
+        assert (H0 + float(eps) * W).dtype == H.dtype
+        assert (H0 + float(eps) * W).tobytes() == H.tobytes(), eps
+        e = dense_spectrum(H)
+        want.append(
+            {
+                "epsilon": float(eps),
+                "distance": hausdorff_distance(e, e_obc),
+                "max_imag": float(np.max(np.abs(e.imag))),
+            }
+        )
+    assert boundary_crossover(model, N, FAMILY_EPS) == want
+
+
+def test_reciprocal_families_take_both_hermitian_paths():
+    import nhskin.spectral
+
+    for N, solver in ((30, "chiral"), (31, "eigh")):
+        H = build(builtin_hatano_nelson(1.0, 1.0), [N], Coupled(0.3)).matrix
+        assert nhskin.spectral._gauged_eig(H, vectors=False)[4] == solver
+
+
+def test_crossover_derives_two_pattern_parts(monkeypatch):
+    # the open chain's and the family's, shared by all 25 rings
+    import nhskin.spectral
+
+    calls = []
+    pattern = nhskin.spectral._pattern
+    monkeypatch.setattr(nhskin.spectral, "_pattern", lambda H: calls.append(1) or pattern(H))
+    boundary_crossover(builtin_hatano_nelson(0.5, 1.0), 40, np.logspace(-16, 0, 25))
+    assert len(calls) == 2
+    # a member whose wrap bond underflows (0.37 x 5e-324 == 0) derives its own
+    calls.clear()
+    boundary_crossover(builtin_hatano_nelson(0.37, 1.0), 40, [1e-3, 5e-324, 0.0])
+    assert len(calls) == 4
+
+
+def test_sensor_matches_a_build_per_size():
+    model = builtin_nh_ssh(0.6, 1.0, 0.3)
+    rows = sensor_sweep(model, 1e-4, [10, 14, 18])
+    for row in rows:
+        cells = row["N"] // 2
+        e_obc = dense_spectrum(build(model, [cells], OBC))
+        ref = e_obc[np.argmin(np.abs(e_obc))]
+        e_c = dense_spectrum(build(model, [cells], Coupled(1e-4)))
+        assert row["delta_E"] == float(abs(e_c[np.argmin(np.abs(e_c - ref))] - ref))

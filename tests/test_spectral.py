@@ -109,9 +109,9 @@ def test_phase_convention_largest_component_real():
 
 
 def _gauge(H):
-    """gauge_log_scales of a dense matrix, on the bond list a solve builds."""
-    i, j, k = nhskin.spectral._entries(H)
-    return gauge_log_scales(len(H), i, j, k, H[i, j])
+    """gauge_log_scales of a dense matrix, on the pattern part a solve derives."""
+    pattern = nhskin.spectral._pattern(H)
+    return gauge_log_scales(len(H), pattern, H[pattern[0], pattern[1]])
 
 
 def test_gauge_symmetrizes_open_chain():
@@ -452,8 +452,9 @@ def _dense_gauge(H):
     return l - l.mean()
 
 
-def _dense_gauged(H):
-    """(M, d, hermitian, odd) as `spectral._gauged` returns it, from dense passes."""
+def _dense_gauged(H, pattern=None):
+    """(M, scales, hermitian, odd) as `spectral._gauged` returns it, from dense
+    passes (pattern is not read)."""
     if not np.all(np.isfinite(H)):
         raise EigensolverError("matrix has non-finite entries")
     l = _dense_gauge(H)
@@ -465,9 +466,13 @@ def _dense_gauged(H):
     tol = 4 * np.finfo(float).eps * (1 + np.abs(l).max(initial=0.0)) * np.abs(Hb).max(initial=0.0)
     Hh = Hb.conj().T
     if np.abs(Hb - Hh).max(initial=0.0) > tol:
-        return (Hb if Hb.imag.any() else Hb.real), d, False, None
+        return (Hb if Hb.imag.any() else Hb.real), _frexp(d), False, None
     Hh = 0.5 * (Hb + Hh)
-    return (Hh if Hh.imag.any() else Hh.real), d, True, _dense_sublattice(H)
+    return (Hh if Hh.imag.any() else Hh.real), _frexp(d), True, _dense_sublattice(H)
+
+
+def _frexp(d):
+    return None if d is None else np.frexp(d)
 
 
 def _dense_sublattice(H):
@@ -816,8 +821,69 @@ def test_log2_norms_match_high_precision(case, sign):
     import mpmath
 
     V, d = _log2_norms_cases()[case]
-    m, e = nhskin.spectral._log2_norms(V, np.abs(V) ** 2, d, sign)
+    m, e = nhskin.spectral._log2_norms(V, np.abs(V) ** 2, np.frexp(d), sign)
     scale = [mpmath.mpf(s) ** sign for s in d]
     for c in range(V.shape[1]):
         ref = mpmath.sqrt(mpmath.fsum((mpmath.mpf(abs(v)) * s) ** 2 for v, s in zip(V[:, c], scale)))
         assert float(mpmath.mpf(m[c]) * mpmath.mpf(2) ** int(e[c]) / ref) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_chiral_solve_walks_one_spanning_tree(monkeypatch):
+    # the gauge's tree sums and the two-colouring share one traversal
+    calls = []
+    tree = nhskin.spectral._spanning_tree
+    monkeypatch.setattr(
+        nhskin.spectral, "_spanning_tree", lambda *args: calls.append(1) or tree(*args)
+    )
+    for solve in (dense_spectrum, eig_biorthogonal, eigen_conditions):
+        calls.clear()
+        solve(build(builtin_hatano_nelson(0.5, 1.0), [30], OBC))
+        assert len(calls) == 1
+    assert eig_biorthogonal(build(builtin_hatano_nelson(0.5, 1.0), [30], OBC)).solver == "chiral"
+
+
+def test_family_spectra_equal_dense_spectrum_per_member():
+    H0 = build(builtin_nh_ssh(0.6, 1.0, 0.2), [12], OBC).matrix
+    W = build(builtin_nh_ssh(0.6, 1.0, 0.2), [12], PBC).matrix - H0
+    epsilons = [0.0, 1e-300, 1e-8, 0.5, 3.0]
+    got = nhskin.spectral.family_spectra(H0, W, epsilons)
+    for eps, e in zip(epsilons, got):
+        _assert_same(e, dense_spectrum(H0 + eps * W))
+
+
+@pytest.mark.parametrize("n", [600, 650, 700, 1000])
+def test_steep_chain_solves_past_the_float_range_of_its_gauge(n):
+    # HN(0.01, 1): the gauge's log scales reach +-1.15 (n - 1), so exp(l)
+    # overflows from n = 618; the gauged entries h d_j / d_i stay bounded
+    import warnings
+
+    op = build(builtin_hatano_nelson(0.01, 1.0), [n], OBC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = dense_spectrum(op)
+        w, kappa = eigen_conditions(op)
+        with pytest.raises(EigensolverError, match="float range"):
+            eig_biorthogonal(op)
+    want = hn_closed_form(0.01, 1.0, n)
+    assert np.abs(ev - want).max() < 1e-12 and np.abs(w - want).max() < 1e-12
+    assert np.all(kappa == np.inf)  # every kappa_i is above e^700 here
+
+
+def test_split_scales_match_frexp_of_exp_where_it_is_a_float():
+    import mpmath
+
+    l = np.linspace(-700.0, 700.0, 9)
+    f, x = nhskin.spectral._split_scales(l)
+    _assert_same(f, np.frexp(np.exp(l))[0])
+    _assert_same(x, np.frexp(np.exp(l))[1])
+    l = np.linspace(-1200.0, 1200.0, 9)
+    f, x = nhskin.spectral._split_scales(l)
+    assert np.all((0.5 <= f) & (f < 1))
+    for fi, xi, li in zip(f, x, l):
+        ref = mpmath.exp(mpmath.mpf(li))
+        assert float(mpmath.mpf(fi) * mpmath.mpf(2) ** int(xi) / ref) == pytest.approx(1, rel=1e-13)
+
+
+def test_hermitian_test_refuses_non_finite_entries():
+    hb = np.array([1.0, np.nan, 1.0, 1.0])
+    assert nhskin.spectral._hermitian_part(hb, np.array([2, 3, 0, 1]), 1.0) is None
