@@ -12,8 +12,9 @@ import os
 
 import numpy as np
 
+from nhskin.io import write_pgm
 from nhskin.model import builtin_2d
-from nhskin.nonbloch import amoeba_points, export_raster_pgm, has_hole, obc_member_2d
+from nhskin.nonbloch import amoeba_points, has_hole, obc_member_2d
 from nhskin.realspace import build
 from nhskin.spectral import dense_spectrum
 
@@ -31,7 +32,7 @@ for E, tag in ((center, "inside"), (4.5 + 0.0j, "outside")):
     hole = has_hole(raster)
     filled = int(raster.occupancy.sum())
     print(f"E = {E:.3f} ({tag}): {filled} occupied cells, hole = {hole}")
-    export_raster_pgm(raster, f"demo_out/amoeba_{tag}.pgm")
+    write_pgm(f"demo_out/amoeba_{tag}.pgm", raster.occupancy)
 print("wrote demo_out/amoeba_inside.pgm and demo_out/amoeba_outside.pgm")
 
 # the one-call membership verdict agrees with the pictures

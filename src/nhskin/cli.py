@@ -4,13 +4,14 @@ Every subcommand is a reproducible run: model in (built-in or JSON file),
 CSV/PGM/SVG artifacts plus a manifest out.  Reruns with the same arguments
 produce byte-identical files.
 
-Each `_cmd_*` handler only computes.  It returns ``(artifacts, summary)``:
-`artifacts` is an ordered list of ``(file name, writer)`` pairs, where
-``writer(path)`` writes that one file, and `summary` is the lines to print.
-`_run` does the rest the same way for every command: it resolves the model,
-creates --out, calls only the writers whose file extension is one of the
---format entries (work a writer defers is skipped with it), writes the
-manifest and prints the summary.
+Each `_cmd_*` handler computes and owns the layout of each file it declares
+(no library module writes one; `nhskin.io` holds the writers).  It returns
+``(artifacts, summary)``: `artifacts` is an ordered list of ``(file name,
+writer)`` pairs, where ``writer(path)`` writes that one file, and `summary`
+is the lines to print.  `_run` does the rest the same way for every command:
+it resolves the model, creates --out, calls only the writers whose file
+extension is one of the --format entries (work a writer defers is skipped
+with it), writes the manifest and prints the summary.
 
 `build_parser` alone knows what each option accepts and defaults to: its
 `type=` checkers refuse a value outside an option's domain as a usage
@@ -195,29 +196,34 @@ def _cmd_gbz(args, model):
     import numpy as np
 
     from .io import write_svg_scatter
-    from .nonbloch import export_gbz_csv, gbz_curve
+    from .nonbloch import gbz_curve
 
     samples = gbz_curve(model, N_seed=args.sizes, gbz_tol=args.tol)
+    beta, energy = np.array([(s.beta, s.energy) for s in samples], dtype=complex).T
+    header = ["re_beta", "im_beta", "re_e", "im_e", "residual", "side"]
+    columns = [beta.real, beta.imag, energy.real, energy.imag]
+    columns += [[s.modulus_residual for s in samples], [s.side for s in samples]]
 
     def gbz_svg(path):
         groups = []
         for side, color in (("left", "seagreen"), ("right", "crimson"), ("bloch", "steelblue")):
-            pts = [s.beta for s in samples if s.side == side]
-            label = f"{side} ({len(pts)})"
-            groups.append(([z.real for z in pts], [z.imag for z in pts], color, label))
+            pts = beta[[s.side == side for s in samples]]
+            groups.append((pts.real, pts.imag, color, f"{side} ({len(pts)})"))
         title = f"{model.name or 'model'}: generalized Brillouin zone"
         write_svg_scatter(path, groups, title=title, xlabel="Re beta", ylabel="Im beta")
 
-    mods = np.array([abs(s.beta) for s in samples])
-    return [("gbz.csv", lambda path: export_gbz_csv(path, samples)), ("gbz.svg", gbz_svg)], [
+    mods = np.abs(beta)
+    return [("gbz.csv", _csv(header, columns)), ("gbz.svg", gbz_svg)], [
         f"samples: {len(samples)}; |beta| in [{mods.min():.6f}, {mods.max():.6f}]; "
         f"max | |beta| - 1 | = {np.abs(mods - 1).max():.3e}"
     ]
 
 
 def _cmd_amoeba(args, model):
-    from .io import parse_complex, write_svg_heatmap
-    from .nonbloch import amoeba_points, export_raster_csv, export_raster_pgm, has_hole
+    import numpy as np
+
+    from .io import parse_complex, write_pgm, write_svg_heatmap
+    from .nonbloch import amoeba_points, has_hole
 
     E = parse_complex(args.energy)
     window = ((args.window[0], args.window[1]), (args.window[2], args.window[3]))
@@ -226,13 +232,18 @@ def _cmd_amoeba(args, model):
     )
     hole = has_hole(raster)
 
+    def amoeba_points_csv(path):
+        xs, ys = (np.linspace(*axis, args.resolution) for axis in window)
+        ix, iy = np.nonzero(raster.occupancy)
+        _csv(["rx", "log_abs_beta_y"], [xs[ix], ys[iy]])(path)
+
     def amoeba_svg(path):
         occupancy = raster.occupancy.T[::-1].astype(float)
         write_svg_heatmap(path, occupancy, title=f"amoeba at E = {args.energy}")
 
     artifacts = [
-        ("amoeba.pgm", lambda path: export_raster_pgm(raster, path)),
-        ("amoeba_points.csv", lambda path: export_raster_csv(raster, path)),
+        ("amoeba.pgm", lambda path: write_pgm(path, raster.occupancy)),
+        ("amoeba_points.csv", amoeba_points_csv),
         ("amoeba.svg", amoeba_svg),
     ]
     return artifacts, [f"hole: {'true' if hole else 'false'}"]
@@ -244,7 +255,7 @@ def _cmd_localize(args, model):
     import numpy as np
 
     from .io import write_svg_scatter
-    from .localization import _right_weights, classify_spectrum, export_profiles_csv
+    from .localization import _right_weights, classify_spectrum
     from .realspace import build
     from .spectral import eig_biorthogonal
 
@@ -264,8 +275,11 @@ def _cmd_localize(args, model):
     ]
 
     def profiles_csv(path):
-        profiles = _right_weights(system.right.T, op.index_map)  # one row per state
-        export_profiles_csv(path, profiles, labels=[c.label for c in classes])
+        weight = _right_weights(system.right.T, op.index_map)  # one row per state
+        site = np.tile(np.arange(weight.shape[1]), len(weight))
+        kind = np.repeat([c.label for c in classes], weight.shape[1])
+        columns = [site, weight.ravel(), np.zeros(weight.size), kind]
+        _csv(["site", "re_weight", "im_weight", "kind"], columns)(path)
 
     def localize_svg(path):
         colors = {"skin": "crimson", "topological_boundary": "goldenrod", "bulk": "steelblue"}

@@ -162,16 +162,3 @@ def classify_spectrum(system, op):
     """
     return _classify(system.left.T, system.right.T, _index_map(op))
 
-
-def export_profiles_csv(path, profiles, labels) -> None:
-    """site index, Re(weight), Im(weight), kind — one block per weight array
-    in profiles, its kind column holding the matching entry of labels."""
-    from .io import write_csv
-
-    weights = [np.asarray(prof, dtype=complex) for prof in profiles]
-    sizes = [len(w) for w in weights]
-    tags = np.asarray(labels, str)
-    w = np.concatenate(weights or [np.zeros(0, complex)])
-    site = np.concatenate([np.arange(k) for k in sizes] or [np.zeros(0, int)])
-    columns = [site, w.real, w.imag, np.repeat(tags, sizes)]
-    write_csv(path, ["site", "re_weight", "im_weight", "kind"], columns)

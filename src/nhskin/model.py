@@ -315,10 +315,10 @@ def model_from_dict(doc: dict) -> LatticeModel:
     for key in ("dimension", "bands", "terms"):
         if key not in doc:
             raise ModelFormatError(f"missing required field {key!r}")
-    d = doc["dimension"]
-    B = doc["bands"]
-    if not isinstance(d, int) or not isinstance(B, int):
-        raise ModelFormatError("dimension and bands must be integers")
+    d, B = doc["dimension"], doc["bands"]
+    for key, value in (("dimension", d), ("bands", B)):
+        if type(value) is not int:  # not isinstance: JSON true and false are bools, an int subclass
+            raise ModelFormatError(f"{key} must be an integer, got {value!r}")
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list) or not raw_terms:
         raise ModelFormatError("terms must be a non-empty list")
@@ -331,7 +331,7 @@ def model_from_dict(doc: dict) -> LatticeModel:
         if (
             not isinstance(off, list)
             or len(off) != d
-            or not all(isinstance(x, int) for x in off)
+            or not all(type(x) is int for x in off)  # no bool
         ):
             raise ModelFormatError(f"{where}.offset: expected {d} integers")
         amp = t["amplitude"]

@@ -209,9 +209,6 @@ class AmoebaRaster:
     occupancy: np.ndarray
     hole_margin: float
 
-    def axis_centers(self, axis: int) -> np.ndarray:
-        return np.linspace(*self.window[axis], self.resolution[axis])
-
 
 def amoeba_points(
     model: LatticeModel,
@@ -336,34 +333,3 @@ def obc_member_2d(model: LatticeModel, E) -> bool:
     the default sampling plan."""
     return not has_hole(amoeba_points(model, E))
 
-
-# ------------------------------------------------------------------- exports
-
-
-def export_gbz_csv(path, samples: List[GBZSample]) -> None:
-    from .io import write_csv
-
-    beta = np.array([s.beta for s in samples], dtype=complex)
-    energy = np.array([s.energy for s in samples], dtype=complex)
-    residual = [s.modulus_residual for s in samples]
-    write_csv(
-        path,
-        ["re_beta", "im_beta", "re_e", "im_e", "residual", "side"],
-        [beta.real, beta.imag, energy.real, energy.imag, residual, [s.side for s in samples]],
-    )
-
-
-def export_raster_pgm(raster: AmoebaRaster, path) -> None:
-    from .io import write_pgm
-
-    write_pgm(path, raster.occupancy)
-
-
-def export_raster_csv(raster: AmoebaRaster, path) -> None:
-    """Occupied-cell centers as an (r_x, log|beta_y|) point cloud."""
-    from .io import write_csv
-
-    xs = raster.axis_centers(0)
-    ys = raster.axis_centers(1)
-    ix, iy = np.nonzero(raster.occupancy)
-    write_csv(path, ["rx", "log_abs_beta_y"], [xs[ix], ys[iy]])

@@ -383,13 +383,16 @@ def family_spectra(H0, W, epsilons) -> list:
     """dense_spectrum(H0 + eps W) for each eps in turn.  Members whose nonzero
     pattern is the family's, that of H0 or W, share one pattern part; any
     other (eps = 0, or a bond eps W that underflows) derives its own."""
-    nz = (H0 != 0) | (W != 0)
-    family, count = _pattern(nz), np.count_nonzero(nz)
     wi, wj = np.nonzero(W)  # only these entries differ from H0's: no n x n temporary
+    wv = W[wi, wj]
+    nz = H0 != 0
+    nz[wi, wj] = True
+    family, count = _pattern(nz), np.count_nonzero(nz)
+    del W, nz  # only W's nonzero entries are held through the solves
     out = []
     for eps in epsilons:
-        M = H0.astype(np.result_type(H0, W, eps))
-        M[wi, wj] += eps * W[wi, wj]
+        M = H0.astype(np.result_type(H0, wv, eps))
+        M[wi, wj] += eps * wv
         shared = family if np.count_nonzero(M) == count else None
         out.append(np.asarray(_gauged_eig(M, False, shared)[0], dtype=complex))
     return out

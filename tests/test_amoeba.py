@@ -10,22 +10,12 @@ from nhskin import nonbloch
 from nhskin.errors import SamplingError
 from nhskin.model import LatticeModel, HoppingTerm, _char_roots, builtin_2d, char_poly
 from nhskin.nonbloch import (
-    AmoebaRaster,
     amoeba_points,
-    export_raster_csv,
-    export_raster_pgm,
     has_hole,
     obc_member_2d,
 )
 from nhskin.realspace import OBC, build
 from nhskin.spectral import dense_spectrum
-
-
-def ring_raster(inner=8, outer=20, n=60):
-    y, x = np.meshgrid(np.arange(n), np.arange(n))
-    r = np.hypot(x - n / 2, y - n / 2)
-    occ = (r >= inner) & (r <= outer)
-    return AmoebaRaster(window=((-3, 3), (-3, 3)), resolution=(n, n), occupancy=occ, hole_margin=0.5)
 
 
 def criterion_07_energies():
@@ -263,22 +253,3 @@ def test_empty_sampling_plan_is_refused(plan):
 
     with pytest.raises(SamplingError):
         amoeba_points(builtin_2d(0.5, 1.0, 0.2), 4.0, **plan)
-
-
-def test_pgm_export(tmp_path):
-    r = ring_raster(n=40)
-    path = tmp_path / "ring.pgm"
-    export_raster_pgm(r, path)
-    data = path.read_bytes()
-    assert data.startswith(b"P5\n40 40\n255\n")
-    pixels = np.frombuffer(data.split(b"255\n", 1)[1], dtype=np.uint8)
-    assert (pixels == 0).sum() == r.occupancy.sum()
-
-
-def test_point_cloud_export(tmp_path):
-    r = ring_raster(n=30)
-    path = tmp_path / "cloud.csv"
-    export_raster_csv(r, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "rx,log_abs_beta_y"
-    assert len(lines) == 1 + r.occupancy.sum()

@@ -251,6 +251,84 @@ def test_localize_profiles_are_the_per_state_density_profiles(tmp_path, chain):
     np.testing.assert_array_equal(rows[:, 1], np.imag(ref))
 
 
+def test_gbz_csv(tmp_path):
+    from nhskin.model import builtin_hatano_nelson
+    from nhskin.nonbloch import gbz_curve
+
+    assert main(["gbz", *HN, "-N", "50", "--format", "csv", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "gbz.csv").read_text().splitlines()
+    assert lines[0] == "re_beta,im_beta,re_e,im_e,residual,side"
+    samples = gbz_curve(builtin_hatano_nelson(0.5, 1.0), N_seed=50)
+    assert len(lines) == len(samples) + 1
+    for line, s in zip(lines[1:], samples):
+        *cells, side = line.split(",")
+        ref = (s.beta.real, s.beta.imag, s.energy.real, s.energy.imag, s.modulus_residual)
+        assert tuple(map(float, cells)) == ref and side == s.side
+
+
+# a window unequal on its two axes, so the x and y cell centres differ
+AMOEBA_WINDOW = ["--window", "-2", "2.5", "-1.5", "3"]
+
+
+def _amoeba_raster():
+    from nhskin.model import builtin_2d
+    from nhskin.nonbloch import amoeba_points
+
+    window = ((-2.0, 2.5), (-1.5, 3.0))
+    raster = amoeba_points(builtin_2d(0.5, 1.0, 0.2), 4 + 0j, r_x_samples=40, phase_samples=80,
+                           window=window)
+    assert 0 < raster.occupancy.sum() < raster.occupancy.size
+    return raster
+
+
+def test_pgm_export(tmp_path):
+    args = ["amoeba", *ASYM2D, *SMALL_AMOEBA, *AMOEBA_WINDOW, "--format", "pgm"]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    occ = _amoeba_raster().occupancy
+    data = (tmp_path / "amoeba.pgm").read_bytes()
+    assert data.startswith(b"P5\n40 40\n255\n")
+    pixels = np.frombuffer(data.split(b"255\n", 1)[1], dtype=np.uint8)
+    assert (pixels == 0).sum() == occ.sum()
+    # top image row first: the image is the occupancy with y flipped upward
+    np.testing.assert_array_equal(pixels.reshape(40, 40), np.where(occ.T[::-1], 0, 255))
+
+
+def test_point_cloud_export(tmp_path):
+    args = ["amoeba", *ASYM2D, *SMALL_AMOEBA, *AMOEBA_WINDOW, "--format", "csv"]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    occ = _amoeba_raster().occupancy
+    lines = (tmp_path / "amoeba_points.csv").read_text().splitlines()
+    assert lines[0] == "rx,log_abs_beta_y"
+    assert len(lines) == 1 + occ.sum()
+    ix, iy = np.nonzero(occ)
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    xs, ys = np.linspace(-2.0, 2.5, 40), np.linspace(-1.5, 3.0, 40)
+    assert rows == list(zip(xs[ix].tolist(), ys[iy].tolist()))
+
+
+def test_profiles_csv(tmp_path):
+    from nhskin.localization import density_profile
+    from nhskin.model import builtin_nh_ssh
+    from nhskin.realspace import build
+    from nhskin.spectral import eig_biorthogonal
+
+    ssh = ["--builtin", "nh-ssh", "--t1", "0.6", "--t2", "1.0", "--gamma", "0.2"]
+    assert main(["localize", *ssh, "-N", "30", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "profiles.csv").read_text().splitlines()
+    assert lines[0] == "site,re_weight,im_weight,kind"
+    labels = [line.split(",")[3] for line in (tmp_path / "states.csv").read_text().splitlines()[1:]]
+    assert {"skin", "topological_boundary"} <= set(labels)
+    op = build(builtin_nh_ssh(0.6, 1.0, 0.2), [30], "obc")
+    right = eig_biorthogonal(op).right
+    assert len(lines) == 1 + op.n * 30 and len(labels) == op.n
+    for i, label in enumerate(labels):
+        block = [line.split(",") for line in lines[1 + 30 * i : 1 + 30 * (i + 1)]]
+        ref = density_profile(right[:, i], op.index_map)
+        assert [int(b[0]) for b in block] == list(range(30))
+        assert [float(b[1]) for b in block] == ref.tolist()
+        assert all(float(b[2]) == 0 and b[3] == label for b in block)
+
+
 def test_funnel_run(tmp_path):
     r = run("funnel", "--half", "8", "--site", "2", "--tmax", "4", "--dt", "0.05",
             "--out", str(tmp_path))

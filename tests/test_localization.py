@@ -12,7 +12,6 @@ from nhskin.localization import (
     biorthogonal_density,
     classify_spectrum,
     density_profile,
-    export_profiles_csv,
     participation_ratio,
 )
 from nhskin.model import builtin_hatano_nelson, builtin_nh_ssh
@@ -110,17 +109,6 @@ def test_classification_stable_under_small_threshold_shift():
         assert abs(edge - EDGE_FRACTION) > 1e-3
         if edge > EDGE_FRACTION:
             assert abs(c.metrics["biorthogonal_participation_ratio_scaled"] - PR_SCALE) > 1e-3
-
-
-def test_profiles_csv(tmp_path):
-    op = build(builtin_hatano_nelson(0.5, 1.0), [6], OBC)
-    sy = eig_biorthogonal(op)
-    profs = [density_profile(sy.right[:, i], op.index_map) for i in range(3)]
-    path = tmp_path / "profiles.csv"
-    export_profiles_csv(path, profs, labels=["a", "b", "c"])
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 1 + 3 * 6
-    assert lines[1].endswith(",a")
 
 
 def _per_state_reference(L, R, op):

@@ -289,10 +289,30 @@ def test_loader_reports_term_index():
 
 
 def test_loader_rejects_bad_dimension():
-    doc = json.loads(README_MODEL)
-    doc["dimension"] = 3
-    with pytest.raises(ModelFormatError):
-        model_from_dict(doc)
+    # JSON true and false are Python bools, an int subclass: true would load as 1
+    not_int = "dimension must be an integer"
+    for value, error in ((3, None), (True, not_int), (False, not_int)):
+        doc = json.loads(README_MODEL)
+        doc["dimension"] = value
+        with pytest.raises(ModelFormatError, match=error):
+            model_from_dict(doc)
+
+
+def test_loader_rejects_non_integer_bands():
+    for value in (1.5, "1", True, False):
+        doc = json.loads(README_MODEL)
+        doc["bands"] = value
+        with pytest.raises(ModelFormatError, match="bands must be an integer"):
+            model_from_dict(doc)
+
+
+def test_loader_rejects_non_integer_offsets():
+    # an offset [true] would load as (1,), [false] as the on-site (0,)
+    for value in (0.5, "1", True, False):
+        doc = json.loads(README_MODEL)
+        doc["terms"][0]["offset"] = [value]
+        with pytest.raises(ModelFormatError, match=r"terms\[0\]\.offset"):
+            model_from_dict(doc)
 
 
 def test_loader_rejects_ragged_amplitude():

@@ -6,7 +6,7 @@ import pytest
 
 from nhskin.errors import DegenerateCharPolyError, SamplingError
 from nhskin.model import HoppingTerm, LatticeModel, builtin_hatano_nelson, builtin_nh_ssh, char_poly
-from nhskin.nonbloch import GBZ_TOL, GBZSample, beta_roots, export_gbz_csv, gbz_curve, gbz_membership
+from nhskin.nonbloch import GBZ_TOL, GBZSample, beta_roots, gbz_curve, gbz_membership
 from nhskin.realspace import OBC, build
 from nhskin.spectral import dense_spectrum
 
@@ -227,12 +227,3 @@ def test_membership_verdicts_across_the_plane():
         else:
             e = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.05, 1.0))
             assert not gbz_membership(m, e)["member"]
-
-
-def test_gbz_csv(tmp_path):
-    samples = gbz_curve(builtin_hatano_nelson(0.5, 1.0), N_seed=50)
-    path = tmp_path / "gbz.csv"
-    export_gbz_csv(path, samples)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "re_beta,im_beta,re_e,im_e,residual,side"
-    assert len(lines) == len(samples) + 1
