@@ -144,17 +144,17 @@ def _cmd_spectrum(args, model):
     from .io import write_svg_scatter
     from .model import bloch_samples
     from .realspace import build
-    from .spectral import dense_spectrum, eigen_conditions
+    from .spectral import dense_spectrum, eig_biorthogonal
 
     ks = np.linspace(0.0, 2 * np.pi, args.k_samples, endpoint=False)
     bands = np.sort(np.linalg.eigvals(bloch_samples(model, ks)), axis=1)
     op = build(model, [args.sizes], "obc")
     # the eigenvectors behind kappa_i serve obc_spectrum.csv alone
-    csv = "csv" in args.format.split(",")
-    ev, kappa = eigen_conditions(op) if csv else (dense_spectrum(op), None)
+    system = eig_biorthogonal(op) if "csv" in args.format.split(",") else None
+    ev = dense_spectrum(op) if system is None else system.eigenvalues
     header = ["k"] + [f"{part}_e{b}" for b in range(bands.shape[1]) for part in ("re", "im")]
     columns = [ks] + [x for z in bands.T for x in (z.real, z.imag)]
-    obc = [np.arange(len(ev)), ev.real, ev.imag, kappa]
+    obc = [np.arange(len(ev)), ev.real, ev.imag, None if system is None else system.conditions]
     groups = [
         (bands.real.ravel(), bands.imag.ravel(), "steelblue", "PBC"),
         (ev.real, ev.imag, "crimson", "OBC"),
@@ -255,7 +255,7 @@ def _cmd_localize(args, model):
     import numpy as np
 
     from .io import write_svg_scatter
-    from .localization import _right_weights, classify_spectrum
+    from .localization import classify_spectrum
     from .realspace import build
     from .spectral import eig_biorthogonal
 
@@ -275,11 +275,10 @@ def _cmd_localize(args, model):
     ]
 
     def profiles_csv(path):
-        weight = _right_weights(system.right.T, op.index_map)  # one row per state
+        weight = np.array([c.profile for c in classes])  # the classifier's, one row per state
         site = np.tile(np.arange(weight.shape[1]), len(weight))
         kind = np.repeat([c.label for c in classes], weight.shape[1])
-        columns = [site, weight.ravel(), np.zeros(weight.size), kind]
-        _csv(["site", "re_weight", "im_weight", "kind"], columns)(path)
+        _csv(["site", "weight", "kind"], [site, weight.ravel(), kind])(path)
 
     def localize_svg(path):
         colors = {"skin": "crimson", "topological_boundary": "goldenrod", "bulk": "steelblue"}

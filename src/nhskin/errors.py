@@ -19,7 +19,7 @@ class BuildError(NHSkinError):
 
 
 class EigensolverError(NHSkinError):
-    """The dense eigensolver failed to converge."""
+    """The dense eigensolver failed, or its physical vectors leave the float range."""
 
 
 class GapClosedError(NHSkinError):

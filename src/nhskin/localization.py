@@ -10,7 +10,7 @@ participation ratio is taken on their absolute values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -106,6 +106,7 @@ class StateClass:
     label: str
     side: Optional[str]
     metrics: dict
+    profile: np.ndarray = field(repr=False, compare=False)  # the right weights per cell
 
 
 def _edge_masses(weights: np.ndarray):
@@ -117,14 +118,25 @@ def _edge_masses(weights: np.ndarray):
     return w[..., :ne].sum(axis=-1) / total, w[..., -ne:].sum(axis=-1) / total
 
 
-def _classify(Lt: np.ndarray, Rt: np.ndarray, imap: IndexMap) -> list:
-    """Verdicts for the matched pairs in the rows of Lt and Rt, in one pass.
+def classify_spectrum(system, op):
+    """Skin / topological-boundary / bulk verdict for every matched pair of a
+    BiorthogonalSystem, batched; each verdict's profile is its right weights.
 
-    Rows of every intermediate array are states, so each per-state sum runs
-    over one row exactly as it would for a single vector.
+    Skin: right profile boundary-accumulated while the biorthogonal profile
+    stays delocalized.  Topological boundary: both are boundary-localized
+    (side taken from the biorthogonal profile, which may differ from the
+    right-vector side when left and right states live on opposite ends;
+    "both" when its two edge masses agree within SIDE_TOL, as for the
+    mirror-symmetric zero pair of an open nh-SSH chain).
+    Bulk: everything else.  Exceptional-point refusals propagate.
+
+    The biorthogonal weights conj(L)_n R_n are read as conj(Lb)_n Vb_n, so
+    no left vector is built; rows of every array are states, so each
+    per-state sum runs exactly as it would for a single vector.
     """
-    right = _right_weights(Rt, imap)
-    bio = _bio_weights(Lt, Rt, imap)
+    imap = _index_map(op)
+    right = _right_weights(system.right.T, imap)
+    bio = _bio_weights(system.Lb.T, system.Vb.T, imap)
     lf, rf = _edge_masses(right)
     blf, brf = _edge_masses(bio)
     tied = np.abs(brf - blf) <= SIDE_TOL
@@ -138,27 +150,10 @@ def _classify(Lt: np.ndarray, Rt: np.ndarray, imap: IndexMap) -> list:
             "biorthogonal_participation_ratio_scaled": float(pr[i] / n),
         }
         if edge[i] > EDGE_FRACTION and pr[i] > PR_SCALE * n:
-            side = "right" if rf[i] >= lf[i] else "left"
-            out.append(StateClass(label=SKIN, side=side, metrics=metrics))
+            label, side = SKIN, "right" if rf[i] >= lf[i] else "left"
         elif edge[i] > EDGE_FRACTION:
-            side = "both" if tied[i] else "right" if brf[i] > blf[i] else "left"
-            out.append(StateClass(label=TOPOLOGICAL, side=side, metrics=metrics))
+            label, side = TOPOLOGICAL, "both" if tied[i] else "right" if brf[i] > blf[i] else "left"
         else:
-            out.append(StateClass(label=BULK, side=None, metrics=metrics))
+            label, side = BULK, None
+        out.append(StateClass(label, side, metrics, right[i]))
     return out
-
-
-def classify_spectrum(system, op):
-    """Skin / topological-boundary / bulk verdict for every matched pair of a
-    BiorthogonalSystem, batched.
-
-    Skin: right profile boundary-accumulated while the biorthogonal profile
-    stays delocalized.  Topological boundary: both are boundary-localized
-    (side taken from the biorthogonal profile, which may differ from the
-    right-vector side when left and right states live on opposite ends;
-    "both" when its two edge masses agree within SIDE_TOL, as for the
-    mirror-symmetric zero pair of an open nh-SSH chain).
-    Bulk: everything else.  Exceptional-point refusals propagate.
-    """
-    return _classify(system.left.T, system.right.T, _index_map(op))
-

@@ -328,12 +328,9 @@ def model_from_dict(doc: dict) -> LatticeModel:
         if not isinstance(t, dict) or "offset" not in t or "amplitude" not in t:
             raise ModelFormatError(f"{where}: needs offset and amplitude")
         off = t["offset"]
-        if (
-            not isinstance(off, list)
-            or len(off) != d
-            or not all(type(x) is int for x in off)  # no bool
-        ):
-            raise ModelFormatError(f"{where}.offset: expected {d} integers")
+        # its length is LatticeModel's to check, after the dimension's range
+        if not isinstance(off, list) or not all(type(x) is int for x in off):  # no bool
+            raise ModelFormatError(f"{where}.offset: expected a list of integers")
         amp = t["amplitude"]
         if not isinstance(amp, list) or len(amp) != B:
             raise ModelFormatError(f"{where}.amplitude: expected {B}x{B} matrix")

@@ -46,18 +46,19 @@ solver paths:
   by (Re, Im).  The Hermitian paths come out in that order already.
 
 A Hermitian H_b can always be diagonalized, so only the eig path can meet
-an exceptional point, and only there does eig_biorthogonal measure the
-gauged vectors' conditioning and biorthogonality.  The physical basis adds
-the skin effect's non-normality (Trefethen & Embree, 2005), which the gauge
-removes exactly and which is no exceptional point.  eigen_conditions, for
-`nhskin spectrum`, reads each condition number off the one solve's gauged
-vectors and gauge, and takes no exceptional-point measure.
+an exceptional point, and only there are the gauged vectors' conditioning
+and biorthogonality measured.  The physical basis adds the skin effect's
+non-normality (Trefethen & Embree, 2005), which the gauge removes exactly
+and which is no exceptional point.  One BiorthogonalSystem holds a solve's
+gauged vectors and gauge, and derives from them on first read what each
+caller needs: condition numbers, the EP test, the physical vectors.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -227,18 +228,17 @@ def _chiral_eig(M, odd, vectors: bool):
     return np.concatenate([0.0 - s, np.zeros(z), s[::-1]]), V  # 0.0 - s is never -0.0
 
 
-def _gauged_eig(H, vectors: bool | str = True, pattern=None):
+def _gauged_eig(H, vectors: bool = True, pattern=None):
     """(w, Vb, Lb, scales, solver): eigenvalues of the gauged H sorted by (Re, Im),
     its right and left vectors in the gauged basis (None when vectors is
-    False or names another solver path), the gauge's (f, x) and the path: the
-    SVD of a Hermitian H_b's two-sublattice block ("chiral"), eigh of any
-    other Hermitian H_b ("eigh"; both ascending, with Lb = Vb) or one general
-    eig ("eig", sorted here), each in real arithmetic when H_b is real.  Left
-    vectors are scaled to <L_i|R_i> = 1 where |<L_i|R_i>| > 1e-12 and keep
-    unit norm elsewhere.  pattern is passed on to `_gauged`."""
+    False), the gauge's (f, x) and the path: the SVD of a Hermitian H_b's
+    two-sublattice block ("chiral"), eigh of any other Hermitian H_b
+    ("eigh"; both ascending, with Lb = Vb) or one general eig ("eig", sorted
+    here), each in real arithmetic when H_b is real.  Left vectors are scaled
+    to <L_i|R_i> = 1 where |<L_i|R_i>| > 1e-12 and keep unit norm elsewhere.
+    pattern is passed on to `_gauged`."""
     M, scales, hermitian, odd = _gauged(H, pattern)
     solver = "eig" if not hermitian else "eigh" if odd is None else "chiral"
-    vectors = vectors is True or vectors == solver
     la = np.linalg
     try:
         if solver == "chiral":
@@ -271,12 +271,9 @@ def _biorth_residual(Lb, Vb) -> float:
     return float(np.abs(G, out=G if G.dtype == float else None).max())
 
 
-def _conditioning(Vb, solver: str):
+def _conditioning(Vb):
     """(s_0/s_min, count of s <= sqrt(eps) s_0) from the singular values s of
-    the gauged right vectors (unit columns); unitary off the eig path, so no
-    SVD."""
-    if solver != "eig":
-        return 1.0, 0
+    the eig path's gauged right vectors (unit columns)."""
     s = np.linalg.svd(Vb, compute_uv=False)
     kappa = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
     return kappa, int(np.sum(s <= np.sqrt(_EPS) * s[0]))
@@ -304,79 +301,90 @@ def _log2_norms(V, A, scales, sign: int):
     return m, e
 
 
-def eigen_conditions(op):
-    """Eigenvalues sorted by (Re, Im) and their condition numbers ||L_i|| ||R_i||
-    at <L_i|R_i> = 1, as ||D v_i|| ||D^-1 l_i|| from one solve's gauged vectors
-    (l_i = v_i on the Hermitian paths): inf beyond the float range, never nan."""
-    w, Vb, Lb, scales, _ = _gauged_eig(_as_matrix(op))
-    scales = np.frexp(np.ones(len(w))) if scales is None else scales
-    A = Vb * Vb if Vb.dtype == float else (Vb.conj() * Vb).real
-    B = A if Lb is Vb else Lb * Lb if Lb.dtype == float else (Lb.conj() * Lb).real
-    (mr, er), (ml, el) = _log2_norms(Vb, A, scales, 1), _log2_norms(Lb, B, scales, -1)
-    with np.errstate(over="ignore"):
-        return np.asarray(w, dtype=complex), np.ldexp(mr * ml, er + el)
-
-
 @dataclass(frozen=True)
 class BiorthogonalSystem:
-    """Matched eigen-triples (E_i, R_i, L_i), sorted by (Re, Im).
+    """One gauged solve, sorted by (Re, Im), and the eigen-triples (E_i, R_i,
+    L_i) derived from it on first read.
 
-    right[:, i] has unit norm, its largest component real and positive;
-    left[:, i] is scaled to <L_i|R_i> = 1 wherever that pairing is
-    numerically meaningful.  ep_flag marks a decomposition consistent with
-    an exceptional point (see eig_biorthogonal); `solver` names the path
-    taken: "chiral", "eigh" or "eig" (see the module docstring).  Eigenvalues
-    are complex; right and left are in Fortran order and keep the solver's
-    dtype: float64 on the Hermitian paths for a real H_b, and on eig when
-    LAPACK returns real vectors (a real H_b with an all-real spectrum),
-    complex otherwise.
+    Fields: the complex eigenvalues; the right and left vectors Vb and Lb of
+    H_b = D^-1 H D, Fortran-ordered, in the solver's dtype (float64 on the
+    Hermitian paths for a real H_b, and on eig for a real H_b with an
+    all-real spectrum; complex otherwise), with Lb = Vb on the Hermitian
+    paths and <Lb_i|Vb_i> = 1 on eig wherever that pairing is numerically
+    meaningful; the scales (f, x) of D = diag(f 2^x) (1/2 and 1 for no
+    gauge); and `solver`: "chiral", "eigh" or "eig" (module docstring).
+
+    Derived: `conditions`, ||L_i|| ||R_i|| at <L_i|R_i> = 1, inf beyond the
+    float range and never nan; `ep_flag`; `right`, R_i = D Vb_i at unit norm,
+    largest component real and positive, which never overflows; and `left`,
+    L_i = D^-1 Lb_i at <L_i|R_i> = <Lb_i|Vb_i>, which alone raises
+    EigensolverError past the float range.  conj(L_i) R_i = conj(Lb_i) Vb_i
+    entry by entry, so a biorthogonal density needs neither.
     """
 
     eigenvalues: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
-    ep_flag: bool
+    Vb: np.ndarray
+    Lb: np.ndarray
+    scales: tuple
     solver: str
 
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
 
+    @cached_property
+    def conditions(self) -> np.ndarray:
+        Vb, Lb, scales = self.Vb, self.Lb, self.scales
+        A = Vb * Vb if Vb.dtype == float else (Vb.conj() * Vb).real
+        B = A if Lb is Vb else Lb * Lb if Lb.dtype == float else (Lb.conj() * Lb).real
+        (mr, er), (ml, el) = _log2_norms(Vb, A, scales, 1), _log2_norms(Lb, B, scales, -1)
+        with np.errstate(over="ignore"):
+            return np.ldexp(mr * ml, er + el)
+
+    @cached_property
+    def ep_flag(self) -> bool:
+        """Set when cond(Vb) > COND_LIMIT or max |Lb^H Vb - I| > TOL_BIORTH,
+        both in the gauged basis: the skin effect's non-normality, which the
+        gauge removes, is no exceptional point and would amplify rounding.  A
+        Hermitian H_b is diagonalizable, so only eig takes these measures."""
+        if self.solver != "eig":
+            return False
+        kappa, residual = _conditioning(self.Vb)[0], _biorth_residual(self.Lb, self.Vb)
+        return bool(kappa > COND_LIMIT or residual > TOL_BIORTH)
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        Vb, (f, x) = self.Vb, self.scales
+        m, e = _log2_norms(Vb, np.abs(Vb) ** 2, (f, x), 1)  # ||D Vb_i|| = m_i 2^e_i
+        # D Vb_i / (m_i 2^e_i) by the powers of two 2^(x - e_i) <= 1, e_i = max x,
+        # but in the columns _log2_norms rescaled: there 2^(x - e_i) is taken in
+        # two halves that cannot overflow (x - e_i passes 1074 only where Vb is 0)
+        R = np.multiply(Vb, np.ldexp(f, x - x.max())[:, None] / m, order="F")
+        if (t := e != x.max()).any():
+            k = np.minimum(x[:, None] - e[t], 2046)
+            R[:, t] = Vb[:, t] * np.ldexp(f[:, None] / m[t], k // 2) * np.ldexp(1.0, k - k // 2)
+        lead = R[np.argmax(np.abs(R), axis=0), np.arange(self.n)]
+        R /= lead / np.abs(lead)  # the largest entry real and positive
+        return R
+
+    @cached_property
+    def left(self) -> np.ndarray:
+        R, (f, x) = self.right, self.scales
+        k, cols = np.argmax(np.abs(R), axis=0), np.arange(self.n)  # each largest entry
+        c = self.Vb[k, cols] / R[k, cols]  # c_i / d_k for R_i = D Vb_i / c_i
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.ldexp(f[k] / f[:, None], x[k] - x[:, None]) * c.conj()
+            L = np.multiply(self.Lb, scale, order="F")
+        if not np.isfinite(L).all():
+            raise EigensolverError("physical eigenvectors leave the float range")
+        return L
+
 
 def eig_biorthogonal(op) -> BiorthogonalSystem:
-    """Full right+left eigensystem of a dense operator from one eigensolve.
-
-    On the Hermitian (chiral and eigh) paths the unitary eigenvector matrix
-    is its own left partner and there is no exceptional point.  On the eig
-    path ep_flag is set when the condition number of the gauged right-vector
-    matrix exceeds COND_LIMIT or max |L_b^H V_b - I| exceeds TOL_BIORTH,
-    both in the gauged basis: the skin effect's non-normality, which the
-    gauge removes, is no exceptional point, and its column-norm ratios would
-    amplify rounding.  Physical vectors past the float range raise EigensolverError.
-    """
+    """Full right+left eigensystem of a dense operator from one eigensolve."""
     w, Vb, Lb, scales, solver = _gauged_eig(_as_matrix(op))
-    ep_flag = False
-    if solver == "eig":
-        kappa, residual = _conditioning(Vb, solver)[0], _biorth_residual(Lb, Vb)
-        ep_flag = bool(kappa > COND_LIMIT or residual > TOL_BIORTH)
-    # the physical vectors are built once, in the dtype the solver returned
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        scale = np.ldexp(*scales)[:, None] if scales is not None else 1.0
-        R = np.multiply(Vb, scale, order="F")
-        L = np.divide(Lb, scale, order="F")
-        del Vb, Lb  # freed before the temporaries below, which lowers the peak
-        norms = np.linalg.norm(R, axis=0)
-        R /= norms
-        L *= norms
-    if not np.isfinite(L).all():
-        raise EigensolverError("physical eigenvectors leave the float range")
-    # phase convention: largest-magnitude component of each right vector real-positive
-    lead = R[np.argmax(np.abs(R), axis=0), np.arange(R.shape[1])]
-    phase = lead / np.abs(lead)
-    R /= phase[None, :]
-    L *= np.conj(phase)[None, :]
-
-    return BiorthogonalSystem(np.asarray(w, dtype=complex), R, L, ep_flag, solver)
+    scales = scales or np.frexp(np.ones(len(w)))  # no gauge: d = 1 = 0.5 2^1
+    return BiorthogonalSystem(np.asarray(w, dtype=complex), Vb, Lb, scales, solver)
 
 
 def family_spectra(H0, W, epsilons) -> list:
@@ -409,9 +417,9 @@ def ep_diagnostic(op) -> dict:
     """kappa_V, the condition number of the gauged right-vector matrix that
     ep_flag tests (1 on the Hermitian paths), and defect_estimate, its count
     of singular values at most sqrt(eps) times the largest (the missing
-    eigenvector directions).  Vectors are computed on the eig path only."""
-    _, Vb, _, _, solver = _gauged_eig(_as_matrix(op), vectors="eig")
-    kappa, defect = _conditioning(Vb, solver)
+    eigenvector directions), from the gauged vectors of eig_biorthogonal."""
+    system = eig_biorthogonal(op)  # Vb is unitary off the eig path: no SVD there
+    kappa, defect = _conditioning(system.Vb) if system.solver == "eig" else (1.0, 0)
     return {"kappa_V": kappa, "defect_estimate": defect}
 
 

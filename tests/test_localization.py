@@ -14,7 +14,7 @@ from nhskin.localization import (
     density_profile,
     participation_ratio,
 )
-from nhskin.model import builtin_hatano_nelson, builtin_nh_ssh
+from nhskin.model import HoppingTerm, LatticeModel, builtin_hatano_nelson, builtin_nh_ssh
 from nhskin.realspace import OBC, build
 from nhskin.spectral import eig_biorthogonal
 
@@ -111,16 +111,17 @@ def test_classification_stable_under_small_threshold_shift():
             assert abs(c.metrics["biorthogonal_participation_ratio_scaled"] - PR_SCALE) > 1e-3
 
 
-def _per_state_reference(L, R, op):
+def _per_state_reference(Lb, Vb, R, op):
     """The per-state classifier as a plain loop body: numpy.vdot norms,
-    numpy.add.at cell sums and 1-D reductions."""
+    numpy.add.at cell sums and 1-D reductions, with the right weights from
+    the physical R and the biorthogonal ones from the gauged Lb, Vb."""
     cells, n = op.index_map.cell_index_of_rows(), op.index_map.n_cells
     right = np.zeros(n)
     np.add.at(right, cells, np.abs(R) ** 2)
     right /= np.vdot(R, R).real
-    bio = np.zeros(n, dtype=np.result_type(L, R))
-    np.add.at(bio, cells, np.conj(L) * R)
-    bio /= np.vdot(L, R)
+    bio = np.zeros(n, dtype=np.result_type(Lb, Vb))
+    np.add.at(bio, cells, np.conj(Lb) * Vb)
+    bio /= np.vdot(Lb, Vb)
 
     def edges(w):
         ne = max(1, int(np.ceil(EDGE_REGION * n)))
@@ -161,25 +162,25 @@ def test_batched_classifier_equals_per_state_reference(model, cells):
     sy = eig_biorthogonal(op)
     batch = classify_spectrum(sy, op)
     for i, c in enumerate(batch):
-        ref = _per_state_reference(sy.left[:, i], sy.right[:, i], op)
+        ref = _per_state_reference(sy.Lb[:, i], sy.Vb[:, i], sy.right[:, i], op)
         assert (c.label, c.side, c.metrics) == ref
+        assert np.array_equal(c.profile, density_profile(sy.right[:, i], op))
 
 
 def test_classifier_reads_the_solver_vectors_without_copies(monkeypatch):
+    # the biorthogonal weights come from the gauged vectors, the right ones
+    # from the unit right vectors, and no physical left vector is built
     op = build(builtin_hatano_nelson(0.5, 1.0), [50], OBC)
     sy = eig_biorthogonal(op)
     seen = []
-    classify = nhskin.localization._classify
-
-    def spy(Lt, Rt, im):
-        seen.append((Lt, Rt))
-        return classify(Lt, Rt, im)
-
-    monkeypatch.setattr(nhskin.localization, "_classify", spy)
+    for name in ("_right_weights", "_bio_weights"):
+        f = getattr(nhskin.localization, name)
+        monkeypatch.setattr(nhskin.localization, name, lambda *a, f=f: seen.append(a[:-1]) or f(*a))
     classify_spectrum(sy, op)
-    [(Lt, Rt)] = seen
-    assert Lt.dtype == Rt.dtype == np.float64
-    assert np.shares_memory(Lt, sy.left) and np.shares_memory(Rt, sy.right)
+    [(Rt,), (Lt, Vt)] = seen
+    assert Lt.dtype == Vt.dtype == Rt.dtype == np.float64
+    assert np.shares_memory(Lt, sy.Lb) and np.shares_memory(Vt, sy.Vb)
+    assert np.shares_memory(Rt, sy.right) and "left" not in vars(sy)
 
 
 @pytest.mark.parametrize(
@@ -197,9 +198,7 @@ def test_real_and_complex_vectors_classify_alike(model, cells, tied):
     # must keep its tied side "both" in either arithmetic
     op = build(model, [cells], OBC)
     sy = eig_biorthogonal(op)
-    as_complex = dataclasses.replace(
-        sy, left=sy.left.astype(complex), right=sy.right.astype(complex)
-    )
+    as_complex = dataclasses.replace(sy, Vb=sy.Vb.astype(complex), Lb=sy.Lb.astype(complex))
     real, cplx = classify_spectrum(sy, op), classify_spectrum(as_complex, op)
     assert [(c.label, c.side) for c in real] == [(c.label, c.side) for c in cplx]
     for a, b in zip(real, cplx):
@@ -211,7 +210,48 @@ def test_real_and_complex_vectors_classify_alike(model, cells, tied):
 def test_batched_classifier_refuses_any_ep_pair():
     op = build(builtin_hatano_nelson(0.5, 1.0), [20], OBC)
     sy = eig_biorthogonal(op)
-    left = sy.left.copy()
-    left[:, 7] = 0.0  # one pair with <L|R> = 0 among healthy ones
+    Lb = sy.Lb.copy()
+    Lb[:, 7] = 0.0  # one pair with <L|R> = 0 among healthy ones
     with pytest.raises(EPVicinityError):
-        classify_spectrum(dataclasses.replace(sy, left=left), op)
+        classify_spectrum(dataclasses.replace(sy, Lb=Lb), op)
+
+
+# hoppings 1.0, 0.8, 0.3 and 0.192 e^{0.7i} at offsets +1, -1, +2 and -2: its
+# magnitude gauge exists, but H_b stays complex and non-Hermitian
+COMPLEX_CHAIN = LatticeModel(
+    1,
+    1,
+    tuple(
+        HoppingTerm((o,), [[a]])
+        for o, a in zip((1, -1, 2, -2), (1.0, 0.8, 0.3, 0.192 * np.exp(0.7j)))
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "model, cells",
+    [
+        (builtin_hatano_nelson(0.5, 1.0), 150),
+        (builtin_hatano_nelson(0.3, 1.0), 60),
+        (builtin_nh_ssh(0.6, 1.0, 0.2), 40),
+        (builtin_nh_ssh(0.6, 1.0, 0.3), 75),
+        (COMPLEX_CHAIN, 60),
+    ],
+    ids=["hn150", "hn-steeper60", "nh-ssh40", "nh-ssh75", "complex60"],
+)
+def test_weights_match_the_physical_vector_formula(model, cells):
+    # the physical vectors multiplied out as D Vb and D^-1 Lb, normalized by
+    # numpy.linalg.norm, give the same right and biorthogonal weights
+    op = build(model, [cells], OBC)
+    sy = eig_biorthogonal(op)
+    d = np.ldexp(*sy.scales)[:, None]
+    R, L = sy.Vb * d, sy.Lb / d
+    norms = np.linalg.norm(R, axis=0)
+    R, L = R / norms, L * norms
+    imap = op.index_map
+    right, bio = (nhskin.localization._right_weights(R.T, imap),
+                  nhskin.localization._bio_weights(L.T, R.T, imap))
+    np.testing.assert_allclose(right, nhskin.localization._right_weights(sy.right.T, imap),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(bio, nhskin.localization._bio_weights(sy.Lb.T, sy.Vb.T, imap),
+                               rtol=0, atol=1e-15)

@@ -290,8 +290,9 @@ def test_loader_reports_term_index():
 
 def test_loader_rejects_bad_dimension():
     # JSON true and false are Python bools, an int subclass: true would load as 1
-    not_int = "dimension must be an integer"
-    for value, error in ((3, None), (True, not_int), (False, not_int)):
+    # a dimension outside 1, 2 is named as such, before the offsets are read
+    not_int, not_1_2 = "dimension must be an integer", "dimension must be 1 or 2"
+    for value, error in ((3, not_1_2), (0, not_1_2), (True, not_int), (False, not_int)):
         doc = json.loads(README_MODEL)
         doc["dimension"] = value
         with pytest.raises(ModelFormatError, match=error):

@@ -16,7 +16,6 @@ from nhskin.realspace import OBC, PBC, Coupled, build, from_matrix
 from nhskin.spectral import (
     dense_spectrum,
     eig_biorthogonal,
-    eigen_conditions,
     ep_diagnostic,
     gauge_log_scales,
     hausdorff_distance,
@@ -181,7 +180,7 @@ def test_hausdorff_distance_known_sets():
 
 
 def test_spectrum_csv(tmp_path):
-    # obc_spectrum.csv holds eigen_conditions' values under the CLI's header,
+    # obc_spectrum.csv holds the system's eigenvalues and conditions under the CLI's header,
     # each float written so that it reads back to the same bits
     from nhskin.cli import main
 
@@ -190,7 +189,8 @@ def test_spectrum_csv(tmp_path):
     lines = (tmp_path / "obc_spectrum.csv").read_text().splitlines()
     header, *rows = (line.split(",") for line in lines)
     assert header == ["index", "re_e", "im_e", "kappa_i"]
-    w, kappa = eigen_conditions(build(builtin_hatano_nelson(0.5, 1.0), [8], OBC))
+    sy = eig_biorthogonal(build(builtin_hatano_nelson(0.5, 1.0), [8], OBC))
+    w, kappa = sy.eigenvalues, sy.conditions
     assert [[int(r[0]), complex(float(r[1]), float(r[2])), float(r[3])] for r in rows] == [
         [i, e, k] for i, (e, k) in enumerate(zip(w.tolist(), kappa.tolist()))
     ]
@@ -366,12 +366,15 @@ def test_eig_path_takes_each_ep_measure_once(monkeypatch):
     ],
     ids=["chiral", "eigh", "eig"],
 )
-def test_ep_diagnostic_solves_for_vectors_on_the_eig_path_only(monkeypatch, op, solver, defect):
+def test_ep_diagnostic_reads_the_gauged_vectors_of_one_system(monkeypatch, op, solver, defect):
+    # Vb is unitary off the eig path, so only eig takes its singular values
     seen = []
     f = nhskin.spectral._conditioning
-    monkeypatch.setattr(nhskin.spectral, "_conditioning", lambda Vb, s: seen.append((Vb is None, s)) or f(Vb, s))
+    monkeypatch.setattr(nhskin.spectral, "_conditioning", lambda Vb: seen.append(Vb) or f(Vb))
     assert ep_diagnostic(op)["defect_estimate"] == defect
-    assert seen == [(solver != "eig", solver)]
+    assert len(seen) == (solver == "eig")
+    for Vb in seen:
+        _assert_same(Vb, eig_biorthogonal(op).Vb)
 
 
 @pytest.mark.parametrize("jl, n", [(0.5, 40), (0.3, 90)])
@@ -750,10 +753,9 @@ def test_nh_ssh_zero_pair_matches_high_precision_svd():
 )
 def test_eigen_conditions_match_the_biorthogonal_system(op, solver):
     # kappa_i from the gauged vectors is ||L_i|| ||R_i|| of the physical ones
-    w, kappa = eigen_conditions(op)
     sy = eig_biorthogonal(op)
+    w, kappa = sy.eigenvalues, sy.conditions
     assert sy.solver == solver
-    np.testing.assert_array_equal(w, sy.eigenvalues)
     norms = np.linalg.norm(sy.left, axis=0) * np.linalg.norm(sy.right, axis=0)
     np.testing.assert_allclose(kappa, norms, rtol=1e-14)
     # a values-only solve rounds some eigenvalues differently off the eig path
@@ -793,7 +795,7 @@ def test_steep_chain_kappa_matches_high_precision(jl, n):
     op = build(builtin_hatano_nelson(jl, 1.0), [n], OBC)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w, kappa = eigen_conditions(op)
+        kappa = eig_biorthogonal(op).conditions
     for k, ref in zip(kappa, _hn_kappa(jl, n)):
         if ref > np.finfo(float).max:
             assert k == np.inf
@@ -828,6 +830,44 @@ def test_log2_norms_match_high_precision(case, sign):
         assert float(mpmath.mpf(m[c]) * mpmath.mpf(2) ** int(e[c]) / ref) == pytest.approx(1.0, rel=1e-15)
 
 
+def _right_vector_case(case):
+    """(V, (f, x), columns): unit columns V under the scales D = diag(f 2^x),
+    and the columns to check.  The _log2_norms cases, and HN(0.01, 1) at 400
+    sites with an on-site 100 at site 0, whose bound state (the last column)
+    sits 2^1325 below the chain's largest scale."""
+    if case < 3:
+        V, d = _log2_norms_cases()[case]
+        return V / np.linalg.norm(V, axis=0), np.frexp(d), range(V.shape[1])
+    H = build(builtin_hatano_nelson(0.01, 1.0), [400], OBC).matrix
+    H[0, 0] = 100.0
+    sy = eig_biorthogonal(H)
+    return sy.Vb, sy.scales, [0, 200, 399]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["complex", "real", "no-gauge", "bound-state"])
+def test_right_vectors_match_high_precision(case):
+    # unit right vectors D v_i / ||D v_i||, largest entry real and positive:
+    # the columns far below the largest scale are the ones _log2_norms
+    # rescales, where 2^(x - e_i) itself leaves the float range
+    import warnings
+
+    import mpmath
+
+    V, (f, x), columns = _right_vector_case(case)
+    system = nhskin.spectral.BiorthogonalSystem(np.zeros(V.shape[1], complex), V, V, (f, x), "eig")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R = system.right
+    assert R.dtype == V.dtype and R.flags.f_contiguous
+    for c in columns:
+        d = [mpmath.ldexp(mpmath.mpf(float(fi)), int(xi)) for fi, xi in zip(f, x)]
+        r = [mpmath.mpc(complex(v)) * di for v, di in zip(V[:, c], d)]
+        lead = max(r, key=abs)
+        scale = mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in r)) * lead / abs(lead)
+        ref = np.array([complex(z / scale) for z in r])
+        np.testing.assert_allclose(R[:, c], ref, rtol=0, atol=1e-15)
+
+
 def test_chiral_solve_walks_one_spanning_tree(monkeypatch):
     # the gauge's tree sums and the two-colouring share one traversal
     calls = []
@@ -835,7 +875,7 @@ def test_chiral_solve_walks_one_spanning_tree(monkeypatch):
     monkeypatch.setattr(
         nhskin.spectral, "_spanning_tree", lambda *args: calls.append(1) or tree(*args)
     )
-    for solve in (dense_spectrum, eig_biorthogonal, eigen_conditions):
+    for solve in (dense_spectrum, eig_biorthogonal, lambda op: eig_biorthogonal(op).conditions):
         calls.clear()
         solve(build(builtin_hatano_nelson(0.5, 1.0), [30], OBC))
         assert len(calls) == 1
@@ -851,22 +891,29 @@ def test_family_spectra_equal_dense_spectrum_per_member():
         _assert_same(e, dense_spectrum(H0 + eps * W))
 
 
-@pytest.mark.parametrize("n", [600, 650, 700, 1000])
+@pytest.mark.parametrize("n", [312, 400, 600, 650, 700, 1000])
 def test_steep_chain_solves_past_the_float_range_of_its_gauge(n):
     # HN(0.01, 1): the gauge's log scales reach +-1.15 (n - 1), so exp(l)
-    # overflows from n = 618; the gauged entries h d_j / d_i stay bounded
+    # overflows from n = 618 and the physical left vectors leave the float
+    # range from n = 312; the gauged entries h d_j / d_i stay bounded, and
+    # so do the unit right vectors, which never read the left ones
     import warnings
 
     op = build(builtin_hatano_nelson(0.01, 1.0), [n], OBC)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ev = dense_spectrum(op)
-        w, kappa = eigen_conditions(op)
+        sy = eig_biorthogonal(op)
+        w, kappa, right = sy.eigenvalues, sy.conditions, sy.right
         with pytest.raises(EigensolverError, match="float range"):
-            eig_biorthogonal(op)
+            sy.left
     want = hn_closed_form(0.01, 1.0, n)
     assert np.abs(ev - want).max() < 1e-12 and np.abs(w - want).max() < 1e-12
-    assert np.all(kappa == np.inf)  # every kappa_i is above e^700 here
+    assert not np.isnan(kappa).any()
+    if n >= 600:
+        assert np.all(kappa == np.inf)  # every kappa_i is above e^700 here
+    assert np.isfinite(right).all()
+    np.testing.assert_allclose(np.linalg.norm(right, axis=0), 1.0, rtol=1e-14)
 
 
 def test_split_scales_match_frexp_of_exp_where_it_is_a_float():
