@@ -36,10 +36,10 @@ print(f"OBC spectrum: max |Im| = {np.max(np.abs(obc.imag)):.2e}, "
 # delocalized -- that combination is the skin-effect fingerprint
 op = build(m, [N], "obc")
 classes = classify_spectrum(eig_biorthogonal(op), op)
-labels = sorted({(c.label, c.side) for c in classes})
+labels = sorted(set(zip(classes.label.tolist(), classes.side.tolist())))
 print("state classes found:", labels)
 
-edge = np.mean([c.metrics["right_edge_fraction"] for c in classes])
+edge = np.mean(classes.edge_fraction)
 print(f"mean weight in the outer 10% of sites: {edge:.3f}")
 
 os.makedirs("demo_out", exist_ok=True)

@@ -16,14 +16,14 @@ from nhskin.nonbloch import gbz_curve, gbz_membership
 from nhskin.response import boundary_crossover
 
 m = builtin_hatano_nelson(0.5, 1.0)
-samples = gbz_curve(m, N_seed=200)
-radii = np.array([abs(s.beta) for s in samples])
-print(f"HN GBZ: {len(samples)} samples, radius {radii.mean():.6f} "
+zone = gbz_curve(m, N_seed=200)
+radii = np.abs(zone.beta)
+print(f"HN GBZ: {len(radii)} samples, radius {radii.mean():.6f} "
       f"(analytic sqrt(J_R/J_L) = {np.sqrt(2):.6f}), spread {np.ptp(radii):.1e}")
-print("sides on the curve:", sorted({s.side for s in samples}))
+print("sides on the curve:", sorted(set(zone.side.tolist())))
 
 ssh = builtin_nh_ssh(0.6, 1.0, 0.3)
-radii = np.array([abs(s.beta) for s in gbz_curve(ssh, N_seed=150)])
+radii = np.abs(gbz_curve(ssh, N_seed=150).beta)
 print(f"NH-SSH GBZ radius {radii.mean():.6f} "
       f"(analytic sqrt((t1-g)/(t1+g)) = {np.sqrt(0.3 / 0.9):.6f})")
 

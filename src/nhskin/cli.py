@@ -198,23 +198,22 @@ def _cmd_gbz(args, model):
     from .io import write_svg_scatter
     from .nonbloch import gbz_curve
 
-    samples = gbz_curve(model, N_seed=args.sizes, gbz_tol=args.tol)
-    beta, energy = np.array([(s.beta, s.energy) for s in samples], dtype=complex).T
+    zone = gbz_curve(model, N_seed=args.sizes, gbz_tol=args.tol)
+    beta, energy = zone.beta, zone.energy
     header = ["re_beta", "im_beta", "re_e", "im_e", "residual", "side"]
-    columns = [beta.real, beta.imag, energy.real, energy.imag]
-    columns += [[s.modulus_residual for s in samples], [s.side for s in samples]]
+    columns = [beta.real, beta.imag, energy.real, energy.imag, zone.residual, zone.side]
 
     def gbz_svg(path):
         groups = []
         for side, color in (("left", "seagreen"), ("right", "crimson"), ("bloch", "steelblue")):
-            pts = beta[[s.side == side for s in samples]]
+            pts = beta[zone.side == side]
             groups.append((pts.real, pts.imag, color, f"{side} ({len(pts)})"))
         title = f"{model.name or 'model'}: generalized Brillouin zone"
         write_svg_scatter(path, groups, title=title, xlabel="Re beta", ylabel="Im beta")
 
     mods = np.abs(beta)
     return [("gbz.csv", _csv(header, columns)), ("gbz.svg", gbz_svg)], [
-        f"samples: {len(samples)}; |beta| in [{mods.min():.6f}, {mods.max():.6f}]; "
+        f"samples: {len(beta)}; |beta| in [{mods.min():.6f}, {mods.max():.6f}]; "
         f"max | |beta| - 1 | = {np.abs(mods - 1).max():.3e}"
     ]
 
@@ -250,8 +249,6 @@ def _cmd_amoeba(args, model):
 
 
 def _cmd_localize(args, model):
-    from collections import Counter
-
     import numpy as np
 
     from .io import write_svg_scatter
@@ -261,38 +258,31 @@ def _cmd_localize(args, model):
 
     op = build(model, [args.sizes], "obc")
     system = eig_biorthogonal(op)
-    classes = classify_spectrum(system, op)
+    cls = classify_spectrum(system, op)
     ev = system.eigenvalues
     header = ["index", "re_e", "im_e", "label", "side", "edge_fraction", "pr_scaled"]
     states = [
-        np.arange(len(ev)),
-        ev.real,
-        ev.imag,
-        [c.label for c in classes],
-        [c.side or "" for c in classes],
-        [c.metrics["right_edge_fraction"] for c in classes],
-        [c.metrics["biorthogonal_participation_ratio_scaled"] for c in classes],
+        np.arange(len(ev)), ev.real, ev.imag, cls.label, cls.side, cls.edge_fraction, cls.pr_scaled
     ]
 
     def profiles_csv(path):
-        weight = np.array([c.profile for c in classes])  # the classifier's, one row per state
+        weight = cls.profiles
         site = np.tile(np.arange(weight.shape[1]), len(weight))
-        kind = np.repeat([c.label for c in classes], weight.shape[1])
+        kind = np.repeat(cls.label, weight.shape[1])
         _csv(["site", "weight", "kind"], [site, weight.ravel(), kind])(path)
 
     def localize_svg(path):
         colors = {"skin": "crimson", "topological_boundary": "goldenrod", "bulk": "steelblue"}
         groups = []
         for label, color in colors.items():
-            es = [ev[i] for i, c in enumerate(classes) if c.label == label]
-            xs, ys = [float(e.real) for e in es], [float(e.imag) for e in es]
-            groups.append((xs, ys, color, f"{label} ({len(es)})"))
+            es = ev[cls.label == label]
+            groups.append((es.real, es.imag, color, f"{label} ({len(es)})"))
         write_svg_scatter(path, groups, title=f"{model.name or 'model'}: state classification")
 
-    counts = Counter((c.label, c.side) for c in classes)
-    summary = ", ".join(
-        f"{label}{'/' + side if side else ''}: {n}" for (label, side), n in sorted(counts.items())
-    )
+    # "label/side", or the bare label of a state without a side, sorts as (label, side)
+    kinds = np.char.add(cls.label, np.char.add(np.where(cls.side == "", "", "/"), cls.side))
+    names, counts = np.unique(kinds, return_counts=True)
+    summary = ", ".join(f"{kind}: {n}" for kind, n in zip(names.tolist(), counts.tolist()))
     artifacts = [
         ("states.csv", _csv(header, states)),
         ("profiles.csv", profiles_csv),

@@ -10,8 +10,7 @@ participation ratio is taken on their absolute values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,13 +35,6 @@ def _index_map(obj) -> IndexMap:
     raise TypeError("expected an IndexMap or RealSpaceOperator")
 
 
-def _cell_sum(values: np.ndarray, imap: IndexMap) -> np.ndarray:
-    """Orbital-summed cell values along the last axis (rows are sites)."""
-    out = np.zeros(values.shape[:-1] + (imap.n_cells,), dtype=values.dtype)
-    np.add.at(out, (..., imap.cell_index_of_rows()), values)
-    return out
-
-
 def _rows(v) -> np.ndarray:
     """One state as a single row in its own arithmetic: float64 or complex128
     as given, any other dtype promoted to the one of the two that holds it."""
@@ -56,7 +48,7 @@ def _right_weights(Rt: np.ndarray, imap: IndexMap) -> np.ndarray:
     nrm2 = (Rt.conj()[:, None, :] @ Rt[:, :, None])[:, 0, 0].real
     if np.any(nrm2 == 0):
         raise ValueError("cannot profile the zero vector")
-    return _cell_sum(np.abs(Rt) ** 2, imap) / nrm2[:, None]
+    return imap.cell_sum(np.abs(Rt) ** 2) / nrm2[:, None]
 
 
 def _bio_weights(Lt: np.ndarray, Rt: np.ndarray, imap: IndexMap) -> np.ndarray:
@@ -68,7 +60,7 @@ def _bio_weights(Lt: np.ndarray, Rt: np.ndarray, imap: IndexMap) -> np.ndarray:
         raise EPVicinityError(
             f"|<L|R>| = {abs(ip[bad[0]]):.3e} is below 1e-12; biorthogonal profile refused"
         )
-    return _cell_sum(Lc * Rt, imap) / ip[:, None]
+    return imap.cell_sum(Lc * Rt) / ip[:, None]
 
 
 def density_profile(state, index_map) -> np.ndarray:
@@ -102,11 +94,16 @@ def participation_ratio(weights) -> float:
 
 
 @dataclass(frozen=True)
-class StateClass:
-    label: str
-    side: Optional[str]
-    metrics: dict
-    profile: np.ndarray = field(repr=False, compare=False)  # the right weights per cell
+class Classification:
+    """One verdict per matched pair, as columns: `label` and `side` ("" for
+    bulk), the right edge fraction, the biorthogonal participation ratio over
+    n_cells, and `profiles`, the right weights per cell, one row per state."""
+
+    label: np.ndarray
+    side: np.ndarray
+    edge_fraction: np.ndarray
+    pr_scaled: np.ndarray
+    profiles: np.ndarray
 
 
 def _edge_masses(weights: np.ndarray):
@@ -120,7 +117,7 @@ def _edge_masses(weights: np.ndarray):
 
 def classify_spectrum(system, op):
     """Skin / topological-boundary / bulk verdict for every matched pair of a
-    BiorthogonalSystem, batched; each verdict's profile is its right weights.
+    BiorthogonalSystem, batched, as one `Classification` of columns.
 
     Skin: right profile boundary-accumulated while the biorthogonal profile
     stays delocalized.  Topological boundary: both are boundary-localized
@@ -143,17 +140,10 @@ def classify_spectrum(system, op):
     edge = np.maximum(lf, rf)
     pr = _participation(bio)
     n = imap.n_cells
-    out = []
-    for i in range(len(pr)):
-        metrics = {
-            "right_edge_fraction": float(edge[i]),
-            "biorthogonal_participation_ratio_scaled": float(pr[i] / n),
-        }
-        if edge[i] > EDGE_FRACTION and pr[i] > PR_SCALE * n:
-            label, side = SKIN, "right" if rf[i] >= lf[i] else "left"
-        elif edge[i] > EDGE_FRACTION:
-            label, side = TOPOLOGICAL, "both" if tied[i] else "right" if brf[i] > blf[i] else "left"
-        else:
-            label, side = BULK, None
-        out.append(StateClass(label, side, metrics, right[i]))
-    return out
+    # the per-state tests in order: skin first, then any other boundary-accumulated state
+    accumulated = edge > EDGE_FRACTION
+    tests = [accumulated & (pr > PR_SCALE * n), accumulated]
+    label = np.select(tests, [SKIN, TOPOLOGICAL], BULK)
+    bio_side = np.where(tied, "both", np.where(brf > blf, "right", "left"))
+    side = np.select(tests, [np.where(rf >= lf, "right", "left"), bio_side], "")
+    return Classification(label, side, edge, pr / n, right)

@@ -27,7 +27,7 @@ are the module constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -99,15 +99,15 @@ def gbz_membership(model: LatticeModel, E) -> dict:
 
 
 @dataclass(frozen=True)
-class GBZSample:
-    """One point of the generalized zone: beta with its energy and the
-    modulus-degeneracy residual; side is the localization verdict
+class GBZCurve:
+    """Samples of the generalized zone as columns: beta with its energy and
+    the modulus-degeneracy residual; side is the localization verdict
     ('left' for |beta| < 1, 'right' for |beta| > 1, 'bloch' on the circle)."""
 
-    beta: complex
-    energy: complex
-    modulus_residual: float
-    side: str
+    beta: np.ndarray
+    energy: np.ndarray
+    residual: np.ndarray
+    side: np.ndarray
 
 
 def _f_and_grad(cp, beta, E):
@@ -118,7 +118,7 @@ def _f_and_grad(cp, beta, E):
     return (a * Ek).sum(-1), (da * Ek).sum(-1), (a[..., 1:] * k[1:] * Ek[..., :-1]).sum(-1)
 
 
-def gbz_curve(model: LatticeModel, N_seed: int = 400, gbz_tol: float = GBZ_TOL) -> List[GBZSample]:
+def gbz_curve(model: LatticeModel, N_seed: int = 400, gbz_tol: float = GBZ_TOL) -> GBZCurve:
     """The generalized zone, sampled as an N_seed-cell chain samples it.
 
     Roots beta and beta e^{i theta} of one energy are the zeros of the resultant
@@ -192,8 +192,7 @@ def gbz_curve(model: LatticeModel, N_seed: int = 400, gbz_tol: float = GBZ_TOL) 
     beta = np.concatenate([beta, beta[mirror] * np.exp(1j * theta[block[mirror]])])
     mod = np.abs(beta)
     side = np.where(mod < 1 - gbz_tol, "left", np.where(mod > 1 + gbz_tol, "right", "bloch"))
-    cols = (beta.tolist(), E[rows].tolist(), residual[rows].tolist(), side.tolist())
-    return [GBZSample(*row) for row in zip(*cols)]
+    return GBZCurve(beta, E[rows], residual[rows], side)
 
 
 # ------------------------------------------------------------------- amoebas

@@ -59,9 +59,9 @@ class IndexMap:
     def n_cells(self) -> int:
         return int(np.prod(self.sizes))
 
-    def cell_index_of_rows(self) -> np.ndarray:
-        """Linear cell index for every matrix row."""
-        return np.repeat(np.arange(self.n_cells), self.bands)
+    def cell_sum(self, values: np.ndarray) -> np.ndarray:
+        """Orbital-summed cell values along the last axis (rows are sites)."""
+        return values.reshape(values.shape[:-1] + (self.n_cells, self.bands)).sum(-1)
 
 
 @dataclass
@@ -106,7 +106,7 @@ def _assemble(model: LatticeModel, sizes, factors, inner=1.0) -> np.ndarray:
     N = int(np.prod(sizes)) * B
     H = np.zeros((N, N), dtype=amps.dtype)
 
-    cells = np.array(list(np.ndindex(*sizes)), dtype=int)  # (n_cells, d)
+    cells = np.indices(sizes).reshape(len(sizes), -1).T  # (n_cells, d), C order
     lin = np.arange(cells.shape[0])
     for t, amplitude in zip(model.terms, amps):
         target = cells + np.asarray(t.offset, dtype=int)

@@ -140,9 +140,7 @@ def time_evolve(
         psi /= nrm
         states[k] = psi
         logg[k] = logg[k - 1] + np.log(nrm)
-    im = op.index_map
-    dens = np.zeros((n_steps + 1, int(np.prod(im.sizes))))
-    np.add.at(dens, (slice(None), im.cell_index_of_rows()), np.abs(states) ** 2)
+    dens = op.index_map.cell_sum(np.abs(states) ** 2)
     times = np.arange(n_steps + 1) * dt
     return Trajectory(times=times, states=states, densities=dens, log_growth=logg)
 

@@ -68,14 +68,14 @@ def test_biorthogonal_weights_sum_to_one():
 def test_hermitian_chain_is_all_bulk():
     op = build(builtin_hatano_nelson(1.0, 1.0), [40], OBC)
     cls = classify_spectrum(eig_biorthogonal(op), op)
-    assert {c.label for c in cls} == {"bulk"}
-    assert all(c.side is None for c in cls)
+    assert set(cls.label) == {"bulk"}
+    assert set(cls.side) == {""}
 
 
 def test_skin_chain_is_all_skin_right():
     op = build(builtin_hatano_nelson(0.5, 1.0), [40], OBC)
     cls = classify_spectrum(eig_biorthogonal(op), op)
-    assert all(c.label == "skin" and c.side == "right" for c in cls)
+    assert set(cls.label) == {"skin"} and set(cls.side) == {"right"}
 
 
 def test_topological_pair_detected_and_sided():
@@ -84,10 +84,10 @@ def test_topological_pair_detected_and_sided():
     cls = classify_spectrum(sy, op)
     order = np.argsort(np.abs(sy.eigenvalues))
     for i in order[:2]:
-        assert cls[i].label == "topological_boundary"
+        assert cls.label[i] == "topological_boundary"
         r = np.abs(sy.right[:, i]) ** 2
         assert r[: len(r) // 2].sum() > 0.99  # right vector on the left end
-    assert all(cls[i].label == "skin" for i in order[2:])
+    assert set(cls.label[order[2:]]) == {"skin"}
 
 
 def test_topological_states_single_sublattice():
@@ -104,18 +104,18 @@ def test_classification_stable_under_small_threshold_shift():
     # every verdict clears the cutoffs it reads by more than 1e-3, so a
     # shift of either cutoff by 1e-3 changes no label
     op = build(builtin_nh_ssh(0.6, 1.0, 0.3), [40], OBC)
-    for c in classify_spectrum(eig_biorthogonal(op), op):
-        edge = c.metrics["right_edge_fraction"]
-        assert abs(edge - EDGE_FRACTION) > 1e-3
-        if edge > EDGE_FRACTION:
-            assert abs(c.metrics["biorthogonal_participation_ratio_scaled"] - PR_SCALE) > 1e-3
+    cls = classify_spectrum(eig_biorthogonal(op), op)
+    assert (np.abs(cls.edge_fraction - EDGE_FRACTION) > 1e-3).all()
+    accumulated = cls.edge_fraction > EDGE_FRACTION
+    assert (np.abs(cls.pr_scaled[accumulated] - PR_SCALE) > 1e-3).all()
 
 
 def _per_state_reference(Lb, Vb, R, op):
     """The per-state classifier as a plain loop body: numpy.vdot norms,
     numpy.add.at cell sums and 1-D reductions, with the right weights from
     the physical R and the biorthogonal ones from the gauged Lb, Vb."""
-    cells, n = op.index_map.cell_index_of_rows(), op.index_map.n_cells
+    n = op.index_map.n_cells
+    cells = np.repeat(np.arange(n), op.index_map.bands)  # rows are cell-major
     right = np.zeros(n)
     np.add.at(right, cells, np.abs(R) ** 2)
     right /= np.vdot(R, R).real
@@ -138,33 +138,41 @@ def _per_state_reference(Lb, Vb, R, op):
         side = "both" if abs(brf - blf) <= 1e-12 else "right" if brf > blf else "left"
         label = "topological_boundary"
     else:
-        label, side = "bulk", None
-    return label, side, {
-        "right_edge_fraction": edge,
-        "biorthogonal_participation_ratio_scaled": pr / n,
-    }
+        label, side = "bulk", ""
+    return label, side, edge, pr / n
+
+
+SKIN_RIGHT, SKIN_LEFT, BULK = ("skin", "right"), ("skin", "left"), ("bulk", "")
+BOTH = ("topological_boundary", "both")
 
 
 @pytest.mark.parametrize(
-    "model, cells",
+    "model, cells, kinds",
     [
-        (builtin_hatano_nelson(0.5, 1.0), 50),
-        (builtin_hatano_nelson(0.5, 1.0), 100),
-        (builtin_nh_ssh(0.6, 1.0, 0.3), 40),
-        (builtin_hatano_nelson(1.0, 1.0), 30),
+        (builtin_hatano_nelson(0.5, 1.0), 50, {SKIN_RIGHT}),
+        (builtin_hatano_nelson(0.5, 1.0), 100, {SKIN_RIGHT}),
+        (builtin_nh_ssh(0.6, 1.0, 0.3), 40, {SKIN_LEFT, BOTH}),
+        (builtin_hatano_nelson(1.0, 1.0), 30, {BULK}),
+        (builtin_nh_ssh(0.6, 1.0, 0.2), 30, {SKIN_LEFT, BOTH, BULK}),
+        (builtin_nh_ssh(1.2, 1.0, 0.3), 40, {SKIN_LEFT, BULK}),
     ],
-    ids=["hn50", "hn100", "nh-ssh40", "hermitian30"],
+    ids=["hn50", "hn100", "nh-ssh40", "hermitian30", "nh-ssh30", "nh-ssh-trivial40"],
 )
-def test_batched_classifier_equals_per_state_reference(model, cells):
-    # the criterion 04/06 systems plus an all-bulk chain: same arithmetic,
-    # so labels, sides and metrics must agree exactly
+def test_batched_classifier_equals_per_state_reference(model, cells, kinds):
+    # the criterion 04/06 systems, an all-bulk chain and two nh-SSH chains
+    # with skin/left and bulk states: same arithmetic, so every column must
+    # equal the reference's exactly
     op = build(model, [cells], OBC)
     sy = eig_biorthogonal(op)
-    batch = classify_spectrum(sy, op)
-    for i, c in enumerate(batch):
-        ref = _per_state_reference(sy.Lb[:, i], sy.Vb[:, i], sy.right[:, i], op)
-        assert (c.label, c.side, c.metrics) == ref
-        assert np.array_equal(c.profile, density_profile(sy.right[:, i], op))
+    cls = classify_spectrum(sy, op)
+    ref = [_per_state_reference(sy.Lb[:, i], sy.Vb[:, i], sy.right[:, i], op) for i in range(sy.n)]
+    label, side, edge, pr_scaled = map(np.array, zip(*ref))
+    assert set(zip(label.tolist(), side.tolist())) == kinds
+    for got, want in zip((cls.label, cls.side, cls.edge_fraction, cls.pr_scaled),
+                         (label, side, edge, pr_scaled)):
+        np.testing.assert_array_equal(got, want)
+    profiles = [density_profile(sy.right[:, i], op) for i in range(sy.n)]
+    np.testing.assert_array_equal(cls.profiles, np.array(profiles))
 
 
 def test_classifier_reads_the_solver_vectors_without_copies(monkeypatch):
@@ -200,11 +208,11 @@ def test_real_and_complex_vectors_classify_alike(model, cells, tied):
     sy = eig_biorthogonal(op)
     as_complex = dataclasses.replace(sy, Vb=sy.Vb.astype(complex), Lb=sy.Lb.astype(complex))
     real, cplx = classify_spectrum(sy, op), classify_spectrum(as_complex, op)
-    assert [(c.label, c.side) for c in real] == [(c.label, c.side) for c in cplx]
-    for a, b in zip(real, cplx):
-        for key, value in a.metrics.items():
-            assert value == pytest.approx(b.metrics[key], rel=1e-14, abs=0)
-    assert sum(c.side == "both" for c in real) == tied
+    np.testing.assert_array_equal(real.label, cplx.label)
+    np.testing.assert_array_equal(real.side, cplx.side)
+    np.testing.assert_allclose(real.edge_fraction, cplx.edge_fraction, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(real.pr_scaled, cplx.pr_scaled, rtol=1e-14, atol=0)
+    assert np.count_nonzero(real.side == "both") == tied
 
 
 def test_batched_classifier_refuses_any_ep_pair():

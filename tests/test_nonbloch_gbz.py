@@ -6,7 +6,7 @@ import pytest
 
 from nhskin.errors import DegenerateCharPolyError, SamplingError
 from nhskin.model import HoppingTerm, LatticeModel, builtin_hatano_nelson, builtin_nh_ssh, char_poly
-from nhskin.nonbloch import GBZ_TOL, GBZSample, beta_roots, gbz_curve, gbz_membership
+from nhskin.nonbloch import GBZ_TOL, GBZCurve, beta_roots, gbz_curve, gbz_membership
 from nhskin.realspace import OBC, build
 from nhskin.spectral import dense_spectrum
 
@@ -59,29 +59,27 @@ def test_membership_residual_grows_off_curve():
 
 
 def test_hermitian_curve_is_bloch_circle():
-    samples = gbz_curve(builtin_hatano_nelson(1.0, 1.0), N_seed=120)
-    mods = np.array([abs(s.beta) for s in samples])
-    assert np.abs(mods - 1).max() < 1e-6
-    assert {s.side for s in samples} == {"bloch"}
+    zone = gbz_curve(builtin_hatano_nelson(1.0, 1.0), N_seed=120)
+    assert np.abs(np.abs(zone.beta) - 1).max() < 1e-6
+    assert set(zone.side) == {"bloch"}
 
 
 @pytest.mark.parametrize("N_seed", [100, 101])
 def test_hn_curve_radius_and_side(N_seed):
-    samples = gbz_curve(builtin_hatano_nelson(0.5, 1.0), N_seed=N_seed)
-    assert len(samples) == 2 * N_seed  # both roots of the degenerate pair per theta sample
-    mods = np.array([abs(s.beta) for s in samples])
-    np.testing.assert_allclose(mods, np.sqrt(2.0), atol=1e-8)
-    assert {s.side for s in samples} == {"right"}
-    for s in samples[:5]:
-        assert isinstance(s, GBZSample)
-        assert s.modulus_residual < 1e-6
+    zone = gbz_curve(builtin_hatano_nelson(0.5, 1.0), N_seed=N_seed)
+    assert isinstance(zone, GBZCurve)
+    assert len(zone.beta) == 2 * N_seed  # both roots of the degenerate pair per theta sample
+    for column in (zone.energy, zone.residual, zone.side):
+        assert column.shape == zone.beta.shape
+    np.testing.assert_allclose(np.abs(zone.beta), np.sqrt(2.0), atol=1e-8)
+    assert set(zone.side) == {"right"}
+    assert zone.residual.max() < 1e-6
 
 
 def test_curve_energies_stay_near_obc_spectrum():
-    samples = gbz_curve(builtin_hatano_nelson(0.5, 1.0), N_seed=100)
+    zone = gbz_curve(builtin_hatano_nelson(0.5, 1.0), N_seed=100)
     ref = dense_spectrum(build(builtin_hatano_nelson(0.5, 1.0), [100], OBC))
-    d = [np.abs(ref - s.energy).min() for s in samples]
-    assert max(d) < 0.05
+    assert np.abs(ref[:, None] - zone.energy).min(axis=0).max() < 0.05
 
 
 def chain(amplitudes):
@@ -98,30 +96,28 @@ COMPLEX_CHAIN = chain([1.0, 0.8, 0.3, 0.192 * np.exp(0.7j)])
 
 def test_refined_seeds_are_kept():
     # every resultant root of this chain lands on the zone after its Newton step
-    samples = gbz_curve(COMPLEX_CHAIN, N_seed=50)
-    assert len(samples) == 100
-    assert max(s.modulus_residual for s in samples) < 1e-10
+    zone = gbz_curve(COMPLEX_CHAIN, N_seed=50)
+    assert len(zone.beta) == 100
+    assert zone.residual.max() < 1e-10
 
 
 @pytest.mark.parametrize("model", [FLUX_CHAIN, COMPLEX_CHAIN], ids=["flux", "complex"])
 def test_longer_range_chains_give_a_curve_at_every_size(model):
     for N_seed in (50, 100, 200, 400):
-        samples = gbz_curve(model, N_seed=N_seed)
-        assert len(samples) >= N_seed
-        assert max(s.modulus_residual for s in samples) < 1e-10
+        zone = gbz_curve(model, N_seed=N_seed)
+        assert len(zone.beta) >= N_seed
+        assert zone.residual.max() < 1e-10
     # the finite chain's spectrum lies within O(1/N) of the curve
-    energies = np.array([s.energy for s in samples])
     dense = dense_spectrum(build(model, [40], OBC))
-    assert np.abs(dense[:, None] - energies[None, :]).min(axis=1).max() < 0.05
+    assert np.abs(dense[:, None] - zone.energy[None, :]).min(axis=1).max() < 0.05
 
 
 def test_hn_energies_are_the_finite_chain_eigenvalues():
     N, jl, jr = 37, 0.5, 1.0
-    samples = gbz_curve(builtin_hatano_nelson(jl, jr), N_seed=N)
+    zone = gbz_curve(builtin_hatano_nelson(jl, jr), N_seed=N)
     exact = 2 * np.sqrt(jl * jr) * np.cos(np.pi * np.arange(1, N + 1) / (N + 1))
-    got = np.sort([s.energy.real for s in samples])
-    np.testing.assert_allclose(got, np.sort(np.repeat(exact, 2)), atol=1e-12)
-    assert max(abs(s.energy.imag) for s in samples) < 1e-12
+    np.testing.assert_allclose(np.sort(zone.energy.real), np.sort(np.repeat(exact, 2)), atol=1e-12)
+    assert np.abs(zone.energy.imag).max() < 1e-12
 
 
 @pytest.mark.parametrize("N_seed", [30, 31])
@@ -129,10 +125,9 @@ def test_nh_ssh_double_roots_are_polished_and_take_both_energies(N_seed):
     # the resultant of this chiral chain is a perfect square; the Newton
     # step restores the digits its double roots lose, and the two copies of
     # each take the two energies +E and -E they share
-    samples = gbz_curve(builtin_nh_ssh(0.6, 1.0, 0.2), N_seed=N_seed)
-    assert len(samples) == 4 * N_seed
-    beta = np.array([s.beta for s in samples])
-    energy = np.array([s.energy for s in samples])
+    zone = gbz_curve(builtin_nh_ssh(0.6, 1.0, 0.2), N_seed=N_seed)
+    beta, energy = zone.beta, zone.energy
+    assert len(beta) == 4 * N_seed
     np.testing.assert_allclose(np.abs(beta), np.sqrt(0.4 / 0.8), rtol=0, atol=1e-10)
     pairs = np.round(np.stack([beta.real, beta.imag, energy.real], axis=1), 9)
     assert len(np.unique(pairs, axis=0)) == 4 * N_seed
@@ -148,9 +143,9 @@ def test_nh_ssh_double_roots_are_polished_and_take_both_energies(N_seed):
 def test_every_sample_is_a_middle_root_at_its_energy(model, N_seed):
     # half the theta blocks are solved and the other half mirrored from them;
     # each sample, solved or mirrored, is checked here on its own
-    samples = gbz_curve(model, N_seed=N_seed)
-    beta = np.array([s.beta for s in samples])
-    roots = beta_roots(model, np.array([s.energy for s in samples]))
+    zone = gbz_curve(model, N_seed=N_seed)
+    beta = zone.beta
+    roots = beta_roots(model, zone.energy)
     assert (np.min(np.abs(roots - beta[:, None]), axis=1) <= 1e-9 * np.abs(beta)).all()
     q = -char_poly(model).span(0)[0]  # the pole order: roots q - 1 and q are the middle pair
     for middle in (roots[:, q - 1], roots[:, q]):
@@ -160,9 +155,9 @@ def test_every_sample_is_a_middle_root_at_its_energy(model, N_seed):
 @pytest.mark.parametrize("N_seed", [30, 31])
 def test_hn_samples_come_in_ascending_theta(N_seed):
     # a sample of block m has the other root of its energy at beta e^{i theta_m}
-    samples = gbz_curve(builtin_hatano_nelson(0.5, 1.0), N_seed=N_seed)
-    beta = np.array([s.beta for s in samples])
-    roots = beta_roots(builtin_hatano_nelson(0.5, 1.0), np.array([s.energy for s in samples]))
+    zone = gbz_curve(builtin_hatano_nelson(0.5, 1.0), N_seed=N_seed)
+    beta = zone.beta
+    roots = beta_roots(builtin_hatano_nelson(0.5, 1.0), zone.energy)
     first = np.abs(roots[:, 0] - beta) < np.abs(roots[:, 1] - beta)
     other = np.where(first, roots[:, 1], roots[:, 0])
     m = np.round(np.angle(other / beta) % (2 * np.pi) * (N_seed + 1) / (2 * np.pi)).astype(int)

@@ -99,7 +99,7 @@ def test_winding_agrees_with_localization_side():
         w = winding_number(m, 0.0).w
         op = build(m, [30], OBC)
         cls = classify_spectrum(eig_biorthogonal(op), op)
-        sides = [c.side for c in cls if c.label == "skin"]
+        sides = cls.side[cls.label == "skin"].tolist()
         assert len(sides) > 15
         majority = max(set(sides), key=sides.count)
         assert predict_skin_side(w) == majority
