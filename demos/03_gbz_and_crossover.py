@@ -36,7 +36,6 @@ for E in (0.5, 0.5 + 0.4j):
 # cloud?  The crossover coupling shrinks exponentially with chain length.
 eps = np.logspace(-16, 0, 17)
 for N in (20, 30, 40):
-    rows = boundary_crossover(m, N, eps)
-    d = np.array([r["distance"] for r in rows])
+    d, _ = boundary_crossover(m, N, eps)
     star = eps[np.argmax(d >= d[-1] / 2)]
     print(f"N = {N}: half-distance crossover at eps* ~ {star:.1e}")

@@ -172,6 +172,8 @@ def _cmd_spectrum(args, model):
 
 
 def _cmd_winding(args, model):
+    import numpy as np
+
     from .io import parse_complex
     from .topology import predict_skin_side, winding_map, winding_number
 
@@ -185,10 +187,11 @@ def _cmd_winding(args, model):
     summary = [f"w = {res.w}", f"skin side: {side if side else 'none'}"]
     if args.grid:
         w = args.window
-        rows = winding_map(model, w[:2], w[2:], resolution=args.grid, gap_tol=args.tol)
-        artifacts.append(("winding_map.csv", _csv(["re_base", "im_base", "w"], list(zip(*rows)))))
-        blank = sum(r[2] == "" for r in rows)
-        summary.append(f"map: {len(rows)} points, {blank} blank (gap closed)")
+        re, im, wind = winding_map(model, w[:2], w[2:], resolution=args.grid, gap_tol=args.tol)
+        closed = np.isnan(wind)
+        wind = np.where(closed, "", np.nan_to_num(wind).astype(int))
+        artifacts.append(("winding_map.csv", _csv(["re_base", "im_base", "w"], [re, im, wind])))
+        summary.append(f"map: {len(re)} points, {closed.sum()} blank (gap closed)")
     return artifacts, summary
 
 
@@ -323,16 +326,13 @@ def _cmd_sensor(args, model):
     from .io import parse_complex
     from .response import sensor_sweep
 
-    rows = sensor_sweep(model, args.epsilon, args.sizes, target=parse_complex(args.target))
+    delta = sensor_sweep(model, args.epsilon, args.sizes, target=parse_complex(args.target))
     summary = []
-    ns = np.array([r["N"] for r in rows], dtype=float)
-    des = np.array([max(r["delta_E"], 1e-300) for r in rows])
-    if len(ns) >= 2:
-        slope = float(np.polyfit(ns, np.log(des), 1)[0])
+    if len(delta) >= 2:
+        slope = float(np.polyfit(args.sizes, np.log(np.maximum(delta, 1e-300)), 1)[0])
         summary.append(f"slope of ln|dE| vs N: {slope:+.6f}")
-    summary += [f"N={r['N']}: |dE| = {r['delta_E']:.6e}" for r in rows]
-    columns = [[r[key] for r in rows] for key in ("N", "delta_E")]
-    return [("sensor.csv", _csv(["N", "delta_e"], columns))], summary
+    summary += map("N={}: |dE| = {:.6e}".format, args.sizes, delta)
+    return [("sensor.csv", _csv(["N", "delta_e"], [args.sizes, delta]))], summary
 
 
 def _cmd_crossover(args, model):
@@ -343,32 +343,32 @@ def _cmd_crossover(args, model):
     if args.eps_min > args.eps_max:
         args.parser.error("crossover needs --eps-min <= --eps-max")
     epsilons = np.logspace(np.log10(args.eps_min), np.log10(args.eps_max), args.eps_count)
-    rows = boundary_crossover(model, args.sizes, epsilons)
-    columns = [[r[key] for r in rows] for key in ("epsilon", "distance", "max_imag")]
-    final = rows[-1]["distance"]
-    eps_star = next((r["epsilon"] for r in rows if r["distance"] >= 0.5 * final), None)
-    summary = [f"distance at eps={rows[-1]['epsilon']:.3e}: {final:.6f}"]
-    if eps_star is not None:
-        summary.append(f"half-distance crossover eps* = {eps_star:.6e}")
+    distance, max_imag = boundary_crossover(model, args.sizes, epsilons)
+    # the first eps whose distance reaches half the last one (none if that is nan)
+    reached = np.flatnonzero(distance >= 0.5 * distance[-1])
+    summary = [f"distance at eps={epsilons[-1]:.3e}: {distance[-1]:.6f}"]
+    if len(reached):
+        summary.append(f"half-distance crossover eps* = {epsilons[reached[0]]:.6e}")
+    columns = [epsilons, distance, max_imag]
     return [("crossover.csv", _csv(["epsilon", "distance", "max_imag"], columns))], summary
 
 
 def _cmd_reciprocity(args, model):
+    import numpy as np
+
     from .io import parse_complex
     from .realspace import build
     from .response import reciprocity_test
 
     op = build(model, [args.sizes], "obc")
-    omegas = [parse_complex(w) for w in args.omegas]
-    rows = reciprocity_test(op, omegas, tol=args.tol)
+    omegas = np.array([parse_complex(w) for w in args.omegas])
+    asymmetry = reciprocity_test(op, omegas)
+    reciprocal = asymmetry < args.tol
     header = ["re_omega", "im_omega", "asymmetry", "reciprocal"]
-    columns = [[r["omega"].real for r in rows], [r["omega"].imag for r in rows]]
-    columns += [[r[key] for r in rows] for key in ("asymmetry", "reciprocal")]
-    worst = max(r["asymmetry"] for r in rows)
-    verdict = all(r["reciprocal"] for r in rows)
-    return [("reciprocity.csv", _csv(header, columns))], [
-        f"reciprocal: {'true' if verdict else 'false'} (max asymmetry {worst:.3e})"
-    ]
+    columns = [omegas.real, omegas.imag, asymmetry, reciprocal]
+    verdict = "true" if reciprocal.all() else "false"
+    summary = [f"reciprocal: {verdict} (max asymmetry {asymmetry.max():.3e})"]
+    return [("reciprocity.csv", _csv(header, columns))], summary
 
 
 # -------------------------------------------------------------------- parser

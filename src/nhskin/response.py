@@ -9,7 +9,7 @@ interface where the preferred direction flips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,21 +50,11 @@ def _susceptibility(H: np.ndarray, omega, scale: float) -> Susceptibility:
     return Susceptibility(omega=complex(omega), chi=chi, asymmetry=asymmetry)
 
 
-def reciprocity_test(op, omegas: Iterable[complex], tol: float = 1e-10) -> List[dict]:
-    """Probe |chi_ij| vs |chi_ji| at each frequency."""
+def reciprocity_test(op, omegas: Iterable[complex]) -> np.ndarray:
+    """The asymmetry max_ij ||chi_ij| - |chi_ji|| at each frequency."""
     H = _as_matrix(op)
     scale = np.linalg.norm(H, 2)
-    out = []
-    for w in omegas:
-        s = _susceptibility(H, w, scale)
-        out.append(
-            {
-                "omega": complex(w),
-                "asymmetry": s.asymmetry,
-                "reciprocal": bool(s.asymmetry < tol),
-            }
-        )
-    return out
+    return np.array([_susceptibility(H, w, scale).asymmetry for w in omegas])
 
 
 def amplification_log_ratio(op, omega=0.0) -> float:
@@ -184,8 +174,9 @@ def sensor_sweep(
     epsilon: float,
     N_list: Sequence[int],
     target: complex = 0.0,
-) -> List[dict]:
-    """Shift of the eigenvalue nearest `target` under weak boundary coupling.
+) -> np.ndarray:
+    """|dE|, the shift of the eigenvalue nearest `target` under weak boundary
+    coupling, for each size in `N_list`.
 
     N counts lattice sites.  For each size the reference mode is picked from
     the open-boundary spectrum; if any other eigenvalue sits within 1e-9 of
@@ -211,28 +202,19 @@ def sensor_sweep(
             )
         e_c = next(spectra)
         shifted = e_c[np.argmin(np.abs(e_c - ref))]
-        out.append({"N": int(N), "delta_E": float(abs(shifted - ref))})
-    return out
+        out.append(float(abs(shifted - ref)))
+    return np.array(out)
 
 
 def boundary_crossover(
     model: LatticeModel,
     N: int,
     epsilons: Sequence[float],
-) -> List[dict]:
+) -> tuple:
     """Spectral migration from the open-boundary cloud toward the periodic
-    loops as the boundary link is turned on.  The rings are one `_ring_family`,
-    each row the one a build and dense_spectrum per eps would give."""
-    epsilons = [float(eps) for eps in epsilons]
-    spectra = _ring_family(model, int(N), epsilons)
-    e_obc = next(spectra)
-    out = []
-    for eps, e in zip(epsilons, spectra):
-        out.append(
-            {
-                "epsilon": eps,
-                "distance": hausdorff_distance(e, e_obc),
-                "max_imag": float(np.max(np.abs(e.imag))),
-            }
-        )
-    return out
+    loops as the boundary link is turned on: the arrays (distance, max_imag),
+    one entry per eps.  The rings are one `_ring_family`, each entry the one a
+    build and dense_spectrum per eps would give."""
+    e_obc, *rings = _ring_family(model, int(N), [float(eps) for eps in epsilons])
+    distance = np.array([hausdorff_distance(e, e_obc) for e in rings])
+    return distance, np.array([np.max(np.abs(e.imag)) for e in rings])

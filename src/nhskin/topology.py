@@ -69,11 +69,9 @@ def predict_skin_side(w):
 
 
 def winding_map(model: LatticeModel, re_range, im_range, resolution: int = 40,
-                gap_tol: float = 1e-6) -> list:
-    """Winding over a base-point grid for phase-diagram CSV export: rows
-    (Re E_B, Im E_B, w), Re E_B the outer loop, w blank where the gap closes."""
-    res = np.linspace(*re_range, resolution)
-    ims = np.linspace(*im_range, resolution)
-    w, _ = _windings(model, (res[:, None] + 1j * ims).ravel(), gap_tol)
-    cells = ((float(re), float(im)) for re in res for im in ims)
-    return [(re, im, "" if np.isnan(wi) else int(wi)) for (re, im), wi in zip(cells, w)]
+                gap_tol: float = 1e-6) -> tuple:
+    """Winding over a base-point grid for phase-diagram CSV export: the flat
+    columns (Re E_B, Im E_B, w), Re E_B the outer loop, w nan where the gap closes."""
+    axes = np.linspace(*re_range, resolution), np.linspace(*im_range, resolution)
+    re, im = (x.ravel() for x in np.meshgrid(*axes, indexing="ij"))
+    return re, im, _windings(model, re + 1j * im, gap_tol)[0]

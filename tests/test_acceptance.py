@@ -240,9 +240,9 @@ def test_criterion_11_sensor_scaling(capsys):
         sizes = [10, 14, 18, 22]
 
         def slope(gamma):
-            rows = sensor_sweep(builtin_nh_ssh(0.6, 1.0, gamma), 1e-4, sizes)
-            ns = np.array([r["N"] for r in rows], dtype=float)
-            ys = np.log(np.array([r["delta_E"] for r in rows]))
+            delta = sensor_sweep(builtin_nh_ssh(0.6, 1.0, gamma), 1e-4, sizes)
+            ns = np.array(sizes, dtype=float)
+            ys = np.log(delta)
             return float(np.polyfit(ns, ys, 1)[0])
 
         check("non-Hermitian slope positive", slope(0.3) > 0)
@@ -255,8 +255,8 @@ def test_criterion_12_boundary_crossover(capsys):
         epsilons = np.logspace(-16, 0, 33)
 
         def distances(N):
-            rows = boundary_crossover(m, N, epsilons)
-            return np.array([r["distance"] for r in rows])
+            distance, _ = boundary_crossover(m, N, epsilons)
+            return distance
 
         def eps_star(d):
             half = d[-1] / 2.0

@@ -381,6 +381,8 @@ def test_sensor_run(tmp_path):
     assert r.returncode == 0, r.stderr
     assert "slope" in r.stdout
     assert (tmp_path / "sensor.csv").read_text().startswith("N,delta_e")
+    rows = (tmp_path / "sensor.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["10", "14"]
 
 
 def test_crossover_run(tmp_path):
@@ -395,6 +397,8 @@ def test_reciprocity_run(tmp_path):
             "-N", "10", "--omegas", "3", "2+1i", "--out", str(tmp_path))
     assert r.returncode == 0, r.stderr
     assert "reciprocal: true" in r.stdout
+    rows = (tmp_path / "reciprocity.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["1", "1"]
 
 
 def test_csv_only_format_skips_svg(tmp_path):
@@ -577,6 +581,7 @@ def test_winding_map_reports_its_health(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "map: 25 points, 5 blank (gap closed)"
     assert (tmp_path / "winding_map.csv").read_text().count(",\n") == 5
+    assert "nan" not in (tmp_path / "winding_map.csv").read_text()
 
 
 @pytest.mark.parametrize(

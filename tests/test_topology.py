@@ -105,16 +105,25 @@ def test_winding_agrees_with_localization_side():
         assert predict_skin_side(w) == majority
 
 
+def map_rows(model, re_range, im_range, resolution):
+    """The map's columns as rows (Re E_B, Im E_B, w), w blank where the gap closes."""
+    columns = winding_map(model, re_range, im_range, resolution=resolution)
+    assert len({len(c) for c in columns}) == 1
+    return [
+        (re, im, "" if np.isnan(w) else int(w)) for re, im, w in zip(*(c.tolist() for c in columns))
+    ]
+
+
 def test_winding_map_blanks_closed_gaps():
-    rows = winding_map(builtin_hatano_nelson(1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5), resolution=5)
-    assert len(rows) == 25
-    vals = {r[2] for r in rows}
-    assert "" in vals  # real-axis base points touch the Hermitian band
-    assert all(r[2] == "" or isinstance(r[2], int) for r in rows)
+    re, im, w = winding_map(builtin_hatano_nelson(1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5), resolution=5)
+    assert len(re) == len(im) == len(w) == 25
+    closed = np.isnan(w)
+    assert closed.any()  # real-axis base points touch the Hermitian band
+    assert (w[~closed] == np.round(w[~closed])).all()
 
 
 def test_winding_map_hn_interior():
-    rows = winding_map(builtin_hatano_nelson(0.5, 1.0), (-0.5, 0.5), (-0.2, 0.2), resolution=3)
+    rows = map_rows(builtin_hatano_nelson(0.5, 1.0), (-0.5, 0.5), (-0.2, 0.2), 3)
     assert all(r[2] == -1 for r in rows)
 
 
@@ -124,7 +133,7 @@ def test_winding_map_counts_bisected_points():
     def near_band(model, re_range, im_range, resolution):
         return sum(
             winding_number(model, complex(re, im)).root_margin < 0.01
-            for re, im, w in winding_map(model, re_range, im_range, resolution=resolution)
+            for re, im, w in map_rows(model, re_range, im_range, resolution)
             if w != ""
         )
 
@@ -132,7 +141,7 @@ def test_winding_map_counts_bisected_points():
     assert near_band(m, (-1.7, 1.7), (-0.4, 0.4), 12) > 0
     assert near_band(m, (-0.2, 0.2), (-0.2, 0.2), 3) == 0
     # exactly the five real-axis base points touch the Hermitian band
-    rows = winding_map(builtin_hatano_nelson(1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5), resolution=5)
+    rows = map_rows(builtin_hatano_nelson(1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5), 5)
     assert [r[:2] for r in rows if r[2] == ""] == [(x, 0.0) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
 
 
@@ -220,13 +229,13 @@ MAP_CASES = pytest.mark.parametrize(
 @MAP_CASES
 def test_winding_map_equals_per_point_loop(kind, params, re_range, im_range, resolution):
     model = BUILD[kind](*params)
-    rows = winding_map(model, re_range, im_range, resolution=resolution)
-    assert list(rows) == reference_map(model, re_range, im_range, resolution)
+    rows = map_rows(model, re_range, im_range, resolution)
+    assert rows == reference_map(model, re_range, im_range, resolution)
 
 
 @MAP_CASES
 def test_winding_map_agrees_with_phase_sum(kind, params, re_range, im_range, resolution):
-    rows = winding_map(BUILD[kind](*params), re_range, im_range, resolution=resolution)
+    rows = map_rows(BUILD[kind](*params), re_range, im_range, resolution)
     w, dist = phase_sum_winding(kind, params, [complex(re, im) for re, im, _ in rows])
     far = dist > 0.02
     assert far.sum() > resolution
