@@ -232,16 +232,11 @@ def write_svg_heatmap(path, grid, title="") -> None:
 def write_manifest(outdir, payload: dict) -> None:
     """Config echo + versions; no timestamps, so reruns are byte-identical."""
     import numpy
-    import scipy
 
     from . import __version__
 
     record = dict(payload)
-    record["versions"] = {
-        "nhskin": __version__,
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
-    }
+    record["versions"] = {"nhskin": __version__, "numpy": numpy.__version__}
     with _new_file(os.path.join(outdir, "manifest.json")) as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -42,16 +42,16 @@ solver paths:
 - "eig": everything else (exceptional points and one-way chains, periodic
   and partially coupled rings, lattices with flux) keeps the general
   eigensolver, in real arithmetic when H_b is real: one LAPACK `geev` call
-  returns the left and right vectors, paired by index, which are sorted
-  by (Re, Im).  The Hermitian paths come out in that order already.
+  returns the right vectors, sorted by (Re, Im), and the left ones are the
+  rows of their inverse.  The Hermitian paths come out in that order already.
 
 A Hermitian H_b can always be diagonalized, so only the eig path can meet
-an exceptional point, and only there are the gauged vectors' conditioning
-and biorthogonality measured.  The physical basis adds the skin effect's
-non-normality (Trefethen & Embree, 2005), which the gauge removes exactly
-and which is no exceptional point.  One BiorthogonalSystem holds a solve's
-gauged vectors and gauge, and derives from them on first read what each
-caller needs: condition numbers, the EP test, the physical vectors.
+an exceptional point, and only there is the gauged vectors' conditioning
+measured.  The physical basis adds the skin effect's non-normality
+(Trefethen & Embree, 2005), which the gauge removes exactly and which is
+no exceptional point.  One BiorthogonalSystem holds a solve's gauged
+vectors and gauge, and derives from them on first read what each caller
+needs: condition numbers, the EP test, the physical vectors.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .realspace import RealSpaceOperator
 
 _EPS = float(np.finfo(float).eps)
 COND_LIMIT = 1.0 / np.sqrt(_EPS)
-TOL_BIORTH = 1e-8
 FLUX_TOL = 1e-9  # largest log-scale mismatch around a cycle that the gauge accepts
 BLOWUP = 4.0  # largest growth of max|H| that the gauge may cause
 
@@ -234,9 +233,8 @@ def _gauged_eig(H, vectors: bool = True, pattern=None):
     False), the gauge's (f, x) and the path: the SVD of a Hermitian H_b's
     two-sublattice block ("chiral"), eigh of any other Hermitian H_b
     ("eigh"; both ascending, with Lb = Vb) or one general eig ("eig", sorted
-    here), each in real arithmetic when H_b is real.  Left vectors are scaled
-    to <L_i|R_i> = 1 where |<L_i|R_i>| > 1e-12 and keep unit norm elsewhere.
-    pattern is passed on to `_gauged`."""
+    here, with Lb from `_left_vectors`), each in real arithmetic when H_b is
+    real.  pattern is passed on to `_gauged`."""
     M, scales, hermitian, odd = _gauged(H, pattern)
     solver = "eig" if not hermitian else "eigh" if odd is None else "chiral"
     la = np.linalg
@@ -246,11 +244,8 @@ def _gauged_eig(H, vectors: bool = True, pattern=None):
         elif solver == "eigh":
             w, Vb = la.eigh(M) if vectors else (la.eigvalsh(M), None)
         elif vectors:
-            from scipy.linalg import eig
-
-            w, Lb, Vb = eig(M, left=True, right=True, check_finite=False)
-            ip = np.sum(Lb.conj() * Vb, axis=0)
-            Lb = Lb / np.where(np.abs(ip) > 1e-12, ip, 1.0).conj()
+            w, Vb = la.eig(M)
+            Lb = _left_vectors(Vb)
         else:
             w, Vb, Lb = la.eigvals(M), None, None
     except la.LinAlgError as exc:
@@ -264,11 +259,18 @@ def _gauged_eig(H, vectors: bool = True, pattern=None):
     return w, Vb, Lb, scales, solver
 
 
-def _biorth_residual(Lb, Vb) -> float:
-    """max |L_b^H V_b - I| of the eig path's gauged vectors, taken in place."""
-    G = Lb.conj().T @ Vb
-    G[np.diag_indices_from(G)] -= 1.0
-    return float(np.abs(G, out=G if G.dtype == float else None).max())
+def _left_vectors(Vb):
+    """Lb = (Vb^-1)^H, so <Lb_i|Vb_i> = 1 and, for geev's unit Vb_i, ||Lb_i|| is
+    the gauged kappa_i.  A pair with no dual keeps |<Lb_i|Vb_i>| < 1e-12: a
+    column past 1e12 is stored at unit norm, where that is 1/kappa_i, and one
+    past the float range, or each of a singular Vb's, as zeros."""
+    try:
+        Lb = np.linalg.inv(Vb).conj().T
+    except np.linalg.LinAlgError:  # an exact exceptional point
+        return np.zeros_like(Vb)
+    with np.errstate(over="ignore", invalid="ignore"):  # inv may overflow without raising
+        norm = np.linalg.norm(Lb, axis=0)
+        return np.where(np.isfinite(norm), Lb / np.where(norm > 1e12, norm, 1.0), 0.0)
 
 
 def _conditioning(Vb):
@@ -307,19 +309,19 @@ class BiorthogonalSystem:
     L_i) derived from it on first read.
 
     Fields: the complex eigenvalues; the right and left vectors Vb and Lb of
-    H_b = D^-1 H D, Fortran-ordered, in the solver's dtype (float64 on the
-    Hermitian paths for a real H_b, and on eig for a real H_b with an
-    all-real spectrum; complex otherwise), with Lb = Vb on the Hermitian
-    paths and <Lb_i|Vb_i> = 1 on eig wherever that pairing is numerically
+    H_b = D^-1 H D, in the solver's dtype (float64 on the Hermitian paths
+    for a real H_b, and on eig for a real H_b with an all-real spectrum;
+    complex otherwise), with Lb = Vb on the Hermitian paths and
+    <Lb_i|Vb_i> = 1 on eig wherever that pairing is numerically
     meaningful; the scales (f, x) of D = diag(f 2^x) (1/2 and 1 for no
     gauge); and `solver`: "chiral", "eigh" or "eig" (module docstring).
 
     Derived: `conditions`, ||L_i|| ||R_i|| at <L_i|R_i> = 1, inf beyond the
-    float range and never nan; `ep_flag`; `right`, R_i = D Vb_i at unit norm,
-    largest component real and positive, which never overflows; and `left`,
-    L_i = D^-1 Lb_i at <L_i|R_i> = <Lb_i|Vb_i>, which alone raises
-    EigensolverError past the float range.  conj(L_i) R_i = conj(Lb_i) Vb_i
-    entry by entry, so a biorthogonal density needs neither.
+    float range or for a pair with no dual, never nan; `ep_flag`; `right`,
+    R_i = D Vb_i at unit norm, largest component real and positive, which
+    never overflows; and `left`, L_i = D^-1 Lb_i at <L_i|R_i> = <Lb_i|Vb_i>,
+    which alone raises EigensolverError past the float range.  conj(L_i) R_i
+    = conj(Lb_i) Vb_i entry by entry, so a biorthogonal density needs neither.
     """
 
     eigenvalues: np.ndarray
@@ -339,18 +341,18 @@ class BiorthogonalSystem:
         B = A if Lb is Vb else Lb * Lb if Lb.dtype == float else (Lb.conj() * Lb).real
         (mr, er), (ml, el) = _log2_norms(Vb, A, scales, 1), _log2_norms(Lb, B, scales, -1)
         with np.errstate(over="ignore"):
-            return np.ldexp(mr * ml, er + el)
+            kappa = np.ldexp(mr * ml, er + el)
+        if self.solver == "eig":  # a pair with no dual (`_left_vectors`)
+            kappa[np.abs(np.sum(Lb.conj() * Vb, axis=0)) <= 1e-12] = np.inf
+        return kappa
 
     @cached_property
     def ep_flag(self) -> bool:
-        """Set when cond(Vb) > COND_LIMIT or max |Lb^H Vb - I| > TOL_BIORTH,
-        both in the gauged basis: the skin effect's non-normality, which the
-        gauge removes, is no exceptional point and would amplify rounding.  A
-        Hermitian H_b is diagonalizable, so only eig takes these measures."""
-        if self.solver != "eig":
-            return False
-        kappa, residual = _conditioning(self.Vb)[0], _biorth_residual(self.Lb, self.Vb)
-        return bool(kappa > COND_LIMIT or residual > TOL_BIORTH)
+        """Set when cond(Vb) > COND_LIMIT in the gauged basis, which bounds
+        |Lb^H Vb - I|, about eps cond(Vb), too: the skin effect's non-normality,
+        which the gauge removes, is no exceptional point and would amplify
+        rounding.  Only eig takes this measure: a Hermitian H_b is diagonalizable."""
+        return self.solver == "eig" and bool(_conditioning(self.Vb)[0] > COND_LIMIT)
 
     @cached_property
     def right(self) -> np.ndarray:

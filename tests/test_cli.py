@@ -68,7 +68,7 @@ def test_spectrum_outputs_and_determinism(tmp_path):
     m1 = json.loads((d1 / "manifest.json").read_text())
     m2 = json.loads((d2 / "manifest.json").read_text())
     assert m1["command"] == "spectrum"
-    assert "versions" in m1 and "numpy" in m1["versions"]
+    assert sorted(m1["versions"]) == ["nhskin", "numpy"]
     m1["config"].pop("out"), m2["config"].pop("out")
     assert m1 == m2
 
@@ -96,18 +96,15 @@ def _raise(*args, **kwargs):
 def _forbid_ep_measures_and_physical_vectors(monkeypatch):
     import nhskin.spectral
 
-    for name in ("_conditioning", "_biorth_residual"):
-        monkeypatch.setattr(nhskin.spectral, name, _raise)
+    monkeypatch.setattr(nhskin.spectral, "_conditioning", _raise)
     for name in ("right", "left"):
         monkeypatch.setattr(nhskin.spectral.BiorthogonalSystem, name, property(_raise))
 
 
-def test_spectrum_takes_no_ep_measure_on_the_eig_path(tmp_path, monkeypatch):
-    # the complex chain (hoppings 1.0, 0.8, 0.3 and 0.192 e^{0.7i} at offsets
-    # +1, -1, +2 and -2) stays non-Hermitian after its gauge: spectrum reads
-    # each kappa_i off the one eig solve's gauged vectors
-    import nhskin.spectral
-
+def _complex_chain_file(tmp_path):
+    """A model file of the complex chain (hoppings 1.0, 0.8, 0.3 and
+    0.192 e^{0.7i} at offsets +1, -1, +2 and -2), which stays non-Hermitian
+    after its gauge and so takes the eig path."""
     amps = (1.0, 0.8, 0.3, 0.192 * np.exp(0.7j))
     terms = [
         {"offset": [o], "amplitude": [[{"re": complex(a).real, "im": complex(a).imag}]]}
@@ -115,6 +112,14 @@ def test_spectrum_takes_no_ep_measure_on_the_eig_path(tmp_path, monkeypatch):
     ]
     path = tmp_path / "complex.json"
     path.write_text(json.dumps({"dimension": 1, "bands": 1, "terms": terms}))
+    return path
+
+
+def test_spectrum_takes_no_ep_measure_on_the_eig_path(tmp_path, monkeypatch):
+    # spectrum reads each kappa_i off the one eig solve's gauged vectors
+    import nhskin.spectral
+
+    path = _complex_chain_file(tmp_path)
     from nhskin.model import load_model
     from nhskin.realspace import build
 
@@ -617,67 +622,47 @@ def test_usage_errors_after_parsing_show_the_command_usage(tmp_path, capsys, arg
     assert not any(tmp_path.iterdir())
 
 
-def test_spectral_commands_leave_scipy_spatial_unloaded(tmp_path):
-    # eigenvalue distances are computed in numpy, so these runs need no
-    # scipy.spatial import
+def test_commands_load_no_scipy_and_no_numpy_ma(tmp_path):
+    # nhskin needs numpy alone: the eig path's left vectors come from Vb^-1,
+    # funnel's propagator is a numpy Taylor polynomial, the GBZ and amoeba
+    # use numpy roots and eigenvalue distances are computed in numpy.  Any
+    # scipy subpackage costs more than these jobs to import, and np.unique
+    # (behind np.union1d) imports numpy.ma, about 1 MB of resident memory
+    chain = ["--model", str(_complex_chain_file(tmp_path))]
+    ssh = ["--builtin", "nh-ssh", "--t1", "0.6", "--t2", "1.0", "--gamma", "0.2"]
     runs = [
-        ["spectrum", *HN, "-N", "30", "--out", str(tmp_path / "spectrum")],
-        ["localize", *SSH, "-N", "20", "--out", str(tmp_path / "localize")],
-        ["crossover", *HN, "-N", "20", "--eps-count", "3", "--out", str(tmp_path / "crossover")],
+        ["spectrum", *HN, "-N", "30"],
+        ["spectrum", *HN, "-N", "60"],
+        ["localize", *SSH, "-N", "20"],
+        ["localize", *SSH, "-N", "30"],
+        ["crossover", *HN, "-N", "20", "--eps-count", "3"],
+        ["crossover", *HN, "-N", "12", "--eps-count", "3"],
+        ["funnel", "--half", "6", "--tmax", "2"],
+        ["sensor", *SSH, "-N", "10", "12"],
+        ["reciprocity", *HN, "-N", "8"],
+        ["gbz", *ssh, "-N", "20"],
+        ["amoeba", "--builtin", "asym2d", "--jl", "0.5", "--jr", "1.0", "--tp", "0.2",
+         "--energy", "4+0i", "--resolution", "40", "--phases", "80", "--format", "pgm"],
+        ["winding", *chain, "--base", "0+0i"],
+        ["spectrum", *chain, "-N", "40"],
+        ["localize", *chain, "-N", "40"],
     ]
+    runs = [[*args, "--out", str(tmp_path / str(k))] for k, args in enumerate(runs)]
     script = (
         "import sys\n"
         "from nhskin.cli import main\n"
         f"for args in {runs!r}:\n"
-        "    assert main(args) == 0\n"
-        "print('scipy.spatial' in sys.modules)\n"
+        "    assert main(args) == 0, args\n"
+        "from nhskin.spectral import _gauged_eig\n"
+        "from nhskin.model import load_model\n"
+        "from nhskin.realspace import build\n"
+        f"H = build(load_model({chain[1]!r}), [40], 'obc').matrix\n"
+        "print(_gauged_eig(H)[4])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'))\n"
     )
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "False"
-
-
-def test_gauge_hermitian_chains_leave_scipy_linalg_sparse_and_numpy_ma_unloaded(tmp_path):
-    # the gauge and the Hermitian test read the bond list in numpy and the
-    # solve is numpy's eigh: importing scipy.linalg would cost more than the
-    # whole solve at these sizes, and np.unique (behind np.union1d) imports
-    # numpy.ma, about 1 MB of resident memory
-    runs = [
-        ["spectrum", *HN, "-N", "60", "--out", str(tmp_path / "spectrum")],
-        ["localize", *SSH, "-N", "30", "--out", str(tmp_path / "localize")],
-    ]
-    script = (
-        "import sys\n"
-        "from nhskin.cli import main\n"
-        f"for args in {runs!r}:\n"
-        "    assert main(args) == 0\n"
-        "print([m in sys.modules for m in ('scipy.linalg', 'scipy.sparse', 'numpy.ma')])\n"
-    )
-    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "[False, False, False]"
-
-
-def test_boundary_response_commands_leave_scipy_linalg_unloaded(tmp_path):
-    # funnel's propagator is a numpy Taylor polynomial, crossover and sensor
-    # need eigenvalues only and reciprocity inverts in numpy: importing
-    # scipy.linalg would cost more than any of these jobs
-    runs = [
-        ["funnel", "--half", "6", "--tmax", "2", "--out", str(tmp_path / "funnel")],
-        ["crossover", *HN, "-N", "12", "--eps-count", "3", "--out", str(tmp_path / "crossover")],
-        ["sensor", *SSH, "-N", "10", "12", "--out", str(tmp_path / "sensor")],
-        ["reciprocity", *HN, "-N", "8", "--out", str(tmp_path / "reciprocity")],
-    ]
-    script = (
-        "import sys\n"
-        "from nhskin.cli import main\n"
-        f"for args in {runs!r}:\n"
-        "    assert main(args) == 0\n"
-        "print('scipy.linalg' in sys.modules)\n"
-    )
-    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "False"
+    assert r.stdout.splitlines()[-2:] == ["eig", "[]"]
 
 
 @pytest.mark.parametrize(

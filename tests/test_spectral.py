@@ -340,8 +340,9 @@ def _raise(*args):
     ids=["chiral", "eigh"],
 )
 def test_hermitian_paths_compute_no_ep_measure(monkeypatch, op, solver):
-    # a Hermitian H_b is diagonalizable, so it has no exceptional point
-    for name in ("_biorth_residual", "_conditioning"):
+    # a Hermitian H_b is diagonalizable, so it has no exceptional point, and
+    # its left vectors are its right ones
+    for name in ("_left_vectors", "_conditioning"):
         monkeypatch.setattr(nhskin.spectral, name, _raise)
     sy = eig_biorthogonal(op)
     assert sy.solver == solver and sy.ep_flag is False
@@ -349,12 +350,13 @@ def test_hermitian_paths_compute_no_ep_measure(monkeypatch, op, solver):
 
 def test_eig_path_takes_each_ep_measure_once(monkeypatch):
     calls = []
-    for name in ("_biorth_residual", "_conditioning"):
+    for name in ("_left_vectors", "_conditioning"):
         f = getattr(nhskin.spectral, name)
         monkeypatch.setattr(nhskin.spectral, name, lambda *a, f=f, n=name: calls.append(n) or f(*a))
     sy = eig_biorthogonal(build(builtin_hatano_nelson(0.0, 1.0), [10], OBC))  # a Jordan block
     assert sy.solver == "eig" and sy.ep_flag is True
-    assert sorted(calls) == ["_biorth_residual", "_conditioning"]
+    assert sy.ep_flag is True  # a second read takes no second measure
+    assert sorted(calls) == ["_conditioning", "_left_vectors"]
 
 
 @pytest.mark.parametrize(
@@ -556,9 +558,9 @@ def _assert_matches_dense_oracles(monkeypatch, H):
         m.setattr(nhskin.spectral, "_gauged", _dense_gauged)
         oracle = (_dense_gauge(H), dense_spectrum(H), eig_biorthogonal(H))
         w, Vb, Lb, _, solver = nhskin.spectral._gauged_eig(H)
-    if solver == "eig":  # the residual ep_flag tests, as a plain formula
+    if solver == "eig":  # Lb^H = Vb^-1 wherever ep_flag is clear, and never nan
         residual = float(np.max(np.abs(Lb.conj().T @ Vb - np.eye(len(w)))))
-        assert nhskin.spectral._biorth_residual(Lb, Vb) == residual
+        assert np.isfinite(Lb).all() and (ours[2].ep_flag or residual <= 1e-8)
     _assert_same(ours[0], oracle[0])
     _assert_same(ours[1], oracle[1])
     odd, want = nhskin.spectral._gauged(H)[3], _dense_gauged(H)[3]
@@ -763,6 +765,21 @@ def test_eigen_conditions_match_the_biorthogonal_system(op, solver):
     if solver == "eig":
         np.testing.assert_array_equal(w, ev)
     np.testing.assert_allclose(w, ev, rtol=0, atol=1e-13)
+
+
+def test_pairs_with_no_dual_read_infinite_kappa():
+    # a pair with |<Lb_i|Vb_i>| <= 1e-12 has no dual: every pair of a Jordan
+    # block, and the pairs past kappa = 1e12 of the flux chain at N = 80
+    # (hoppings 0.5, 1.0, 0.2 and 0.1 at offsets +1, -1, +2 and -2); the
+    # unit-norm left vector kept for such a pair would read kappa_i = 1
+    sy = eig_biorthogonal(build(builtin_hatano_nelson(0.0, 1.0), [10], OBC))
+    assert sy.solver == "eig" and np.all(sy.conditions == np.inf)
+    flux = LatticeModel(
+        1, 1, tuple(HoppingTerm((o,), [[a]]) for o, a in zip((1, -1, 2, -2), (0.5, 1.0, 0.2, 0.1)))
+    )
+    sy = eig_biorthogonal(build(flux, [80], OBC))
+    assert sy.solver == "eig" and np.isinf(sy.conditions).any()
+    assert sy.conditions.min() > 2
 
 
 def _hn_kappa(jl, n):
