@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -154,6 +156,21 @@ def test_amoeba_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 12e6  # bytes, at the default 300 columns x 600 phases
+
+
+def test_amoeba_command_leaves_scipy_ndimage_unloaded(tmp_path):
+    args = ["amoeba", "--builtin", "asym2d", "--jl", "0.5", "--jr", "1.0", "--tp", "0.2",
+            "--energy", "4+0i", "--resolution", "40", "--phases", "80", "--format", "pgm",
+            "--out", str(tmp_path)]
+    script = (
+        "import sys\n"
+        "from nhskin.cli import main\n"
+        f"assert main({args!r}) == 0\n"
+        "print('scipy.ndimage' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"
 
 
 def test_interior_energy_has_no_hole():

@@ -622,6 +622,69 @@ def test_usage_errors_after_parsing_show_the_command_usage(tmp_path, capsys, arg
     assert not any(tmp_path.iterdir())
 
 
+def test_spectral_commands_leave_scipy_spatial_unloaded(tmp_path):
+    # eigenvalue distances are computed in numpy, so these runs need no
+    # scipy.spatial import
+    runs = [
+        ["spectrum", *HN, "-N", "30", "--out", str(tmp_path / "spectrum")],
+        ["localize", *SSH, "-N", "20", "--out", str(tmp_path / "localize")],
+        ["crossover", *HN, "-N", "20", "--eps-count", "3", "--out", str(tmp_path / "crossover")],
+    ]
+    script = (
+        "import sys\n"
+        "from nhskin.cli import main\n"
+        f"for args in {runs!r}:\n"
+        "    assert main(args) == 0\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"
+
+
+def test_gauge_hermitian_chains_leave_scipy_linalg_sparse_and_numpy_ma_unloaded(tmp_path):
+    # the gauge and the Hermitian test read the bond list in numpy and the
+    # solve is numpy's eigh: importing scipy.linalg would cost more than the
+    # whole solve at these sizes, and np.unique (behind np.union1d) imports
+    # numpy.ma, about 1 MB of resident memory
+    runs = [
+        ["spectrum", *HN, "-N", "60", "--out", str(tmp_path / "spectrum")],
+        ["localize", *SSH, "-N", "30", "--out", str(tmp_path / "localize")],
+    ]
+    script = (
+        "import sys\n"
+        "from nhskin.cli import main\n"
+        f"for args in {runs!r}:\n"
+        "    assert main(args) == 0\n"
+        "print([m in sys.modules for m in ('scipy.linalg', 'scipy.sparse', 'numpy.ma')])\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "[False, False, False]"
+
+
+def test_boundary_response_commands_leave_scipy_linalg_unloaded(tmp_path):
+    # funnel's propagator is a numpy Taylor polynomial, crossover and sensor
+    # need eigenvalues only and reciprocity inverts in numpy: importing
+    # scipy.linalg would cost more than any of these jobs
+    runs = [
+        ["funnel", "--half", "6", "--tmax", "2", "--out", str(tmp_path / "funnel")],
+        ["crossover", *HN, "-N", "12", "--eps-count", "3", "--out", str(tmp_path / "crossover")],
+        ["sensor", *SSH, "-N", "10", "12", "--out", str(tmp_path / "sensor")],
+        ["reciprocity", *HN, "-N", "8", "--out", str(tmp_path / "reciprocity")],
+    ]
+    script = (
+        "import sys\n"
+        "from nhskin.cli import main\n"
+        f"for args in {runs!r}:\n"
+        "    assert main(args) == 0\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"
+
+
 def test_commands_load_no_scipy_and_no_numpy_ma(tmp_path):
     # nhskin needs numpy alone: the eig path's left vectors come from Vb^-1,
     # funnel's propagator is a numpy Taylor polynomial, the GBZ and amoeba

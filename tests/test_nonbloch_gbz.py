@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -173,6 +176,20 @@ def test_curve_refuses_an_empty_theta_grid_and_a_flat_band():
     ))
     with pytest.raises(SamplingError):
         gbz_curve(flat, N_seed=20)
+
+
+def test_gbz_command_leaves_scipy_optimize_and_linalg_unloaded(tmp_path):
+    args = ["gbz", "--builtin", "nh-ssh", "--t1", "0.6", "--t2", "1.0", "--gamma", "0.2",
+            "-N", "20", "--out", str(tmp_path)]
+    script = (
+        "import sys\n"
+        "from nhskin.cli import main\n"
+        f"assert main({args!r}) == 0\n"
+        "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False False"
 
 
 def test_nh_ssh_roots_on_spectrum_degenerate():
